@@ -1,16 +1,45 @@
 //! The efficient GREEDY hitting-set implementation (§IV-B, Algorithms 4–5).
 //!
-//! Per attribute value, an inverted index marks the target patterns a
-//! combination carrying that value can still hit (`X` or equal value). The
-//! enumeration tree over value combinations is walked depth-first; each edge
-//! ANDs the parent's bit-vector with the value's index, children are visited
-//! in decreasing hit-count order, and a subtree is pruned when its count
-//! cannot beat the best known combination. The validation oracle is
-//! consulted before each child so only semantically valid combinations are
-//! produced.
+//! Per attribute value, an inverted index ([`PatternIndex`], Fig 9) marks the
+//! target patterns a combination carrying that value can still hit (`X` or
+//! equal value). Each round walks the enumeration tree over value
+//! combinations depth-first: every edge ANDs the parent's bit-vector with
+//! the value's column, children are visited in decreasing hit-count order,
+//! and a subtree is pruned when its count cannot beat the best known
+//! combination. The validation oracle is consulted before each child so only
+//! semantically valid combinations are produced. The round's pick is the
+//! combination with the most un-hit targets; its hits leave the live set
+//! and the next round starts over.
+//!
+//! Two things keep a round's work in proportion to the targets still un-hit
+//! rather than to all of them:
+//!
+//! * **Compaction.** Once the live targets fall to ¾ of the indexed width,
+//!   the index is rebuilt over the survivors alone, in their original order.
+//!   Every count the search compares is a count of live targets, so the
+//!   rebuilt index walks the same tree and picks the same combinations —
+//!   over shorter vectors.
+//! * **Sparse, fused scoring.** A node's filter keeps only its nonzero
+//!   words ([`SparseWords`]). Expansion hands the targets over sorted, so
+//!   targets that agree on the first attributes sit in neighbouring words,
+//!   and a few levels down most words of a filter are zero: on the Fig 17
+//!   configuration only about a fifth of the words a dense walk would scan
+//!   hold a bit. A child is scored with one AND+popcount pass over its
+//!   parent's nonzero words and the matching words of its column
+//!   ([`SparseWords::and_count`]), which allocates nothing. Its filter is
+//!   written only when the search descends into it, into a per-level buffer
+//!   reused across levels and rounds.
+//!
+//! Ties break as in the plain walk: interior children are scored in value
+//! order and stable-sorted by descending count, the walk stops at the first
+//! child whose count does not beat the best, a leaf takes the last child of
+//! maximal count, and the best changes only on a strictly greater count.
 
-use coverage_index::BitVec;
+use std::cmp::Reverse;
 
+use coverage_index::{BitVec, SparseWords};
+
+use crate::enhance::index::PatternIndex;
 use crate::enhance::HittingSetSolver;
 use crate::error::{CoverageError, Result};
 use crate::pattern::Pattern;
@@ -20,97 +49,87 @@ use crate::validation::ValidationOracle;
 #[derive(Debug, Clone, Default)]
 pub struct GreedyHittingSet;
 
-/// Per-(attribute, value) inverted indices over the target patterns.
-struct PatternIndex {
-    vectors: Vec<BitVec>,
-    offsets: Vec<usize>,
-    cardinalities: Vec<u8>,
-}
+/// Compaction trigger: rebuild the index once the live targets are at most
+/// `COMPACT_NUM / COMPACT_DEN` of its width.
+const COMPACT_NUM: usize = 3;
+const COMPACT_DEN: usize = 4;
 
-impl PatternIndex {
-    fn build(patterns: &[Pattern], cardinalities: &[u8]) -> Self {
-        let mut offsets = Vec::with_capacity(cardinalities.len() + 1);
-        let mut acc = 0;
-        for &c in cardinalities {
-            offsets.push(acc);
-            acc += c as usize;
-        }
-        offsets.push(acc);
-        let mut vectors = vec![BitVec::zeros(patterns.len()); acc];
-        for (j, p) in patterns.iter().enumerate() {
-            for (i, &c) in cardinalities.iter().enumerate() {
-                match p.get(i) {
-                    // Fig 9: value v on attribute i is compatible with
-                    // patterns carrying X or v there.
-                    Some(v) => vectors[offsets[i] + v as usize].set(j, true),
-                    None => {
-                        for v in 0..c {
-                            vectors[offsets[i] + v as usize].set(j, true);
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            vectors,
-            offsets,
-            cardinalities: cardinalities.to_vec(),
-        }
-    }
-
-    fn vector(&self, attribute: usize, value: u8) -> &BitVec {
-        &self.vectors[self.offsets[attribute] + value as usize]
-    }
-}
-
-/// Mutable DFS state for one `hit-count` search (Algorithm 4).
-struct Search<'a> {
-    index: &'a PatternIndex,
-    validation: &'a ValidationOracle,
+/// The DFS of one `hit-count` search (Algorithm 4), with buffers that
+/// outlive it so later rounds allocate nothing.
+struct Search {
+    /// `filters[l]`: the live targets still hittable below the current node
+    /// at level `l`; `filters[0]` is the round's live set.
+    filters: Vec<SparseWords>,
+    /// `children[l]`: (count, value) of the current level-`l` node's valid
+    /// children.
+    children: Vec<Vec<(u64, u8)>>,
     prefix: Vec<u8>,
     best_count: u64,
-    best_combo: Option<Vec<u8>>,
+    best_combo: Vec<u8>,
 }
 
-impl Search<'_> {
-    fn descend(&mut self, level: usize, filter: &BitVec) {
-        let d = self.index.cardinalities.len();
-        // Score every valid child of the current node.
-        let mut children: Vec<(u64, u8, BitVec)> = Vec::new();
-        for v in 0..self.index.cardinalities[level] {
-            self.prefix.push(v);
-            let allowed = self.validation.allows_prefix(&self.prefix);
-            self.prefix.pop();
-            if !allowed {
-                continue;
-            }
-            let mut bv = filter.clone();
-            bv.and_assign(self.index.vector(level, v));
-            children.push((bv.count_ones(), v, bv));
+impl Search {
+    fn new(d: usize) -> Self {
+        Self {
+            filters: vec![SparseWords::default(); d],
+            children: vec![Vec::new(); d],
+            prefix: Vec::with_capacity(d),
+            best_count: 0,
+            best_combo: Vec::with_capacity(d),
         }
-        if level == d - 1 {
+    }
+
+    /// The combination hitting the most `live` targets, if any valid one
+    /// hits at least one.
+    fn best(
+        &mut self,
+        index: &PatternIndex,
+        validation: &ValidationOracle,
+        live: &BitVec,
+    ) -> Option<Vec<u8>> {
+        self.filters[0].assign(live);
+        self.best_count = 0;
+        self.descend(index, validation, 0);
+        (self.best_count > 0).then(|| self.best_combo.clone())
+    }
+
+    fn descend(&mut self, index: &PatternIndex, validation: &ValidationOracle, level: usize) {
+        // Score every valid child of the current node.
+        let mut children = std::mem::take(&mut self.children[level]);
+        children.clear();
+        for v in 0..index.cardinality(level) {
+            self.prefix.push(v);
+            let allowed = validation.allows_prefix(&self.prefix);
+            self.prefix.pop();
+            if allowed {
+                children.push((self.filters[level].and_count(index.vector(level, v)), v));
+            }
+        }
+        if level + 1 == index.arity() {
             // Leaf level: the best child is a full combination.
-            if let Some((cnt, v, _)) = children.iter().max_by_key(|(c, _, _)| *c) {
-                if *cnt > self.best_count {
-                    self.best_count = *cnt;
-                    let mut combo = self.prefix.clone();
-                    combo.push(*v);
-                    self.best_combo = Some(combo);
+            if let Some(&(cnt, v)) = children.iter().max_by_key(|child| child.0) {
+                if cnt > self.best_count {
+                    self.best_count = cnt;
+                    self.best_combo.clone_from(&self.prefix);
+                    self.best_combo.push(v);
                 }
             }
-            return;
-        }
-        // Interior level: visit children in decreasing hit-count order and
-        // prune once a child cannot beat the best known combination.
-        children.sort_by_key(|child| std::cmp::Reverse(child.0));
-        for (cnt, v, bv) in children {
-            if cnt <= self.best_count {
-                break;
+        } else {
+            // Interior level: visit children in decreasing hit-count order
+            // and prune once a child cannot beat the best known combination.
+            children.sort_by_key(|child| Reverse(child.0));
+            for &(cnt, v) in &children {
+                if cnt <= self.best_count {
+                    break;
+                }
+                let (parents, below) = self.filters.split_at_mut(level + 1);
+                below[0].assign_and(&parents[level], index.vector(level, v));
+                self.prefix.push(v);
+                self.descend(index, validation, level + 1);
+                self.prefix.pop();
             }
-            self.prefix.push(v);
-            self.descend(level + 1, &bv);
-            self.prefix.pop();
         }
+        self.children[level] = children;
     }
 }
 
@@ -128,37 +147,44 @@ impl HittingSetSolver for GreedyHittingSet {
         if targets.is_empty() {
             return Ok(Vec::new());
         }
-        let index = PatternIndex::build(targets, cardinalities);
-        let mut filter = BitVec::ones(targets.len());
+        if cardinalities.is_empty() {
+            // Arity 0: the empty combination matches every target.
+            return Ok(vec![Vec::new()]);
+        }
+        // `indexed[j]`: the target behind bit `j` of the (compacted) index;
+        // `live`: which of those are still un-hit.
+        let mut indexed: Vec<usize> = (0..targets.len()).collect();
+        let mut index = PatternIndex::build(targets.iter(), cardinalities);
+        let mut live = BitVec::ones(targets.len());
+        let mut search = Search::new(cardinalities.len());
         let mut selected: Vec<Vec<u8>> = Vec::new();
-        while filter.any() {
-            let mut search = Search {
-                index: &index,
-                validation,
-                prefix: Vec::with_capacity(cardinalities.len()),
-                best_count: 0,
-                best_combo: None,
-            };
-            search.descend(0, &filter);
-            let Some(combo) = search.best_combo else {
+        loop {
+            let remaining = live.count_ones() as usize;
+            if remaining == 0 {
+                return Ok(selected);
+            }
+            if remaining * COMPACT_DEN <= index.len() * COMPACT_NUM {
+                indexed = live.iter_ones().map(|j| indexed[j]).collect();
+                index = PatternIndex::build(indexed.iter().map(|&j| &targets[j]), cardinalities);
+                live = BitVec::ones(indexed.len());
+            }
+            let Some(combo) = search.best(&index, validation, &live) else {
                 // Every remaining pattern is matched only by invalid
                 // combinations — surface them instead of looping forever.
-                let remaining = filter.iter_ones().map(|j| targets[j].to_string()).collect();
+                let remaining = live
+                    .iter_ones()
+                    .map(|j| targets[indexed[j]].to_string())
+                    .collect();
                 return Err(CoverageError::Unhittable {
                     patterns: remaining,
                 });
             };
-            // Clear the freshly hit patterns from the filter.
-            let mut hits = filter.clone();
-            for (i, &v) in combo.iter().enumerate() {
-                hits.and_assign(index.vector(i, v));
-            }
-            for j in hits.iter_ones() {
-                filter.set(j, false);
+            // Clear the freshly hit patterns from the live set.
+            for j in index.hits(&combo).iter_ones() {
+                live.set(j, false);
             }
             selected.push(combo);
         }
-        Ok(selected)
     }
 }
 
@@ -224,24 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_index_matches_figure9() {
-        // Fig 9 rows: A1=0 → 101110, A1=1 → 111011, A2=0 → 111010,
-        // A2=1 → 111011, A2=2 → 111110 (over P1..P6).
-        let targets = p1_to_p6();
-        let index = PatternIndex::build(&targets, &EX2_CARDS);
-        let row = |attr: usize, v: u8| -> Vec<u8> {
-            (0..6)
-                .map(|j| u8::from(index.vector(attr, v).get(j)))
-                .collect()
-        };
-        assert_eq!(row(0, 0), vec![1, 0, 1, 1, 1, 0]);
-        assert_eq!(row(0, 1), vec![1, 1, 1, 0, 1, 1]);
-        assert_eq!(row(1, 0), vec![1, 1, 1, 0, 1, 0]);
-        assert_eq!(row(1, 1), vec![1, 1, 1, 0, 1, 1]);
-        assert_eq!(row(1, 2), vec![1, 1, 1, 1, 1, 0]);
-    }
-
-    #[test]
     fn validation_rules_are_enforced() {
         // Forbid A2 = 2 entirely: the solver must still hit P2 = 1X20X? No —
         // P2 requires A3 = 2 (allowed); forbid A3 = 2 instead and P2 becomes
@@ -287,6 +295,36 @@ mod tests {
             .solve(&[], &EX2_CARDS, &ValidationOracle::accept_all())
             .unwrap();
         assert!(combos.is_empty());
+    }
+
+    #[test]
+    fn zero_arity_needs_the_empty_combination() {
+        let targets = [Pattern::all_x(0), Pattern::all_x(0)];
+        let combos = GreedyHittingSet
+            .solve(&targets, &[], &ValidationOracle::accept_all())
+            .unwrap();
+        assert_eq!(combos, vec![Vec::<u8>::new()]);
+        assert!(targets.iter().all(|p| p.matches(&combos[0])));
+    }
+
+    #[test]
+    fn zero_cardinality_attribute_is_unhittable() {
+        // No value exists for the second attribute, so no combination does.
+        for (targets, cards) in [
+            (vec!["1X", "0X"], [2u8, 0]),
+            (vec!["X0"], [2, 0]),
+            (vec!["XX"], [0, 2]),
+        ] {
+            let targets: Vec<Pattern> =
+                targets.iter().map(|s| Pattern::parse(s).unwrap()).collect();
+            match GreedyHittingSet.solve(&targets, &cards, &ValidationOracle::accept_all()) {
+                Err(CoverageError::Unhittable { patterns }) => {
+                    let expected: Vec<String> = targets.iter().map(Pattern::to_string).collect();
+                    assert_eq!(patterns, expected);
+                }
+                other => panic!("expected Unhittable, got {other:?}"),
+            }
+        }
     }
 
     #[test]

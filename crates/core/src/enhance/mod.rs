@@ -11,6 +11,7 @@
 
 mod expand;
 mod greedy;
+mod index;
 mod naive_greedy;
 
 pub use expand::{uncovered_patterns_at_level, uncovered_patterns_with_value_count};
@@ -23,14 +24,16 @@ use coverage_index::CoverageProvider;
 use crate::error::Result;
 use crate::pattern::Pattern;
 use crate::validation::ValidationOracle;
+use index::PatternIndex;
 
 /// Strategy interface for the hitting-set step.
 pub trait HittingSetSolver {
     /// Solver name (for reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Returns value combinations (each valid under `validation`) whose
-    /// union of matches hits every pattern in `targets`.
+    /// Returns value combinations (each valid under `validation`, with one
+    /// value inside each attribute's domain) whose union of matches hits
+    /// every pattern in `targets`.
     fn solve(
         &self,
         targets: &[Pattern],
@@ -57,17 +60,13 @@ pub struct EnhancementPlan {
 }
 
 impl EnhancementPlan {
-    fn build(targets: Vec<Pattern>, combinations: Vec<Vec<u8>>) -> Self {
+    fn build(targets: Vec<Pattern>, combinations: Vec<Vec<u8>>, cardinalities: &[u8]) -> Self {
+        // A combination's hits are the AND of its columns in the target
+        // index, read out in ascending order.
+        let index = PatternIndex::build(targets.iter(), cardinalities);
         let hits: Vec<Vec<usize>> = combinations
             .iter()
-            .map(|c| {
-                targets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.matches(c))
-                    .map(|(j, _)| j)
-                    .collect()
-            })
+            .map(|c| index.hits(c).iter_ones().collect())
             .collect();
         let generalized = combinations
             .iter()
@@ -110,14 +109,20 @@ impl EnhancementPlan {
     /// hit per pattern; real collection must close each pattern's deficit
     /// `τ − cov(P)`). The allocation is conservative: each combination is
     /// replicated to the largest deficit among the patterns it hits. Any
-    /// [`CoverageProvider`] backend answers the deficit probes.
+    /// [`CoverageProvider`] backend answers the deficit probes, one per
+    /// distinct hit target.
     pub fn required_copies(&self, oracle: &dyn CoverageProvider, tau: u64) -> Vec<u64> {
+        let mut deficits: Vec<Option<u64>> = vec![None; self.targets.len()];
         self.combinations
             .iter()
             .zip(&self.hits)
             .map(|(_, hit)| {
                 hit.iter()
-                    .map(|&j| tau.saturating_sub(oracle.coverage(self.targets[j].codes())))
+                    .map(|&j| {
+                        *deficits[j].get_or_insert_with(|| {
+                            tau.saturating_sub(oracle.coverage(self.targets[j].codes()))
+                        })
+                    })
                     .max()
                     .unwrap_or(1)
                     .max(1)
@@ -176,7 +181,7 @@ impl CoverageEnhancer {
         // collected for.
         targets.retain(|p| self.validation.is_valid(p));
         let combinations = solver.solve(&targets, cardinalities, &self.validation)?;
-        Ok(EnhancementPlan::build(targets, combinations))
+        Ok(EnhancementPlan::build(targets, combinations, cardinalities))
     }
 
     /// Plans the data collection for the value-count variant (Definition 7):
@@ -191,7 +196,7 @@ impl CoverageEnhancer {
         let mut targets = uncovered_patterns_with_value_count(mups, cardinalities, min_value_count);
         targets.retain(|p| self.validation.is_valid(p));
         let combinations = solver.solve(&targets, cardinalities, &self.validation)?;
-        Ok(EnhancementPlan::build(targets, combinations))
+        Ok(EnhancementPlan::build(targets, combinations, cardinalities))
     }
 }
 
@@ -349,6 +354,66 @@ mod tests {
             mups_after.iter().all(|m| m.level() > lambda),
             "level ≤ {lambda} MUP remains: {mups_after:?}"
         );
+    }
+
+    /// A read-only provider that counts `coverage` probes.
+    struct CountingProvider<'a>(&'a coverage_index::CoverageOracle, std::cell::Cell<usize>);
+
+    impl CoverageProvider for CountingProvider<'_> {
+        fn arity(&self) -> usize {
+            self.0.arity()
+        }
+        fn cardinalities(&self) -> &[u8] {
+            self.0.cardinalities()
+        }
+        fn total(&self) -> u64 {
+            self.0.total()
+        }
+        fn coverage(&self, codes: &[u8]) -> u64 {
+            self.1.set(self.1.get() + 1);
+            self.0.coverage(codes)
+        }
+        fn add_row(&mut self, _: &[u8]) {
+            unreachable!("read-only")
+        }
+        fn remove_row(&mut self, _: &[u8]) -> bool {
+            unreachable!("read-only")
+        }
+        fn grow_value(&mut self, _: usize) -> u8 {
+            unreachable!("read-only")
+        }
+        fn for_each_combination(&self, visit: &mut dyn FnMut(&[u8], u64)) {
+            CoverageProvider::for_each_combination(self.0, visit);
+        }
+    }
+
+    #[test]
+    fn required_copies_probes_each_hit_target_once() {
+        let ds = coverage_data::generators::airbnb_like(2_000, 8, 7).unwrap();
+        let tau = 20u64;
+        let mups = DeepDiver::default()
+            .find_mups(&ds, Threshold::Count(tau))
+            .unwrap();
+        let plan = CoverageEnhancer::default()
+            .plan_for_level(&GreedyHittingSet, &mups, &[2; 8], 3)
+            .unwrap();
+        let oracle = crate::CoverageReport::oracle_for(&ds);
+        let counting = CountingProvider(&oracle, std::cell::Cell::new(0));
+        let copies = plan.required_copies(&counting, tau);
+        // Targets are hit by several combinations, but probed once each.
+        let distinct: std::collections::BTreeSet<usize> =
+            plan.hits.iter().flatten().copied().collect();
+        assert!(plan.hits.iter().map(Vec::len).sum::<usize>() > distinct.len());
+        assert_eq!(counting.1.get(), distinct.len());
+        // Each combination still gets its largest hit deficit.
+        for (hit, &n) in plan.hits.iter().zip(&copies) {
+            let deficit = hit
+                .iter()
+                .map(|&j| tau.saturating_sub(oracle.coverage(plan.targets[j].codes())))
+                .max()
+                .unwrap_or(1);
+            assert_eq!(n, deficit.max(1));
+        }
     }
 
     #[test]

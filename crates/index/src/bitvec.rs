@@ -3,6 +3,8 @@
 //! "early stop strategy ... conducting the operation word by word and
 //! terminating as soon as a 1 is observed"), and weighted popcounts against a
 //! multiplicity vector (Appendix A's dot product with the `cnt` vector).
+//! [`SparseWords`] is the nonzero-word form the greedy hitting set (§IV-B)
+//! narrows its search filters in.
 //!
 //! The heavy loops live in [`crate::kernels`] — explicit 4×`u64`-lane
 //! unrolled word kernels shared with the compressed backend's bitmap
@@ -201,6 +203,67 @@ impl BitVec {
     }
 }
 
+/// A bit-vector kept as its nonzero words and their word indices.
+///
+/// A filter narrowed by a chain of ANDs — the greedy hitting set's path
+/// down its enumeration tree — soon holds bits in few of its words. Kept
+/// this way, ANDing it with a full-width [`BitVec`] and counting the result
+/// costs time in proportion to the words that still hold bits, not to the
+/// width.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SparseWords {
+    index: Vec<u32>,
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SparseWords {
+    /// `self = v`, keeping only its nonzero words and reusing the buffers.
+    pub fn assign(&mut self, v: &BitVec) {
+        self.index.clear();
+        self.words.clear();
+        for (i, &w) in v.words.iter().enumerate() {
+            if w != 0 {
+                self.index
+                    .push(u32::try_from(i).expect("bit-vector wider than 2^32 words"));
+                self.words.push(w);
+            }
+        }
+        self.len = v.len;
+    }
+
+    /// `self = a & b`, reusing the buffers; words that come out zero are
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn assign_and(&mut self, a: &SparseWords, b: &BitVec) {
+        assert_eq!(a.len, b.len, "bitvec length mismatch");
+        self.index.clear();
+        self.words.clear();
+        for (&i, &w) in a.index.iter().zip(&a.words) {
+            let w = w & b.words[i as usize];
+            if w != 0 {
+                self.index.push(i);
+                self.words.push(w);
+            }
+        }
+        self.len = a.len;
+    }
+
+    /// Number of bits set in `self & other`, in one fused pass without
+    /// materializing the intersection.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn and_count(&self, other: &BitVec) -> u64 {
+        assert_eq!(self.len, other.len, "bitvec length mismatch");
+        kernels::and_popcount_gather(&self.index, &self.words, &other.words)
+    }
+}
+
 /// Weighted popcount of the intersection of several vectors without
 /// materializing it: Σ `weights[i]` over bits set in *all* of `vectors`.
 ///
@@ -350,6 +413,27 @@ mod tests {
         let mut o = a0.clone();
         o.or_assign(&b);
         assert_eq!(o.iter_ones().collect::<Vec<_>>(), vec![1, 5, 64, 70, 99]);
+    }
+
+    #[test]
+    fn sparse_words_and_count_and_assign_and_match_and_assign() {
+        // Ragged lengths: inside one word, on word boundaries, past them,
+        // with whole zero words in between.
+        for len in [1usize, 63, 64, 65, 128, 200, 257] {
+            let a = BitVec::from_indices(len, (0..len).filter(|i| i % 3 != 1 && i / 64 != 1));
+            let b = BitVec::from_indices(len, (0..len).filter(|i| i % 5 != 2));
+            let mut expected = a.clone();
+            expected.and_assign(&b);
+            let mut sa = SparseWords::default();
+            sa.assign(&a);
+            assert_eq!(sa.and_count(&b), expected.count_ones(), "len={len}");
+            let mut dst = SparseWords::default();
+            dst.assign_and(&sa, &b);
+            let mut dense = SparseWords::default();
+            dense.assign(&expected);
+            assert_eq!(dst, dense, "len={len}");
+            assert_eq!(dst.and_count(&BitVec::ones(len)), expected.count_ones());
+        }
     }
 
     #[test]

@@ -53,6 +53,32 @@ pub(crate) fn popcount_words(words: &[u64]) -> u64 {
     total
 }
 
+/// Σ popcount(`words[t] & other[index[t]]`): a sparse word list ANDed
+/// with a dense word slice and counted in one fused pass, without writing
+/// the intersection anywhere, 4 words per iteration.
+///
+/// # Panics
+///
+/// Panics when `index` and `words` differ in length or an index is out of
+/// range of `other`.
+pub(crate) fn and_popcount_gather(index: &[u32], words: &[u64], other: &[u64]) -> u64 {
+    assert_eq!(index.len(), words.len(), "sparse word list length mismatch");
+    let mut acc = [0u64; LANES];
+    let mut idx = index.chunks_exact(LANES);
+    let mut w = words.chunks_exact(LANES);
+    for (i, w) in (&mut idx).zip(&mut w) {
+        acc[0] += u64::from((w[0] & other[i[0] as usize]).count_ones());
+        acc[1] += u64::from((w[1] & other[i[1] as usize]).count_ones());
+        acc[2] += u64::from((w[2] & other[i[2] as usize]).count_ones());
+        acc[3] += u64::from((w[3] & other[i[3] as usize]).count_ones());
+    }
+    let mut total = acc[0] + acc[1] + acc[2] + acc[3];
+    for (&i, &w) in idx.remainder().iter().zip(w.remainder()) {
+        total += u64::from((w & other[i as usize]).count_ones());
+    }
+    total
+}
+
 /// Σ `weights[base + bit]` over set bits of `word`.
 #[inline]
 fn weighted_bits(mut word: u64, weights: &[u64], base: usize) -> u64 {
@@ -326,6 +352,32 @@ mod tests {
             let mut dst = a.clone();
             and_into(&mut dst, &b);
             assert_eq!(popcount_words(&dst), expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn and_popcount_gather_matches_and_then_popcount() {
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 17, 1114] {
+            let a = words(11, n);
+            let b = words(12, n);
+            let mut dst = a.clone();
+            and_into(&mut dst, &b);
+            let expected = popcount_words(&dst);
+            // Every word, then every other word: the gather sees exactly
+            // the listed words of `a`.
+            let all: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(and_popcount_gather(&all, &a, &b), expected, "n={n}");
+            let odd: Vec<u32> = (1..n as u32).step_by(2).collect();
+            let picked: Vec<u64> = odd.iter().map(|&i| a[i as usize]).collect();
+            let expected_odd: u64 = odd
+                .iter()
+                .map(|&i| u64::from(dst[i as usize].count_ones()))
+                .sum();
+            assert_eq!(
+                and_popcount_gather(&odd, &picked, &b),
+                expected_odd,
+                "n={n}"
+            );
         }
     }
 

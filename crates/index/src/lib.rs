@@ -30,7 +30,7 @@ mod oracle;
 mod provider;
 mod sharded;
 
-pub use bitvec::{intersection_any, intersection_weighted_sum, BitVec};
+pub use bitvec::{intersection_any, intersection_weighted_sum, BitVec, SparseWords};
 pub use compressed::CompressedOracle;
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS, CHUNK_SIZE};
 pub use dominance::MupDominanceIndex;
