@@ -1,5 +1,5 @@
 //! Microbenchmarks for the Appendix B MUP dominance index: insertion and
-//! both dominance checks at several index sizes.
+//! the dominated-by check at several index sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -39,17 +39,6 @@ fn bench_dominance(c: &mut Criterion) {
                 b.iter(|| {
                     for p in probes {
                         black_box(index.dominated_by_any(black_box(p)));
-                    }
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dominates_any", size),
-            &probes,
-            |b, probes| {
-                b.iter(|| {
-                    for p in probes {
-                        black_box(index.dominates_any(black_box(p)));
                     }
                 });
             },

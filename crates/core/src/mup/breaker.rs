@@ -43,6 +43,10 @@ impl MupAlgorithm for PatternBreaker {
         oracle: &dyn CoverageProvider,
         tau: u64,
     ) -> Result<Vec<Pattern>> {
+        if tau == 0 {
+            // cov(P) ≥ 0 for every pattern: nothing is uncovered.
+            return Ok(Vec::new());
+        }
         let cards = oracle.cardinalities().to_vec();
         let d = cards.len();
         let depth = self.max_level.map_or(d, |m| m.min(d));

@@ -1,17 +1,37 @@
 //! DEEPDIVER (§III-E, Algorithm 3): depth-first dives that reach uncovered
-//! territory quickly, walk up to the responsible MUP, and then prune both
-//! the ancestors and the descendants of every discovered MUP through the
-//! bit-parallel dominance index of Appendix B.
+//! territory quickly, walk up to the responsible MUP, and then prune the
+//! descendants of every discovered MUP through the bit-parallel dominance
+//! index of Appendix B.
 //!
-//! * a node **dominated by** a discovered MUP lies in a pruned subtree —
-//!   skipped entirely;
-//! * a node that **dominates** a discovered MUP is a covered ancestor — its
-//!   coverage query is skipped and its children are expanded directly;
-//! * otherwise the coverage oracle decides: covered nodes expand their Rule-1
-//!   children; uncovered nodes trigger a walk-up (moving to any uncovered
-//!   parent until none exists) that lands exactly on a new MUP.
+//! The walk pops nodes off a stack; a popped node is
+//!
+//! * **dominated by** a discovered MUP — it lies in a pruned subtree and is
+//!   skipped (checked only for uncovered nodes: a covered node cannot be
+//!   dominated by an uncovered pattern);
+//! * **covered** — its Rule-1 children are pushed;
+//! * **uncovered** otherwise — a walk-up (moving to the first uncovered
+//!   parent until none exists) lands exactly on a new MUP.
+//!
+//! Algorithm 3 also skips the coverage probe of nodes that *dominate* a
+//! discovered MUP (covered ancestors). In this traversal order no such
+//! node is ever popped, so the check is left out. Rule-1 children are
+//! pushed in ascending (position, value) order and popped last-in first-out,
+//! so the walk visits each subtree whole, larger positions first. Take a
+//! pattern `p` that dominates a node `q`. Either `p` lies on `q`'s Rule-1
+//! path from the root, or the two paths branch at some node `b`. In the
+//! second case `p`'s branch below `b` sets a larger position than `q`'s,
+//! because `p`'s deterministic elements are a subset of `q`'s. Either way
+//! `p`, if visited, is popped before `q`. A MUP found by climbing from `q`
+//! dominates `q` or equals it. A node popped after `q` that dominated the
+//! MUP would dominate `q` too, so it would have been popped before `q`;
+//! and a tree walk never pops `q` itself twice.
+//!
+//! Pending nodes live in one flat code stack, the climb rewrites the
+//! popped node's buffer in place, and coverage probes go through
+//! [`CoverageProvider::descent`], so the dense oracle answers each child
+//! from its parent's match vector.
 
-use coverage_index::{CoverageProvider, MupDominanceIndex};
+use coverage_index::{CoverageProvider, MupDominanceIndex, X};
 
 use crate::error::Result;
 use crate::mup::MupAlgorithm;
@@ -33,22 +53,24 @@ impl DeepDiver {
         }
     }
 
-    /// Walk-up phase: starting from an uncovered pattern, repeatedly move to
-    /// an uncovered parent; the fixed point has all parents covered and is
+    /// Walk-up phase, in place: starting from an uncovered pattern,
+    /// repeatedly move to the first uncovered parent (parents taken in
+    /// attribute order); the fixed point has all parents covered and is
     /// therefore a MUP.
-    fn climb(oracle: &dyn CoverageProvider, tau: u64, start: Pattern) -> Pattern {
-        let mut current = start;
+    fn climb(oracle: &dyn CoverageProvider, tau: u64, codes: &mut [u8]) {
         'climb: loop {
-            let uncovered_parent = current
-                .parents()
-                .find(|parent| !oracle.covered(parent.codes(), tau));
-            match uncovered_parent {
-                Some(parent) => {
-                    current = parent;
+            for i in 0..codes.len() {
+                let value = codes[i];
+                if value == X {
+                    continue;
+                }
+                codes[i] = X;
+                if !oracle.covered(codes, tau) {
                     continue 'climb;
                 }
-                None => return current,
+                codes[i] = value;
             }
+            return;
         }
     }
 }
@@ -63,36 +85,43 @@ impl MupAlgorithm for DeepDiver {
         oracle: &dyn CoverageProvider,
         tau: u64,
     ) -> Result<Vec<Pattern>> {
+        if tau == 0 {
+            // cov(P) ≥ 0 for every pattern: nothing is uncovered.
+            return Ok(Vec::new());
+        }
         let cards = oracle.cardinalities().to_vec();
         let d = cards.len();
         let depth = self.max_level.map_or(d, |m| m.min(d));
 
         let mut mups: Vec<Pattern> = Vec::new();
         let mut index = MupDominanceIndex::new(&cards);
-        let mut stack: Vec<Pattern> = vec![Pattern::all_x(d)];
+        let mut probe = oracle.descent(tau);
+        // Pending nodes: `d` codes each on `codes`, and per node its level
+        // and the first position its Rule-1 children may set.
+        let mut codes: Vec<u8> = vec![X; d];
+        let mut frames: Vec<(usize, usize)> = vec![(0, 0)];
+        let mut node: Vec<u8> = vec![X; d];
 
-        while let Some(p) = stack.pop() {
-            if !index.is_empty() && index.dominates_any(p.codes()) {
-                // Ancestor of a known MUP — covered by Definition 5, so the
-                // oracle is skipped and the dive continues. (A node *equal*
-                // to a MUP discovered earlier by a climb also lands here;
-                // its children are then generated but immediately rejected
-                // below as dominated, so the output is unaffected.)
-                if p.level() < depth {
-                    stack.extend(p.rule1_children(&cards));
+        while let Some((level, first_free)) = frames.pop() {
+            let top = codes.len() - d;
+            node.copy_from_slice(&codes[top..]);
+            codes.truncate(top);
+            let expand = level < depth;
+            if probe.covered(&node, expand) {
+                if expand {
+                    for (i, &card) in cards.iter().enumerate().skip(first_free) {
+                        for v in 0..card {
+                            let child = codes.len();
+                            codes.extend_from_slice(&node);
+                            codes[child + i] = v;
+                            frames.push((level + 1, i + 1));
+                        }
+                    }
                 }
-                continue;
-            }
-            if !oracle.covered(p.codes(), tau) {
-                // Only uncovered nodes can be dominated by a MUP, so the
-                // (full-scan) dominance check is deferred until here.
-                if !index.dominated_by_any(p.codes()) {
-                    let mup = Self::climb(oracle, tau, p);
-                    index.add(mup.codes());
-                    mups.push(mup);
-                }
-            } else if p.level() < depth {
-                stack.extend(p.rule1_children(&cards));
+            } else if !index.dominated_by_any(&node) {
+                Self::climb(oracle, tau, &mut node);
+                index.add(&node);
+                mups.push(Pattern::from_codes(node.as_slice()));
             }
         }
         Ok(mups)
@@ -124,15 +153,17 @@ mod tests {
         // §III-E example: the dive XXX → X0X → 10X reaches the uncovered
         // non-MUP 10X whose walk-up must land on 1XX.
         let oracle = oracle_for(&example1());
-        let mup = DeepDiver::climb(&oracle, 1, Pattern::parse("10X").unwrap());
-        assert_eq!(mup.to_string(), "1XX");
+        let mut codes = Pattern::parse("10X").unwrap().codes().to_vec();
+        DeepDiver::climb(&oracle, 1, &mut codes);
+        assert_eq!(Pattern::from_codes(codes).to_string(), "1XX");
     }
 
     #[test]
     fn climb_on_mup_is_identity() {
         let oracle = oracle_for(&example1());
-        let mup = DeepDiver::climb(&oracle, 1, Pattern::parse("1XX").unwrap());
-        assert_eq!(mup.to_string(), "1XX");
+        let mut codes = Pattern::parse("1XX").unwrap().codes().to_vec();
+        DeepDiver::climb(&oracle, 1, &mut codes);
+        assert_eq!(Pattern::from_codes(codes).to_string(), "1XX");
     }
 
     #[test]

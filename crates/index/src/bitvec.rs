@@ -1,8 +1,7 @@
-//! A packed bit-vector tuned for the paper's two inverted-index workloads:
-//! word-parallel AND across several vectors with early exit (Appendix B's
-//! "early stop strategy ... conducting the operation word by word and
-//! terminating as soon as a 1 is observed"), and weighted popcounts against a
-//! multiplicity vector (Appendix A's dot product with the `cnt` vector).
+//! A packed bit-vector tuned for the paper's inverted-index workload:
+//! word-parallel AND across several vectors and weighted popcounts against a
+//! multiplicity vector (Appendix A's dot product with the `cnt` vector),
+//! with an early exit once the count reaches a threshold.
 //! [`SparseWords`] is the nonzero-word form the greedy hitting set (§IV-B)
 //! narrows its search filters in.
 //!
@@ -313,25 +312,6 @@ pub fn intersection_weight_capped(vectors: &[&BitVec], weights: &[u64], cap: u64
     kernels::intersect_weighted_capped(&slices, weights, cap)
 }
 
-/// Whether the intersection of `vectors` is non-empty, with word-level early
-/// exit (Appendix B's early-stop strategy). An empty slice denotes the
-/// universe and yields `true` iff the universe is non-empty — callers must
-/// special-case the all-`X` pattern themselves, so this returns `false` for
-/// an empty slice to stay conservative.
-pub fn intersection_any(vectors: &[&BitVec]) -> bool {
-    match vectors {
-        [] => false,
-        [single] => single.any(),
-        [first, rest @ ..] => {
-            for v in rest {
-                assert_eq!(v.len, first.len, "bitvec length mismatch");
-            }
-            let slices: Vec<&[u64]> = vectors.iter().map(|v| v.words.as_slice()).collect();
-            kernels::intersect_any(&slices)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,18 +430,6 @@ mod tests {
     fn intersection_weighted_sum_empty_is_total() {
         let cnt = [1u64, 2, 3];
         assert_eq!(intersection_weighted_sum(&[], &cnt), 6);
-    }
-
-    #[test]
-    fn intersection_any_early_exit_semantics() {
-        let a = BitVec::from_indices(300, [250]);
-        let b = BitVec::from_indices(300, [250, 10]);
-        let c = BitVec::from_indices(300, [10]);
-        assert!(intersection_any(&[&a, &b]));
-        assert!(!intersection_any(&[&a, &c]));
-        assert!(!intersection_any(&[]));
-        assert!(intersection_any(&[&a]));
-        assert!(!intersection_any(&[&BitVec::zeros(300)]));
     }
 
     #[test]

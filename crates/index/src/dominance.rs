@@ -1,23 +1,33 @@
 //! The dynamic MUP-dominance index of Appendix B.
 //!
-//! DEEPDIVER visits a large number of pattern-graph nodes and must decide,
-//! for each, whether it *dominates* or *is dominated by* any already
-//! discovered MUP (Definition 9). A linear scan over the MUP set is too slow,
-//! so the paper keeps, per attribute, one growable bit-vector per value
-//! **plus one for `X`**; bit `k` describes MUP `k`. Both checks reduce to a
+//! DEEPDIVER must decide, for every uncovered node it reaches, whether some
+//! already discovered MUP *dominates* it (Definition 9): then the node lies
+//! in a pruned subtree. A linear scan over the MUP set is too slow, so the
+//! paper keeps, per attribute, one growable bit-vector per value **plus one
+//! for `X`**, where bit `k` describes MUP `k`, and reduces the check to a
 //! word-parallel AND with early termination.
+//!
+//! Layout: the vectors are stored word-interleaved. Row `r` holds one word
+//! per `(attribute, slot)` pair — `Σ(c_i + 1)` words — for MUPs
+//! `64r .. 64r + 63`, so one check reads one contiguous row per 64 MUPs.
+//! Value slot `v` of attribute `i` has bit `k` set when `MUP[k][i] ∈ {v, X}`
+//! (the paper's value-OR-`X` vector, precomputed at insertion); slot `c_i`
+//! has it set when `MUP[k][i] = X`. A query resolves its slot per attribute
+//! once, then ANDs those words row by row. Rows are scanned newest-first:
+//! the MUP that prunes a node is usually one found a few dives earlier, and
+//! the answer does not depend on the order.
 
-use crate::bitvec::{intersection_any, BitVec};
 use crate::oracle::X;
 
-/// Growable inverted index over a set of MUPs supporting bit-parallel
-/// dominance checks.
+/// Growable inverted index over a set of MUPs supporting the bit-parallel
+/// "is this pattern dominated by a stored MUP?" check.
 #[derive(Debug, Clone)]
 pub struct MupDominanceIndex {
-    /// `slabs[offsets[i] + v]` = bit-vector of MUPs with value `v` on
-    /// attribute `i`; slot `cardinality(i)` within each attribute block is
-    /// the `X` vector.
-    slabs: Vec<BitVec>,
+    /// Row-major words: slot `v` of attribute `i` for MUPs `64r ..` is
+    /// `words[r * width + offsets[i] + v]`.
+    words: Vec<u64>,
+    /// First slot of each attribute within a row; `offsets[d]` is the row
+    /// width.
     offsets: Vec<usize>,
     cardinalities: Vec<u8>,
     len: usize,
@@ -34,13 +44,23 @@ impl MupDominanceIndex {
         }
         offsets.push(acc);
         Self {
-            slabs: vec![BitVec::default(); acc],
+            words: Vec::new(),
             offsets,
             cardinalities: cardinalities.to_vec(),
             len: 0,
         }
     }
 
+    /// Words per row (one row per 64 MUPs).
+    fn row_width(&self) -> usize {
+        self.offsets[self.cardinalities.len()]
+    }
+
+    /// The slot of `code` on attribute `attribute`, relative to the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value code out of range.
     fn slot(&self, attribute: usize, code: u8) -> usize {
         let c = self.cardinalities[attribute];
         let v = if code == X {
@@ -72,74 +92,58 @@ impl MupDominanceIndex {
     /// Panics on arity mismatch or out-of-range value codes.
     pub fn add(&mut self, codes: &[u8]) {
         assert_eq!(codes.len(), self.cardinalities.len(), "arity mismatch");
+        let width = self.row_width();
+        if self.len.is_multiple_of(64) {
+            self.words.resize(self.words.len() + width, 0);
+        }
+        let row = (self.len / 64) * width;
+        let bit = 1u64 << (self.len % 64);
         for (i, &code) in codes.iter().enumerate() {
-            let hit = self.slot(i, code);
-            let base = self.offsets[i];
-            let end = self.offsets[i + 1];
-            for s in base..end {
-                self.slabs[s].push(s == hit);
+            let slot = self.slot(i, code);
+            // X matches every value, so it lands in every slot.
+            let first = if code == X { self.offsets[i] } else { slot };
+            for word in &mut self.words[row + first..=row + slot] {
+                *word |= bit;
             }
         }
         self.len += 1;
     }
 
-    /// Whether `codes` dominates at least one stored MUP: some MUP `M`
-    /// agrees with every deterministic element of `codes` (so `M` lies in
-    /// the subtree below `codes`).
-    pub fn dominates_any(&self, codes: &[u8]) -> bool {
-        assert_eq!(codes.len(), self.cardinalities.len(), "arity mismatch");
-        if self.len == 0 {
-            return false;
-        }
-        let selected: Vec<&BitVec> = codes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != X)
-            .map(|(i, &v)| &self.slabs[self.slot(i, v)])
-            .collect();
-        if selected.is_empty() {
-            // The all-X root dominates every pattern, hence any MUP.
-            return true;
-        }
-        intersection_any(&selected)
-    }
-
     /// Whether some stored MUP dominates `codes` (i.e. `codes` lies in a
     /// pruned subtree): some MUP `M` with `M[i] ∈ {X, codes[i]}` for every
-    /// deterministic `i`, and `M[i] = X` wherever `codes[i] = X`.
+    /// deterministic `i`, and `M[i] = X` wherever `codes[i] = X`. Equality
+    /// counts as domination.
     ///
-    /// Per Appendix B this ORs the value vector with the `X` vector for
-    /// deterministic elements and uses the bare `X` vector for
-    /// non-deterministic ones.
+    /// # Panics
+    ///
+    /// Panics on arity mismatch or out-of-range value codes.
     pub fn dominated_by_any(&self, codes: &[u8]) -> bool {
         assert_eq!(codes.len(), self.cardinalities.len(), "arity mismatch");
         if self.len == 0 {
             return false;
         }
-        // Word-parallel without materializing the OR vectors: for each
-        // storage word, AND together (value | X) words across attributes,
-        // short-circuiting within the word and returning on the first
-        // surviving bit. All slabs share the same bit length, and `push`
-        // keeps tail bits zero, so no masking is needed.
-        let words = self.len.div_ceil(64);
-        for w in 0..words {
+        let slots: Vec<usize> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &code)| self.slot(i, code))
+            .collect();
+        if slots.is_empty() {
+            // Zero attributes: every stored MUP is the empty pattern.
+            return true;
+        }
+        // Newest row first; within a row, AND the selected words and stop
+        // at the first attribute that clears every bit. Bits past `len`
+        // were never set, so no masking is needed.
+        self.words.chunks_exact(self.row_width()).rev().any(|row| {
             let mut acc = u64::MAX;
-            for (i, &v) in codes.iter().enumerate() {
-                let x_word = self.slabs[self.slot(i, X)].words()[w];
-                acc &= if v == X {
-                    x_word
-                } else {
-                    self.slabs[self.slot(i, v)].words()[w] | x_word
-                };
+            for &s in &slots {
+                acc &= row[s];
                 if acc == 0 {
-                    break;
+                    return false;
                 }
             }
-            if acc != 0 {
-                return true;
-            }
-        }
-        false
+            true
+        })
     }
 }
 
@@ -158,9 +162,18 @@ mod tests {
     #[test]
     fn empty_index_dominates_nothing() {
         let idx = MupDominanceIndex::new(&[2, 2, 2]);
-        assert!(!idx.dominates_any(&[X, X, X]) || idx.is_empty());
+        assert!(idx.is_empty());
         assert!(!idx.dominated_by_any(&[1, 1, 1]));
+        assert!(!idx.dominated_by_any(&[X, X, X]));
         assert_eq!(idx.len(), 0);
+    }
+
+    #[test]
+    fn zero_attribute_mups_dominate_the_empty_pattern() {
+        let mut idx = MupDominanceIndex::new(&[]);
+        assert!(!idx.dominated_by_any(&[]));
+        idx.add(&[]);
+        assert!(idx.dominated_by_any(&[]));
     }
 
     #[test]
@@ -170,15 +183,11 @@ mod tests {
         // 10X is dominated by 1XX.
         assert!(idx.dominated_by_any(&[1, 0, X]));
         assert!(idx.dominated_by_any(&[1, 1, 1]));
-        // XXX dominates 1XX.
-        assert!(idx.dominates_any(&[X, X, X]));
-        // 0XX neither dominates nor is dominated.
+        // XXX and 0XX are not.
+        assert!(!idx.dominated_by_any(&[X, X, X]));
         assert!(!idx.dominated_by_any(&[0, X, X]));
-        assert!(!idx.dominates_any(&[0, X, X]));
-        // The MUP itself is dominated by (equal to) a stored MUP and
-        // dominates one too — both checks include equality.
+        // The MUP itself counts as dominated (equality).
         assert!(idx.dominated_by_any(&[1, X, X]));
-        assert!(idx.dominates_any(&[1, X, X]));
     }
 
     #[test]
@@ -186,7 +195,6 @@ mod tests {
         // MUP 10X: pattern 1XX is NOT dominated by it (1XX is more general).
         let idx = index_with(&[&[1, 0, X]], &[2, 2, 2]);
         assert!(!idx.dominated_by_any(&[1, X, X]));
-        assert!(idx.dominates_any(&[1, X, X]));
         assert!(idx.dominated_by_any(&[1, 0, 1]));
     }
 
@@ -196,8 +204,13 @@ mod tests {
         assert!(idx.dominated_by_any(&[1, 1, 0])); // by 1XX
         assert!(idx.dominated_by_any(&[0, 0, 2])); // by X02
         assert!(!idx.dominated_by_any(&[0, 1, 0]));
-        assert!(idx.dominates_any(&[X, X, 2])); // dominates X02
-        assert!(!idx.dominates_any(&[0, 1, 0]));
+        assert!(!idx.dominated_by_any(&[X, X, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_query_panics() {
+        index_with(&[&[1, X]], &[2, 2]).dominated_by_any(&[2, X]);
     }
 
     #[test]
@@ -224,17 +237,18 @@ mod tests {
                 .zip(specific)
                 .all(|(&g, &s)| g == X || g == s)
         };
-        let mups: Vec<Vec<u8>> = (0..30).map(|_| random_pattern(&mut rng)).collect();
+        // 150 MUPs span three word rows.
+        let mups: Vec<Vec<u8>> = (0..150).map(|_| random_pattern(&mut rng)).collect();
         let mut idx = MupDominanceIndex::new(&cards);
-        for m in &mups {
+        for (n, m) in mups.iter().enumerate() {
             idx.add(m);
-        }
-        for _ in 0..300 {
-            let p = random_pattern(&mut rng);
-            let expect_dominated = mups.iter().any(|m| dominates(m, &p));
-            let expect_dominates = mups.iter().any(|m| dominates(&p, m));
-            assert_eq!(idx.dominated_by_any(&p), expect_dominated, "pattern {p:?}");
-            assert_eq!(idx.dominates_any(&p), expect_dominates, "pattern {p:?}");
+            if n % 37 == 0 || n == mups.len() - 1 {
+                for _ in 0..100 {
+                    let p = random_pattern(&mut rng);
+                    let expect = mups[..=n].iter().any(|m| dominates(m, &p));
+                    assert_eq!(idx.dominated_by_any(&p), expect, "{n} MUPs, {p:?}");
+                }
+            }
         }
     }
 
@@ -253,5 +267,49 @@ mod tests {
         assert!(idx.dominated_by_any(&[0, 0]));
         assert!(idx.dominated_by_any(&[1, 1]));
         assert!(!idx.dominated_by_any(&[1, 0]));
+    }
+
+    /// An index of `n` MUPs over six ternary attributes where only MUP
+    /// `only` (if any) dominates the probe `1 2 0 1 2 0`: every other MUP
+    /// fixes attribute 0 to `0`.
+    fn single_dominator(n: usize, only: Option<usize>) -> MupDominanceIndex {
+        let mut idx = MupDominanceIndex::new(&[3; 6]);
+        for k in 0..n {
+            if Some(k) == only {
+                idx.add(&[1, X, 0, X, X, X]);
+            } else {
+                idx.add(&[0, X, X, (k % 3) as u8, X, X]);
+            }
+        }
+        assert_eq!(idx.len(), n);
+        idx
+    }
+
+    #[test]
+    fn finds_a_lone_dominator_in_the_oldest_and_newest_rows() {
+        const PROBE: [u8; 6] = [1, 2, 0, 1, 2, 0];
+        for n in [0usize, 63, 64, 65, 129] {
+            assert!(
+                !single_dominator(n, None).dominated_by_any(&PROBE),
+                "{n} MUPs, no dominator"
+            );
+            if n == 0 {
+                continue;
+            }
+            // Oldest row: the first MUP; also the last MUP of that row.
+            for k in [0, n.min(64) - 1] {
+                assert!(
+                    single_dominator(n, Some(k)).dominated_by_any(&PROBE),
+                    "{n} MUPs, dominator #{k} (oldest row)"
+                );
+            }
+            // Newest row: its first and its last MUP.
+            for k in [(n - 1) / 64 * 64, n - 1] {
+                assert!(
+                    single_dominator(n, Some(k)).dominated_by_any(&PROBE),
+                    "{n} MUPs, dominator #{k} (newest row)"
+                );
+            }
+        }
     }
 }

@@ -216,34 +216,26 @@ pub(crate) fn intersect_weighted_capped(slices: &[&[u64]], weights: &[u64], cap:
     total
 }
 
-/// Whether the intersection of several equally-long word slices has any set
-/// bit, 4 words per iteration with a group-level early exit (Appendix B's
-/// early-stop strategy). An empty `slices` returns `false` — callers
-/// special-case the all-`X` pattern themselves.
-pub(crate) fn intersect_any(slices: &[&[u64]]) -> bool {
-    let Some((first, rest)) = slices.split_first() else {
-        return false;
-    };
-    let n = first.len();
-    let mut wi = 0;
-    while wi + LANES <= n {
-        let lanes = and_lanes(first, rest, wi);
-        if lanes[0] | lanes[1] | lanes[2] | lanes[3] != 0 {
-            return true;
-        }
-        wi += LANES;
+/// [`intersect_weighted_capped`] for exactly two slices, `a & b`, without
+/// the slice-of-slices indirection: the probe that extends a cached match
+/// vector by one column.
+pub(crate) fn and_weighted_capped(a: &[u64], b: &[u64], weights: &[u64], cap: u64) -> u64 {
+    if cap == 0 {
+        return 0;
     }
-    while wi < n {
-        let mut word = first[wi];
-        for s in rest {
-            word &= s[wi];
+    let mut total = 0u64;
+    for (wi, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let mut word = x & y;
+        while word != 0 {
+            let bit = word.trailing_zeros() as usize;
+            total = total.saturating_add(weights[wi * WORD_BITS + bit]);
+            if total >= cap {
+                return total;
+            }
+            word &= word - 1;
         }
-        if word != 0 {
-            return true;
-        }
-        wi += 1;
     }
-    false
+    total
 }
 
 /// A short description of the intersection-kernel code paths available on
@@ -328,7 +320,15 @@ mod tests {
                     intersect_weighted_capped(&slices, &weights, u64::MAX),
                     expected
                 );
-                assert_eq!(intersect_any(&slices), expected != 0, "n={n}");
+                if let [x, y] = slices[..] {
+                    for cap in [0, 1, 5, 40, u64::MAX] {
+                        assert_eq!(
+                            and_weighted_capped(x, y, &weights, cap),
+                            intersect_weighted_capped(&slices, &weights, cap),
+                            "n={n} cap={cap}"
+                        );
+                    }
+                }
                 let capped = intersect_weighted_capped(&slices, &weights, 5);
                 if expected >= 5 {
                     assert!(capped >= 5);

@@ -2,8 +2,8 @@
 //!
 //! Bit-parallel index structures behind the *mithra* coverage library:
 //!
-//! * [`BitVec`] — packed bit-vectors with word-parallel AND/OR, weighted
-//!   popcounts, and early-exit intersection tests;
+//! * [`BitVec`] — packed bit-vectors with word-parallel AND/OR and
+//!   weighted popcounts;
 //! * [`CoverageProvider`] / [`CoverageBackend`] — the probe-and-mutate
 //!   surface the algorithms and the serving layer are generic over;
 //! * [`CoverageOracle`] — the inverted-index coverage oracle of Appendix A
@@ -13,7 +13,9 @@
 //! * [`ShardedOracle`] — N row-disjoint oracles behind the same trait, with
 //!   parallel build/ingest/wide-probes for multi-core serving;
 //! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used
-//!   by DEEPDIVER to prune ancestors and descendants of discovered MUPs.
+//!   by DEEPDIVER to prune the descendants of discovered MUPs;
+//! * [`Descent`] — the probe session of a depth-first Rule-1 walk, which the
+//!   dense oracle answers from the parent's match vector.
 //!
 //! The low-level pattern contract throughout is a `&[u8]` of value codes
 //! with [`X`] (= `0xFF`) marking non-deterministic elements.
@@ -30,11 +32,11 @@ mod oracle;
 mod provider;
 mod sharded;
 
-pub use bitvec::{intersection_any, intersection_weighted_sum, BitVec, SparseWords};
+pub use bitvec::{intersection_weighted_sum, BitVec, SparseWords};
 pub use compressed::CompressedOracle;
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS, CHUNK_SIZE};
 pub use dominance::MupDominanceIndex;
 pub use kernels::kernel_features;
 pub use oracle::{CoverageOracle, X};
-pub use provider::{BackendMemory, CoverageBackend, CoverageProvider};
+pub use provider::{BackendMemory, CoverageBackend, CoverageProvider, Descent};
 pub use sharded::ShardedOracle;

@@ -9,6 +9,8 @@
 use coverage_data::{Dataset, UniqueCombinations};
 
 use crate::bitvec::{intersection_weighted_sum, BitVec};
+use crate::kernels;
+use crate::provider::Descent;
 
 /// Sentinel code for a non-deterministic (`X`) pattern element.
 ///
@@ -240,6 +242,61 @@ impl CoverageOracle {
             }
         }
         result
+    }
+}
+
+/// The dense oracle's [`Descent`]: one match vector per level of the walk.
+/// `levels[L]` holds the combinations matching the last node expanded at
+/// level `L` (level 0 is the root, which matches everything), so a child
+/// at level `L + 1` is `levels[L] & column(i, v)` for the element `(i, v)`
+/// it added — one AND per word, fused with the capped weighted count, where
+/// [`CoverageOracle::covered`] ANDs every deterministic column again. The
+/// child's vector is written to `levels[L + 1]` only when it is covered and
+/// will be expanded.
+pub(crate) struct DenseDescent<'a> {
+    oracle: &'a CoverageOracle,
+    tau: u64,
+    /// Words per match vector.
+    width: usize,
+    /// `arity + 1` match vectors, level-major.
+    levels: Vec<u64>,
+}
+
+impl<'a> DenseDescent<'a> {
+    pub(crate) fn new(oracle: &'a CoverageOracle, tau: u64) -> Self {
+        let root = BitVec::ones(oracle.combos.len());
+        let width = root.words().len();
+        let mut levels = vec![0; width * (oracle.arity() + 1)];
+        levels[..width].copy_from_slice(root.words());
+        Self {
+            oracle,
+            tau,
+            width,
+            levels,
+        }
+    }
+}
+
+impl Descent for DenseDescent<'_> {
+    fn covered(&mut self, codes: &[u8], expand: bool) -> bool {
+        assert_eq!(codes.len(), self.oracle.arity(), "pattern arity mismatch");
+        let Some(added) = codes.iter().rposition(|&v| v != X) else {
+            // The root; its match vector is fixed.
+            return self.oracle.total() >= self.tau;
+        };
+        let level = codes.iter().filter(|&&v| v != X).count();
+        let column = self.oracle.vector(added, codes[added]).words();
+        let (above, rest) = self.levels.split_at_mut(level * self.width);
+        let parent = &above[(level - 1) * self.width..];
+        let weight =
+            kernels::and_weighted_capped(parent, column, self.oracle.combos.counts(), self.tau);
+        let covered = weight >= self.tau;
+        if covered && expand {
+            let child = &mut rest[..self.width];
+            child.copy_from_slice(parent);
+            kernels::and_into(child, column);
+        }
+        covered
     }
 }
 
@@ -505,6 +562,62 @@ mod tests {
         assert!(oracle.coverage_capped(&[0, X, X], 3) >= 3);
         assert_eq!(oracle.coverage_capped(&[1, X, X], 3), 0);
         assert_eq!(oracle.coverage_capped(&[0, X, X], 0), 0);
+    }
+
+    /// `n` distinct combinations over eight binary attributes (the binary
+    /// digits of `0..n`), combination `k` repeated `k % 3 + 1` times.
+    fn distinct_combinations(n: usize) -> Dataset {
+        let mut ds = Dataset::new(Schema::binary(8).unwrap());
+        for k in 0..n {
+            let row: Vec<u8> = (0..8).map(|i| (k >> i & 1) as u8).collect();
+            for _ in 0..k % 3 + 1 {
+                ds.push_row(&row).unwrap();
+            }
+        }
+        ds
+    }
+
+    /// Walks the Rule-1 tree depth-first through `descent`, expanding
+    /// covered nodes above `depth`, and checks every answer against
+    /// [`CoverageOracle::covered`]. Returns the number of probes.
+    fn check_descent(oracle: &CoverageOracle, tau: u64, depth: usize) -> usize {
+        use crate::provider::CoverageProvider;
+        let cards = oracle.cardinalities().to_vec();
+        let mut descent = CoverageProvider::descent(oracle, tau);
+        let mut stack = vec![(vec![X; cards.len()], 0usize, 0usize)];
+        let mut probes = 0;
+        while let Some((codes, level, first_free)) = stack.pop() {
+            let expand = level < depth;
+            let covered = descent.covered(&codes, expand);
+            probes += 1;
+            assert_eq!(covered, oracle.covered(&codes, tau), "{codes:?} τ={tau}");
+            if covered && expand {
+                for (i, &card) in cards.iter().enumerate().skip(first_free) {
+                    for v in 0..card {
+                        let mut child = codes.clone();
+                        child[i] = v;
+                        stack.push((child, level + 1, i + 1));
+                    }
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn dense_descent_agrees_with_covered_across_word_boundaries() {
+        for n in [63, 64, 65, 129] {
+            let oracle = CoverageOracle::from_dataset(&distinct_combinations(n));
+            assert_eq!(oracle.combinations().len(), n);
+            for tau in [0, 1, 2, 3, 5, 9, 40, 500] {
+                for depth in [8, 3] {
+                    check_descent(&oracle, tau, depth);
+                }
+            }
+        }
+        let empty = CoverageOracle::from_dataset(&Dataset::new(Schema::binary(3).unwrap()));
+        assert_eq!(check_descent(&empty, 1, 3), 1);
+        assert_eq!(check_descent(&empty, 0, 3), 1 + 6 + 12 + 8);
     }
 
     #[test]

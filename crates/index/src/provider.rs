@@ -10,7 +10,7 @@
 
 use coverage_data::Dataset;
 
-use crate::oracle::CoverageOracle;
+use crate::oracle::{CoverageOracle, DenseDescent};
 
 /// Storage accounting for a coverage backend, surfaced through the `stats`
 /// op: total index bytes plus a histogram of compressed-container kinds
@@ -84,6 +84,18 @@ pub trait CoverageProvider {
         self.coverage(codes)
     }
 
+    /// A probe session for one top-down, depth-first walk over the Rule-1
+    /// tree at threshold `tau` (see [`Descent`]). The default answers each
+    /// probe with [`Self::covered`], so wrappers that count or time probes
+    /// see every one of them; backends that can reuse the parent's work
+    /// override it.
+    fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
+        Box::new(ProbeEach {
+            provider: self,
+            tau,
+        })
+    }
+
     /// `cov` for a batch of patterns at once — the wide-probe entry point a
     /// multi-shard backend answers in parallel. The default is a sequential
     /// loop over [`Self::coverage`].
@@ -155,6 +167,32 @@ pub trait CoverageProvider {
     }
 }
 
+/// Coverage probes along one depth-first walk of the Rule-1 tree (§III-B):
+/// each probed pattern is the all-`X` root or a Rule-1 child — its
+/// right-most deterministic element is the one the child added — of the
+/// last pattern probed one level up with `expand` set that was covered.
+/// DEEPDIVER walks this way, which lets a backend keep each expanded
+/// node's match set and answer a child with one more intersection instead
+/// of re-intersecting every deterministic column.
+pub trait Descent {
+    /// Whether `cov(codes) ≥ τ`. Pass `expand` when a covered `codes` will
+    /// have its Rule-1 children probed next.
+    fn covered(&mut self, codes: &[u8], expand: bool) -> bool;
+}
+
+/// The default [`Descent`]: one [`CoverageProvider::covered`] call per
+/// probe.
+struct ProbeEach<'a, P: ?Sized> {
+    provider: &'a P,
+    tau: u64,
+}
+
+impl<P: CoverageProvider + ?Sized> Descent for ProbeEach<'_, P> {
+    fn covered(&mut self, codes: &[u8], _expand: bool) -> bool {
+        self.provider.covered(codes, self.tau)
+    }
+}
+
 impl CoverageProvider for CoverageOracle {
     fn arity(&self) -> usize {
         CoverageOracle::arity(self)
@@ -178,6 +216,10 @@ impl CoverageProvider for CoverageOracle {
 
     fn coverage_capped(&self, codes: &[u8], cap: u64) -> u64 {
         CoverageOracle::coverage_capped(self, codes, cap)
+    }
+
+    fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
+        Box::new(DenseDescent::new(self, tau))
     }
 
     fn add_row(&mut self, row: &[u8]) {
