@@ -1,11 +1,18 @@
 //! Microbenchmarks for the Appendix A coverage oracle: exact coverage and
-//! the early-exit `covered` predicate at several pattern levels.
+//! the early-exit `covered` predicate at several pattern levels, and the
+//! coverage lattice a serving engine's oracle answers from.
+//!
+//! The lattice arm runs on the BlueNile-like catalog (380,160 pattern-graph
+//! nodes). Before timing it asserts that the lattice and the dense bit-vector
+//! path give identical answers on a fixed probe set, and that lattice point
+//! probes are at least 10× faster than dense ones.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
-use coverage_data::generators::airbnb_like;
-use coverage_index::{CoverageOracle, X};
+use coverage_data::generators::{airbnb_like, bluenile_like, BLUENILE_ROWS};
+use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider, X};
 
 fn bench_oracle(c: &mut Criterion) {
     let ds = airbnb_like(100_000, 15, 7).expect("generator");
@@ -37,5 +44,91 @@ fn bench_oracle(c: &mut Criterion) {
     build.finish();
 }
 
-criterion_group!(benches, bench_oracle);
+/// Mean per-probe latency of `probe` over `patterns`, best of 5 passes:
+/// the minimum is the figure least disturbed by other load.
+fn per_probe_ns(patterns: &[Vec<u8>], probe: impl Fn(&[u8]) -> u64) -> f64 {
+    let best = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let mut acc = 0u64;
+            for p in patterns {
+                acc = acc.wrapping_add(probe(black_box(p)));
+            }
+            black_box(acc);
+            start.elapsed()
+        })
+        .min()
+        .expect("ran at least once");
+    best.as_nanos() as f64 / patterns.len().max(1) as f64
+}
+
+fn bench_lattice(c: &mut Criterion) {
+    let ds = bluenile_like(BLUENILE_ROWS, 2019).expect("generator");
+    // What a serving engine builds: the lattice plus the dense bit-vectors,
+    // which the inherent probes still read.
+    let oracle = <CoverageOracle as CoverageBackend>::build(&ds, 1);
+    assert!(oracle.has_lattice(), "the BlueNile schema fits the budget");
+    let lattice = |p: &[u8]| CoverageProvider::coverage(&oracle, p);
+    let dense = |p: &[u8]| oracle.coverage(p);
+
+    // Every 97th row, with a rotating set of elements turned into X.
+    let probes: Vec<Vec<u8>> = ds
+        .rows()
+        .step_by(97)
+        .take(512)
+        .enumerate()
+        .map(|(k, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(i, &v)| if (k >> i) & 1 == 1 { X } else { v })
+                .collect()
+        })
+        .collect();
+    for p in &probes {
+        let count = dense(p);
+        assert_eq!(lattice(p), count, "lattice and dense diverged on {p:?}");
+        for tau in [1, count, count + 1] {
+            assert_eq!(
+                CoverageProvider::covered(&oracle, p, tau),
+                oracle.covered(p, tau),
+                "covered diverged on {p:?} at τ = {tau}"
+            );
+        }
+    }
+    let dense_ns = per_probe_ns(&probes, dense);
+    let lattice_ns = per_probe_ns(&probes, lattice);
+    println!(
+        "coverage_lattice summary: {} probes on {BLUENILE_ROWS} BlueNile rows — \
+         dense {dense_ns:.0} ns vs lattice {lattice_ns:.1} ns per point probe ({:.0}x)",
+        probes.len(),
+        dense_ns / lattice_ns
+    );
+    assert!(
+        dense_ns >= 10.0 * lattice_ns,
+        "lattice point probes must be ≥10x faster than dense: {lattice_ns:.1} ns vs {dense_ns:.0} ns"
+    );
+
+    let mut group = c.benchmark_group("coverage_lattice");
+    group.bench_function("point_probe_dense", |b| {
+        b.iter(|| {
+            probes
+                .iter()
+                .fold(0u64, |acc, p| acc.wrapping_add(dense(p)))
+        });
+    });
+    group.bench_function("point_probe_lattice", |b| {
+        b.iter(|| {
+            probes
+                .iter()
+                .fold(0u64, |acc, p| acc.wrapping_add(lattice(p)))
+        });
+    });
+    group.sample_size(10);
+    group.bench_function("build_bluenile", |b| {
+        b.iter(|| black_box(<CoverageOracle as CoverageBackend>::build(black_box(&ds), 1).total()));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_oracle, bench_lattice);
 criterion_main!(benches);

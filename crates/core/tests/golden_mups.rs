@@ -6,19 +6,28 @@
 //! Large sets are pinned by their size, the FNV-1a hash of their sorted
 //! rendering (one MUP per line) and their first entries; small ones are
 //! spelled out in full.
+//!
+//! Every set is found twice: by `find_mups`, which walks a dense oracle,
+//! and over the oracle a serving engine builds
+//! (`<CoverageOracle as CoverageBackend>::build`), which answers from its
+//! coverage lattice whenever the schema fits.
 
 use coverage_core::mup::{DeepDiver, MupAlgorithm};
 use coverage_core::pattern::Pattern;
 use coverage_core::Threshold;
 use coverage_data::generators::{airbnb_like, bluenile_like, diagonal_dataset};
 use coverage_data::Dataset;
+use coverage_index::{CoverageBackend, CoverageOracle};
 
+/// The MUPs `alg` finds on `dataset`, the same through both oracles.
 fn mups(alg: &DeepDiver, dataset: &Dataset, tau: u64) -> Vec<String> {
-    alg.find_mups(dataset, Threshold::Count(tau))
-        .unwrap()
-        .iter()
-        .map(Pattern::to_string)
-        .collect()
+    let render = |mups: Vec<Pattern>| mups.iter().map(Pattern::to_string).collect::<Vec<_>>();
+    let dense = render(alg.find_mups(dataset, Threshold::Count(tau)).unwrap());
+    let engine_oracle = <CoverageOracle as CoverageBackend>::build(dataset, 1);
+    let mut built = alg.find_mups_with_oracle(&engine_oracle, tau).unwrap();
+    built.sort();
+    assert_eq!(render(built), dense, "the engine's oracle finds other MUPs");
+    dense
 }
 
 /// 64-bit FNV-1a over the rendering, each MUP followed by a newline.

@@ -10,6 +10,9 @@
 //!   (`cov(P)` as an AND over per-(attribute, value) vectors followed by a
 //!   dot product with the multiplicity vector) — the canonical single-shard
 //!   provider;
+//! * [`LatticeBudget`] — when a [`CoverageOracle`] built through
+//!   [`CoverageBackend::build`] also materializes every pattern's count, so
+//!   its provider probes are one array read;
 //! * [`ShardedOracle`] — N row-disjoint oracles behind the same trait, with
 //!   parallel build/ingest/wide-probes for multi-core serving;
 //! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used
@@ -28,6 +31,7 @@ mod compressed;
 mod container;
 mod dominance;
 mod kernels;
+mod lattice;
 mod oracle;
 mod provider;
 mod sharded;
@@ -37,6 +41,7 @@ pub use compressed::CompressedOracle;
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS, CHUNK_SIZE};
 pub use dominance::MupDominanceIndex;
 pub use kernels::kernel_features;
+pub use lattice::{LatticeBudget, LATTICE_CELL_BUDGET};
 pub use oracle::{CoverageOracle, X};
 pub use provider::{BackendMemory, CoverageBackend, CoverageProvider, Descent};
 pub use sharded::ShardedOracle;

@@ -10,6 +10,7 @@ use coverage_data::{Dataset, UniqueCombinations};
 
 use crate::bitvec::{intersection_weighted_sum, BitVec};
 use crate::kernels;
+use crate::lattice::{Lattice, LatticeBudget};
 use crate::provider::Descent;
 
 /// Sentinel code for a non-deterministic (`X`) pattern element.
@@ -27,6 +28,9 @@ pub struct CoverageOracle {
     offsets: Vec<usize>,
     cardinalities: Vec<u8>,
     combos: UniqueCombinations,
+    /// Every pattern's count, materialized when the schema fits a
+    /// [`LatticeBudget`]; the provider trait answers probes from it.
+    lattice: Option<Lattice>,
 }
 
 impl CoverageOracle {
@@ -56,7 +60,28 @@ impl CoverageOracle {
             offsets,
             cardinalities: cards,
             combos,
+            lattice: None,
         }
+    }
+
+    /// Builds the oracle and materializes its coverage lattice when the
+    /// schema and row count fit `budget`. Mutations keep the lattice in
+    /// step, and drop it once a row or a grown value would pass the budget.
+    /// Only [`crate::CoverageProvider`] probes read it; the inherent probes
+    /// always answer from the bit-vectors.
+    pub fn with_lattice(dataset: &Dataset, budget: LatticeBudget) -> Self {
+        let mut oracle = Self::from_dataset(dataset);
+        oracle.lattice = Lattice::build(&oracle.combos, budget);
+        oracle
+    }
+
+    /// Whether probes through [`crate::CoverageProvider`] read the lattice.
+    pub fn has_lattice(&self) -> bool {
+        self.lattice.is_some()
+    }
+
+    pub(crate) fn lattice(&self) -> Option<&Lattice> {
+        self.lattice.as_ref()
     }
 
     /// Incrementally ingests one row (streamed inserts): the aggregation
@@ -84,6 +109,11 @@ impl CoverageOracle {
                 }
             }
         }
+        if let Some(lattice) = &mut self.lattice {
+            if !lattice.add(row) {
+                self.lattice = None;
+            }
+        }
         k
     }
 
@@ -105,16 +135,18 @@ impl CoverageOracle {
                 "value {v} out of range for attribute {i}"
             );
         }
-        match self.combos.remove_row(row) {
-            None => false,
-            Some((_, false)) => true, // multiplicity decremented, index intact
-            Some((k, true)) => {
-                for vector in &mut self.vectors {
-                    vector.swap_remove(k);
-                }
-                true
+        let Some((k, exhausted)) = self.combos.remove_row(row) else {
+            return false;
+        };
+        if exhausted {
+            for vector in &mut self.vectors {
+                vector.swap_remove(k);
             }
         }
+        if let Some(lattice) = &mut self.lattice {
+            lattice.remove(row);
+        }
+        true
     }
 
     /// Grows attribute `attribute`'s value dictionary by one (the schema
@@ -144,6 +176,9 @@ impl CoverageOracle {
         }
         self.cardinalities[attribute] = code + 1;
         self.combos.grow_value(attribute);
+        if let Some(budget) = self.lattice.as_ref().map(Lattice::budget) {
+            self.lattice = Lattice::build(&self.combos, budget);
+        }
         code
     }
 
@@ -607,11 +642,15 @@ mod tests {
     #[test]
     fn dense_descent_agrees_with_covered_across_word_boundaries() {
         for n in [63, 64, 65, 129] {
-            let oracle = CoverageOracle::from_dataset(&distinct_combinations(n));
-            assert_eq!(oracle.combinations().len(), n);
+            let ds = distinct_combinations(n);
+            let dense = CoverageOracle::from_dataset(&ds);
+            let lattice = CoverageOracle::with_lattice(&ds, LatticeBudget::default());
+            assert!(lattice.has_lattice());
+            assert_eq!(dense.combinations().len(), n);
             for tau in [0, 1, 2, 3, 5, 9, 40, 500] {
                 for depth in [8, 3] {
-                    check_descent(&oracle, tau, depth);
+                    check_descent(&dense, tau, depth);
+                    check_descent(&lattice, tau, depth);
                 }
             }
         }

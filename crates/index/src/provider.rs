@@ -10,6 +10,7 @@
 
 use coverage_data::Dataset;
 
+use crate::lattice::LatticeBudget;
 use crate::oracle::{CoverageOracle, DenseDescent};
 
 /// Storage accounting for a coverage backend, surfaced through the `stats`
@@ -207,19 +208,37 @@ impl CoverageProvider for CoverageOracle {
     }
 
     fn coverage(&self, codes: &[u8]) -> u64 {
-        CoverageOracle::coverage(self, codes)
+        match self.lattice() {
+            Some(lattice) => lattice.get(codes),
+            None => CoverageOracle::coverage(self, codes),
+        }
     }
 
     fn covered(&self, codes: &[u8], tau: u64) -> bool {
-        CoverageOracle::covered(self, codes, tau)
+        match self.lattice() {
+            Some(lattice) => lattice.get(codes) >= tau,
+            None => CoverageOracle::covered(self, codes, tau),
+        }
     }
 
+    /// With a lattice, the exact count: it meets the capped contract.
     fn coverage_capped(&self, codes: &[u8], cap: u64) -> u64 {
-        CoverageOracle::coverage_capped(self, codes, cap)
+        match self.lattice() {
+            Some(lattice) => lattice.get(codes),
+            None => CoverageOracle::coverage_capped(self, codes, cap),
+        }
     }
 
+    /// With a lattice every probe is one array read, so the walk needs no
+    /// per-level state.
     fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
-        Box::new(DenseDescent::new(self, tau))
+        match self.lattice() {
+            Some(_) => Box::new(ProbeEach {
+                provider: self,
+                tau,
+            }),
+            None => Box::new(DenseDescent::new(self, tau)),
+        }
     }
 
     fn add_row(&mut self, row: &[u8]) {
@@ -240,9 +259,10 @@ impl CoverageProvider for CoverageOracle {
         }
     }
 
+    /// The bit-vectors plus the lattice, when one is held.
     fn memory_stats(&self) -> BackendMemory {
         BackendMemory {
-            bytes: self.memory_bytes(),
+            bytes: self.memory_bytes() + self.lattice().map_or(0, |l| l.bytes()),
             ..BackendMemory::default()
         }
     }
@@ -262,9 +282,12 @@ pub trait CoverageBackend:
     fn build(dataset: &Dataset, shards: usize) -> Self;
 }
 
+/// A long-lived engine probes far more often than it builds, so the
+/// engine's oracle materializes its lattice whenever the default budget
+/// admits it.
 impl CoverageBackend for CoverageOracle {
     fn build(dataset: &Dataset, _shards: usize) -> Self {
-        CoverageOracle::from_dataset(dataset)
+        CoverageOracle::with_lattice(dataset, LatticeBudget::default())
     }
 }
 
@@ -324,5 +347,16 @@ mod tests {
         let direct = CoverageOracle::from_dataset(&example1());
         assert_eq!(built.coverage(&[0, X, 1]), direct.coverage(&[0, X, 1]));
         assert_eq!(built.total(), direct.total());
+    }
+
+    #[test]
+    fn memory_stats_count_the_lattice() {
+        let built = <CoverageOracle as CoverageBackend>::build(&example1(), 1);
+        let dense = CoverageOracle::from_dataset(&example1());
+        assert!(built.has_lattice() && !dense.has_lattice());
+        assert_eq!(dense.memory_stats().bytes, dense.memory_bytes());
+        // The inherent figure stays dense-only; the stats add 3^3 u32 cells.
+        assert_eq!(built.memory_bytes(), dense.memory_bytes());
+        assert_eq!(built.memory_stats().bytes, built.memory_bytes() + 4 * 27);
     }
 }

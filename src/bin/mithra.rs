@@ -46,7 +46,8 @@ macro_rules! out {
 /// (see `coverage_index::CompressedOracle`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
-    /// One dense bitmap per (attribute, value) — fastest point probes.
+    /// One dense bitmap per (attribute, value), plus the coverage lattice
+    /// when the schema fits its budget — fastest point probes.
     Dense,
     /// Roaring-style compressed posting lists — a fraction of the memory
     /// on sparse or high-cardinality data.
