@@ -1268,4 +1268,79 @@ mod tests {
         // Both inserts landed (whether or not they shared a tick).
         assert_eq!(engine.lock().unwrap().dataset().len(), 6);
     }
+
+    /// Three pipelined inserts in one segment; the op log below fails from
+    /// the second append on.
+    const FAILING_BURST: &str = concat!(
+        "{\"op\":\"insert\",\"id\":1,\"row\":[\"f\",\"black\"]}\n",
+        "{\"op\":\"insert\",\"id\":2,\"row\":[\"m\",\"asian\"]}\n",
+        "{\"op\":\"insert\",\"id\":3,\"row\":[\"f\",\"white\"]}\n",
+    );
+
+    /// What [`FAILING_BURST`] answers: the first insert is logged, the
+    /// second's append fails, and the third is revoked rather than appended
+    /// past the hole.
+    const FAILING_BURST_RESPONSES: [&str; 3] = [
+        r#"{"ok":true,"id":1,"op":"insert","inserted":1,"rows":5}"#,
+        r#"{"ok":false,"id":2,"code":"internal","error":"op applied but appending to the op log failed: injected append failure"}"#,
+        r#"{"ok":false,"id":3,"code":"internal","error":"op applied but not logged: an earlier op-log append failed: injected append failure"}"#,
+    ];
+
+    /// A fresh op log at a per-test path whose appends fail from the
+    /// second call on.
+    fn failing_log(tag: &str) -> (std::path::PathBuf, Arc<Mutex<crate::OpLog>>) {
+        let path =
+            std::env::temp_dir().join(format!("mithra-event-{tag}-{}.oplog", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let log = crate::OpLog::open(&path, crate::SyncPolicy::Batch).unwrap();
+        log.fail_appends_from(2);
+        (path, Arc::new(Mutex::new(log)))
+    }
+
+    /// The log holds the first insert only: no entry past the hole.
+    fn assert_logged_first_insert_only(path: &std::path::Path, log: &Mutex<crate::OpLog>) {
+        assert_eq!(log.lock().unwrap().last_seq(), 1);
+        let entries = crate::oplog::read_entries_from(path, 1).unwrap();
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        assert_eq!(
+            entries[0].op,
+            LoggedOp::Insert {
+                rows: vec![vec!["f".into(), "black".into()]]
+            }
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_append_revokes_the_rest_of_an_event_loop_segment() {
+        let (path, log) = failing_log("revoke-tcp");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Connect and write before the loop runs: the whole burst is
+        // buffered by the time the connection is first read, so the three
+        // inserts form one segment.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(FAILING_BURST.as_bytes()).unwrap();
+        let engine = Arc::new(Mutex::new(test_engine()));
+        let server = Arc::clone(&engine);
+        let options = ServeOptions::default().with_oplog(Some(Arc::clone(&log)));
+        std::thread::spawn(move || {
+            let _ = serve_event(server, options, listener);
+        });
+        let mut reader = BufReader::new(stream);
+        let lines: Vec<String> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line.trim_end().to_string()
+            })
+            .collect();
+        assert_eq!(lines, FAILING_BURST_RESPONSES);
+        // The engine applied all three; only the log stops at the hole.
+        assert_eq!(engine.lock().unwrap().dataset().len(), 7);
+        assert_logged_first_insert_only(&path, &log);
+    }
 }

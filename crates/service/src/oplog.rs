@@ -317,6 +317,11 @@ pub fn read_entries_from(path: &Path, from_seq: u64) -> io::Result<Vec<LogEntry>
     Ok(scan.entries)
 }
 
+/// Logs whose appends fail on purpose, with the first failing call: a
+/// fault seam for tests, keyed by path so parallel tests stay apart.
+#[cfg(test)]
+static FAILING_APPENDS: std::sync::Mutex<Vec<(PathBuf, u64)>> = std::sync::Mutex::new(Vec::new());
+
 /// The writable append-only op log a leader owns.
 ///
 /// All complete entries since the last snapshot-anchored truncation are
@@ -381,6 +386,10 @@ impl OpLog {
     /// written and flushed before returning; under [`SyncPolicy::Always`]
     /// it is also fsynced.
     pub fn append(&mut self, op: LoggedOp) -> io::Result<u64> {
+        #[cfg(test)]
+        if self.injected_failure() {
+            return Err(io::Error::other("injected append failure"));
+        }
         let entry = LogEntry {
             seq: self.next_seq,
             op,
@@ -401,6 +410,27 @@ impl OpLog {
         self.next_seq += 1;
         self.entries.push(entry);
         Ok(self.next_seq - 1)
+    }
+
+    /// Makes every append to this log from the `k`-th call on (counting
+    /// from 1) fail before writing a byte (tests only).
+    #[cfg(test)]
+    pub(crate) fn fail_appends_from(&self, k: u64) {
+        let mut faults = FAILING_APPENDS.lock().unwrap();
+        faults.retain(|(path, _)| path != &self.path);
+        faults.push((self.path.clone(), k));
+    }
+
+    /// Whether the fault set by [`OpLog::fail_appends_from`] fails this
+    /// append: only failed calls follow the first failing one, so the
+    /// successful count stays at `k - 1` from then on.
+    #[cfg(test)]
+    fn injected_failure(&self) -> bool {
+        FAILING_APPENDS
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|(path, k)| path == &self.path && self.appends + 1 >= *k)
     }
 
     /// Fsyncs pending appends if the policy is [`SyncPolicy::Batch`] and
