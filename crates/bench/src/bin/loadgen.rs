@@ -1,4 +1,4 @@
-//! Standalone load generator for the `mithra serve` TCP front ends: spawns
+//! Standalone load generator for the `mithra serve` TCP front end: spawns
 //! an in-process server and hammers it with pipelined connections. Same
 //! flags as `mithra loadgen`; see `coverage_bench::loadgen`.
 

@@ -1,4 +1,4 @@
-//! TCP load generator for the `mithra serve` front ends.
+//! TCP load generator for the `mithra serve` event-loop front end.
 //!
 //! Spawns an in-process server (so one command measures a full stack with
 //! zero setup), drives it with N concurrent pipelined connections over a
@@ -20,22 +20,18 @@ use coverage_data::generators::airbnb_like;
 use coverage_data::{Dataset, Schema};
 use coverage_index::{CompressedOracle, CoverageOracle, CoverageProvider};
 use coverage_service::protocol::Json;
-use coverage_service::{serve, CoverageEngine, IoMode, OpLog, ServeOptions, SyncPolicy};
+use coverage_service::{serve, CoverageEngine, OpLog, ServeOptions, SyncPolicy};
 
 /// What one loadgen run does.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
-    /// Which front end the in-process server runs.
-    pub io: IoMode,
     /// Concurrent client connections.
     pub connections: usize,
     /// Wall-clock run length in seconds.
     pub secs: f64,
     /// Requests each connection keeps in flight (batched writes).
     pub pipeline: usize,
-    /// Worker threads for the blocking front end.
-    pub workers: usize,
-    /// Admission bound for the event front end.
+    /// Admission bound of the server's event loop.
     pub max_pending: usize,
     /// Rows in the synthetic (AirBnB-like) starting dataset.
     pub rows: usize,
@@ -56,11 +52,9 @@ pub struct LoadgenConfig {
 impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
-            io: IoMode::Event,
             connections: 64,
             secs: 2.0,
             pipeline: 16,
-            workers: coverage_service::DEFAULT_WORKERS,
             max_pending: coverage_service::DEFAULT_MAX_PENDING,
             rows: 2_000,
             attributes: 6,
@@ -75,8 +69,6 @@ impl Default for LoadgenConfig {
 /// What one loadgen run measured.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
-    /// `"event"` or `"blocking"`.
-    pub io: String,
     /// Concurrent client connections requested.
     pub connections: usize,
     /// Wall-clock seconds actually spent in the measurement window.
@@ -117,14 +109,13 @@ impl LoadgenReport {
     /// The report as one JSON object (stable field order).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"io\":\"{}\",\"connections\":{},\"elapsed_secs\":{:.3},\
+            "{{\"connections\":{},\"elapsed_secs\":{:.3},\
              \"requests\":{},\"errors\":{},\"overloaded\":{},\"reconnects\":{},\
              \"ops_per_sec\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
              \"insert_requests\":{},\"insert_engine_batches\":{},\
              \"coalesced_inserts\":{},\"delete_requests\":{},\
              \"delete_engine_batches\":{},\"coalesced_deletes\":{},\
              \"shed_overloaded\":{}}}",
-            self.io,
             self.connections,
             self.elapsed_secs,
             self.requests,
@@ -376,8 +367,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         _ => None,
     };
     let options = ServeOptions::new()
-        .with_io(config.io)
-        .with_workers(config.workers)
         .with_max_pending(config.max_pending)
         .with_oplog(oplog);
     let shared = Arc::new(Mutex::new(engine));
@@ -429,10 +418,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         let _ = std::fs::remove_file(path);
     }
     Ok(LoadgenReport {
-        io: match config.io {
-            IoMode::Event => "event".into(),
-            IoMode::Blocking => "blocking".into(),
-        },
         connections: config.connections,
         elapsed_secs: elapsed,
         requests,
@@ -459,8 +444,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
 /// Parses `mithra loadgen` / standalone `loadgen` flags into a config.
 pub fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<LoadgenConfig, String> {
-    const USAGE: &str = "usage: mithra loadgen [--io event|blocking] [--connections N] \
-         [--secs S] [--pipeline N] [--workers N] [--max-pending N] [--rows N] \
+    const USAGE: &str = "usage: mithra loadgen [--connections N] \
+         [--secs S] [--pipeline N] [--max-pending N] [--rows N] \
          [--attrs-n N] [--mix INSERT,COVERAGE] [--deletes PCT] \
          [--oplog-sync always|batch|off] [--seed N]";
     let mut config = LoadgenConfig::default();
@@ -477,13 +462,6 @@ pub fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<LoadgenConfi
             Ok(n)
         };
         match flag.as_str() {
-            "--io" => {
-                config.io = match value()?.as_str() {
-                    "event" => IoMode::Event,
-                    "blocking" => IoMode::Blocking,
-                    other => return Err(format!("--io: unknown mode `{other}`\n{USAGE}")),
-                }
-            }
             "--connections" => config.connections = parse_usize(&flag, value()?)?,
             "--secs" => {
                 let secs: f64 = value()?
@@ -495,7 +473,6 @@ pub fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<LoadgenConfi
                 config.secs = secs;
             }
             "--pipeline" => config.pipeline = parse_usize(&flag, value()?)?,
-            "--workers" => config.workers = parse_usize(&flag, value()?)?,
             "--max-pending" => config.max_pending = parse_usize(&flag, value()?)?,
             "--rows" => config.rows = parse_usize(&flag, value()?)?,
             "--attrs-n" => config.attributes = parse_usize(&flag, value()?)?,
@@ -905,8 +882,6 @@ mod tests {
     fn flags_parse_into_a_config() {
         let config = parse_args(
             [
-                "--io",
-                "blocking",
                 "--connections",
                 "8",
                 "--secs",
@@ -920,7 +895,6 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        assert_eq!(config.io, IoMode::Blocking);
         assert_eq!(config.connections, 8);
         assert!((config.secs - 0.5).abs() < 1e-9);
         assert_eq!(config.mix, (50, 25));
@@ -930,7 +904,8 @@ mod tests {
     #[test]
     fn bad_flags_are_rejected_with_usage() {
         for argv in [
-            &["--io", "sync"][..],
+            &["--io", "event"][..],
+            &["--workers", "2"][..],
             &["--connections", "0"][..],
             &["--secs", "-1"][..],
             &["--mix", "90,20"][..],
@@ -1060,7 +1035,6 @@ mod tests {
         assert!(report.requests > 0, "{report:?}");
         assert!(report.ops_per_sec > 0.0);
         assert!(report.p99_ns >= report.p50_ns);
-        assert_eq!(report.io, "event");
         assert!(
             report.insert_requests > 0,
             "insert-heavy mix must reach the engine: {report:?}"

@@ -5,8 +5,8 @@
 //! `accept`, …), which **locks** it acquires (named by the receiver of
 //! `.lock()`), and which other functions it calls. A fixpoint then
 //! propagates both facts through the call graph so a rule can ask "does
-//! calling `log_mutation` block?" and get back the chain
-//! `log_mutation → append → write_all`.
+//! calling `append_deferred` block?" and get back the chain
+//! `append_deferred → append → write_all`.
 //!
 //! Resolution is deliberately conservative: a call site resolves only
 //! when exactly **one** production `fn` in the workspace has that name.

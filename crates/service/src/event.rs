@@ -1,29 +1,39 @@
-//! The [`IoMode::Event`](crate::IoMode::Event) TCP front end: one thread,
-//! a readiness poller, and non-blocking I/O on every connection.
+//! The request pipeline's segment step, and the TCP front end that runs it
+//! on one thread: a readiness poller and non-blocking I/O on every
+//! connection.
+//!
+//! ## One pipeline
+//!
+//! Every request reaches the engine and the op log through one step:
+//! [`process_ops`] serves a *segment* of parsed requests against one engine
+//! (coalescing consecutive inserts and deletes into single engine batches)
+//! and stages each accepted mutation instead of appending it; the staged
+//! mutations are then appended in order, a failed append revoking every
+//! later one, and one batch fsync closes the segment. The event loop runs a
+//! segment per tenant per tick, appending after the engine lock drops;
+//! `serve_lines` runs one per stdin read and `handle_line` one per request
+//! (both through [`serve_segment`]).
 //!
 //! ## Why an event loop
 //!
-//! The blocking pool burns a thread per in-flight connection and — more
-//! importantly — hands the engine one request at a time. The engine's
-//! delta path makes a *batch* of inserts far cheaper than the same inserts
-//! applied one by one (one frontier walk instead of N), but a
-//! thread-per-connection design has no natural place to form batches
-//! across clients. The event loop does: every poll tick it drains frames
-//! from **all** readable connections into one pending queue, then takes
-//! the engine lock once and serves the whole tick — coalescing runs of
-//! consecutive `insert` requests, *across connections*, into single
+//! The engine's delta path makes a *batch* of inserts far cheaper than the
+//! same inserts applied one by one (one frontier walk instead of N). The
+//! event loop forms batches across clients: every poll tick it drains
+//! frames from **all** readable connections into one pending queue, then
+//! takes the engine lock once and serves the whole tick — coalescing runs
+//! of consecutive `insert` requests, *across connections*, into single
 //! [`CoverageEngine::insert_batch`] calls and fanning the responses back
 //! per request. Under concurrent insert load the engine sees a few large
 //! batches per tick instead of hundreds of tiny ones.
 //!
 //! ## Ordering and equivalence
 //!
-//! Responses are staged back in decode order, so each connection observes
-//! exactly the request/response pipelining the blocking front end gives
-//! it. Coalesced inserts report the dataset length *as of their position
-//! in the queue* (`len_before + cumulative inserted`), so response bytes
-//! are identical to sequential execution — the integration tests assert
-//! the two front ends match byte-for-byte.
+//! Responses are staged back in decode order, so each connection sees its
+//! requests answered strictly in the order it sent them. Coalesced inserts
+//! report the dataset length *as of their position in the queue*
+//! (`len_before + cumulative inserted`), so response bytes are identical to
+//! sequential execution — the integration tests assert that TCP, stdin and
+//! `handle_line` answer byte-for-byte alike.
 //!
 //! ## Overload behavior
 //!
@@ -70,6 +80,9 @@ const LISTENER: u64 = u64::MAX;
 /// closed immediately (fd exhaustion otherwise takes the listener down).
 const MAX_CONNECTIONS: usize = 16_384;
 
+/// Bytes handed to a [`FrameDecoder`] at a time.
+pub(crate) const READ_CHUNK_BYTES: usize = 8 * 1024;
+
 /// Most bytes decoded from one connection in one tick.
 const PER_TICK_READ_BYTES: usize = 256 * 1024;
 
@@ -79,23 +92,24 @@ const MAX_WRITE_BACKLOG: usize = 1 << 20;
 /// How often idle connections are swept.
 const SWEEP_INTERVAL: Duration = Duration::from_secs(30);
 
-/// An incremental NDJSON frame decoder over a connection's byte stream.
+/// An incremental NDJSON frame decoder over a byte stream (a connection or
+/// stdin).
 ///
 /// Bytes arrive in arbitrary fragments; frames are complete lines. A line
 /// that grows past [`MAX_LINE_BYTES`] without a newline flips the decoder
 /// into discard mode: the oversized tail is dropped as it streams in
 /// (bounded memory) and the eventual newline yields one [`Frame::TooLong`]
 /// so the client still gets its error response and the stream stays in
-/// sync — the same resync contract as the blocking reader.
+/// sync.
 #[derive(Debug, Default)]
-struct FrameDecoder {
+pub(crate) struct FrameDecoder {
     buf: Vec<u8>,
     discarding: bool,
 }
 
 /// One decoded frame.
 #[derive(Debug, PartialEq, Eq)]
-enum Frame {
+pub(crate) enum Frame {
     /// A complete request line (newline stripped, lossy UTF-8).
     Line(String),
     /// A line that exceeded [`MAX_LINE_BYTES`] (content discarded).
@@ -104,7 +118,7 @@ enum Frame {
 
 impl FrameDecoder {
     /// Feeds freshly-read bytes into the decoder.
-    fn push(&mut self, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
         if self.discarding {
             // Keep only bytes from the newline onward (if one arrived).
             match bytes.iter().position(|&b| b == b'\n') {
@@ -121,7 +135,7 @@ impl FrameDecoder {
     }
 
     /// Pops the next complete frame, if one is buffered.
-    fn next_frame(&mut self) -> Option<Frame> {
+    pub(crate) fn next_frame(&mut self) -> Option<Frame> {
         let pos = self.buf.iter().position(|&b| b == b'\n')?;
         let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
         line.pop(); // the newline
@@ -138,9 +152,9 @@ impl FrameDecoder {
         Some(Frame::Line(String::from_utf8_lossy(&line).into_owned()))
     }
 
-    /// Flushes the final unterminated frame at EOF (served like the
-    /// blocking reader serves an unterminated last line).
-    fn finish(&mut self) -> Option<Frame> {
+    /// Flushes the final unterminated frame at EOF: an unterminated last
+    /// line is served like any other.
+    pub(crate) fn finish(&mut self) -> Option<Frame> {
         if self.discarding {
             self.discarding = false;
             self.buf.clear();
@@ -226,7 +240,8 @@ struct PendingItem {
     kind: PendingKind,
 }
 
-enum PendingKind {
+/// What one request line asks of the pipeline.
+pub(crate) enum PendingKind {
     /// A parsed request that needs the engine of tenant `tenant`.
     Op {
         tenant: usize,
@@ -239,13 +254,13 @@ enum PendingKind {
     Ready(String),
 }
 
-/// An engine-bound request, tagged with its slot in the tick's response
-/// vector and the tenant it routes to.
-struct OpWork {
-    slot: usize,
-    tenant: usize,
-    id: Option<RequestId>,
-    request: Request,
+/// An engine-bound request, tagged with its slot in the segment's response
+/// slots and the tenant it routes to.
+pub(crate) struct OpWork {
+    pub(crate) slot: usize,
+    pub(crate) tenant: usize,
+    pub(crate) id: Option<RequestId>,
+    pub(crate) request: Request,
 }
 
 fn overloaded_error(max_pending: usize) -> ServeError {
@@ -253,6 +268,40 @@ fn overloaded_error(max_pending: usize) -> ServeError {
         ErrorCode::Overloaded,
         format!("server overloaded: more than {max_pending} requests queued; retry"),
     )
+}
+
+/// Parses one request line and routes it among the hosted tenant `names`
+/// (`[None]` for a single unnamed dataset): an engine op, or the finished
+/// error response.
+pub(crate) fn request_work(line: &str, names: &[Option<String>]) -> PendingKind {
+    match parse_request(line) {
+        Err(failure) => PendingKind::Ready(error_response(failure.id.as_ref(), &failure.error)),
+        Ok(Envelope {
+            id,
+            dataset,
+            request,
+        }) => match resolve_tenant(names, dataset.as_deref()) {
+            Err(error) => PendingKind::Ready(error_response(id.as_ref(), &error)),
+            Ok(tenant) => PendingKind::Op {
+                tenant,
+                id,
+                request,
+            },
+        },
+    }
+}
+
+/// Turns one decoded frame into pipeline work; `None` for a blank line,
+/// which answers nothing.
+pub(crate) fn frame_work(frame: Frame, names: &[Option<String>]) -> Option<PendingKind> {
+    match frame {
+        Frame::TooLong => Some(PendingKind::Ready(error_response(
+            None,
+            &line_too_long_error(),
+        ))),
+        Frame::Line(line) if line.trim().is_empty() => None,
+        Frame::Line(line) => Some(request_work(&line, names)),
+    }
 }
 
 /// Serves one connection's freshly-readable bytes: decode frames, parse
@@ -268,7 +317,7 @@ fn read_ready(
     pending: &mut Vec<PendingItem>,
     metrics: &ServeMetrics,
 ) -> bool {
-    let mut chunk = [0u8; 8192];
+    let mut chunk = [0u8; READ_CHUNK_BYTES];
     let mut read_total = 0usize;
     loop {
         if conn.eof || read_total >= PER_TICK_READ_BYTES {
@@ -300,7 +349,8 @@ fn read_ready(
     true
 }
 
-/// Turns one decoded frame into a pending item (or drops blank lines).
+/// Queues one decoded frame, shedding engine-bound requests past the
+/// tick's admission budget with `overloaded`.
 #[allow(clippy::too_many_arguments)]
 fn queue_frame(
     frame: Frame,
@@ -312,80 +362,39 @@ fn queue_frame(
     metrics: &ServeMetrics,
 ) {
     let start = Instant::now();
-    let item = match frame {
-        Frame::TooLong => PendingItem {
-            token,
-            op: OpClass::Other,
-            start,
-            kind: PendingKind::Ready(error_response(None, &line_too_long_error())),
-        },
-        Frame::Line(line) => {
-            if line.trim().is_empty() {
-                return;
-            }
-            match parse_request(&line) {
-                Err(failure) => PendingItem {
-                    token,
-                    op: OpClass::Other,
-                    start,
-                    kind: PendingKind::Ready(error_response(failure.id.as_ref(), &failure.error)),
-                },
-                Ok(Envelope {
-                    id,
-                    dataset,
-                    request,
-                }) => match resolve_tenant(names, dataset.as_deref()) {
-                    Err(error) => PendingItem {
-                        token,
-                        op: OpClass::Other,
-                        start,
-                        kind: PendingKind::Ready(error_response(id.as_ref(), &error)),
-                    },
-                    Ok(tenant) => {
-                        if *admitted >= max_pending {
-                            ServeMetrics::add(&metrics.shed_overloaded, 1);
-                            PendingItem {
-                                token,
-                                op: OpClass::Other,
-                                start,
-                                kind: PendingKind::Ready(error_response(
-                                    id.as_ref(),
-                                    &overloaded_error(max_pending),
-                                )),
-                            }
-                        } else {
-                            *admitted += 1;
-                            PendingItem {
-                                token,
-                                op: op_class(&request),
-                                start,
-                                kind: PendingKind::Op {
-                                    tenant,
-                                    id,
-                                    request,
-                                },
-                            }
-                        }
-                    }
-                },
-            }
-        }
+    let Some(mut kind) = frame_work(frame, names) else {
+        return;
     };
-    pending.push(item);
+    let mut op = OpClass::Other;
+    if let PendingKind::Op { id, request, .. } = &kind {
+        if *admitted >= max_pending {
+            ServeMetrics::add(&metrics.shed_overloaded, 1);
+            kind = PendingKind::Ready(error_response(id.as_ref(), &overloaded_error(max_pending)));
+        } else {
+            *admitted += 1;
+            op = op_class(request);
+        }
+    }
+    pending.push(PendingItem {
+        token,
+        op,
+        start,
+        kind,
+    });
 }
 
-/// One op-log append deferred out of the engine-lock scope: the pending
-/// slot whose success response must be revoked if the append later fails,
-/// the request id to echo in that case, and the op itself. Deferral keeps
-/// blocking log I/O outside the engine lock while preserving log order
-/// (entries are staged in exactly the order the engine applied them).
+/// One op-log append deferred out of the engine step: the response slot to
+/// revoke if the append later fails, the request id to echo in that case,
+/// and the op itself. Deferral keeps blocking log I/O outside the engine
+/// lock while preserving log order (entries are staged in exactly the order
+/// the engine applied them).
 pub(crate) struct DeferredAppend {
     slot: usize,
     id: Option<RequestId>,
     op: LoggedOp,
 }
 
-/// Stages one accepted mutation for the post-engine-lock append pass.
+/// Stages one accepted mutation for the post-engine-step append pass.
 /// No-op without a configured op log.
 fn defer_mutation(
     options: &ServeOptions,
@@ -405,20 +414,24 @@ fn defer_mutation(
 
 /// Appends a batch of staged mutations to the op log under one lock
 /// acquisition, stopping at the first failure: the failing entry *and*
-/// every later one answer an `internal` error (their engine effects
-/// stand, but none of them reached the log), so the log stays a true
-/// prefix of the acknowledged mutation sequence — appending past a hole
-/// would let follower replay diverge from the leader (a logged delete of
-/// rows whose insert fell in the hole, for example). Returns the
-/// `(slot, response)` revocations the caller applies over the staged
-/// successes; empty without a configured op log.
-fn append_deferred(options: &ServeOptions, deferred: Vec<DeferredAppend>) -> Vec<(usize, String)> {
-    let mut revoked = Vec::new();
+/// every later one answer an `internal` error in their slots (their engine
+/// effects stand, but none of them reached the log), so the log stays a
+/// true prefix of the acknowledged mutation sequence — appending past a
+/// hole would let follower replay diverge from the leader (a logged delete
+/// of rows whose insert fell in the hole, for example). Appends land after
+/// the engine applied their ops and before any success response is sent,
+/// so a crash in between loses only ops no client saw acknowledged. This is
+/// the only serving-path caller of [`crate::OpLog::append`].
+fn append_deferred(
+    options: &ServeOptions,
+    deferred: Vec<DeferredAppend>,
+    slots: &mut [Option<String>],
+) {
     if deferred.is_empty() {
-        return revoked;
+        return;
     }
     let Some(oplog) = options.oplog() else {
-        return revoked;
+        return;
     };
     let mut log = match oplog.lock() {
         Ok(guard) => guard,
@@ -426,68 +439,78 @@ fn append_deferred(options: &ServeOptions, deferred: Vec<DeferredAppend>) -> Vec
     };
     let mut failed: Option<String> = None;
     for DeferredAppend { slot, id, op } in deferred {
-        if let Some(cause) = &failed {
-            revoked.push((
-                slot,
-                error_response(id.as_ref(), &append_skipped_error(cause)),
-            ));
-            continue;
-        }
-        // LINT-ALLOW(lock-across-blocking): batched appends under one oplog lock acquisition; the oplog lock is what serializes the log
-        if let Err(e) = log.append(op) {
-            let cause = e.to_string();
-            revoked.push((
-                slot,
-                error_response(id.as_ref(), &append_failed_error(&cause)),
-            ));
-            failed = Some(cause);
-        }
+        let error = match &failed {
+            Some(cause) => append_skipped_error(cause),
+            // LINT-ALLOW(lock-across-blocking): batched appends under one oplog lock acquisition; the oplog lock is what serializes the log
+            None => match log.append(op) {
+                Ok(_) => continue,
+                Err(e) => {
+                    let cause = e.to_string();
+                    let error = append_failed_error(&cause);
+                    failed = Some(cause);
+                    error
+                }
+            },
+        };
+        slots[slot] = Some(error_response(id.as_ref(), &error));
     }
-    revoked
 }
 
-/// Runs one uncoalesced request and bumps the batching counters when it
-/// was a successful insert or delete. Accepted mutations are staged into
-/// `deferred` (tagged with `slot`), not appended here.
+/// Bumps the `stats.io` batching counters for one engine batch of `class`
+/// that served `served` requests. No-op without metrics (stdin,
+/// `handle_line`), for `Other` requests, and for an empty batch.
+fn count_batch(metrics: Option<&ServeMetrics>, class: OpClass, served: u64) {
+    let Some(metrics) = metrics else {
+        return;
+    };
+    let (requests, batches, coalesced) = match class {
+        OpClass::Insert => (
+            &metrics.insert_requests,
+            &metrics.insert_engine_batches,
+            &metrics.coalesced_inserts,
+        ),
+        OpClass::Delete => (
+            &metrics.delete_requests,
+            &metrics.delete_engine_batches,
+            &metrics.coalesced_deletes,
+        ),
+        OpClass::Other => return,
+    };
+    if served == 0 {
+        return;
+    }
+    ServeMetrics::add(requests, served);
+    ServeMetrics::add(batches, 1);
+    if served > 1 {
+        ServeMetrics::add(coalesced, served);
+    }
+}
+
+/// Runs one uncoalesced request, staging an accepted mutation into
+/// `deferred` (tagged with `slot`) and counting a successful insert or
+/// delete as its own engine batch.
 fn dispatch_counted<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
-    metrics: &ServeMetrics,
-    slot: usize,
-    id: Option<&RequestId>,
-    request: Request,
+    metrics: Option<&ServeMetrics>,
     deferred: &mut Vec<DeferredAppend>,
+    op: OpWork,
 ) -> String {
+    let OpWork {
+        slot, id, request, ..
+    } = op;
     let class = op_class(&request);
-    let mut staged = Vec::new();
-    let response = match dispatch(
-        engine,
-        options,
-        id,
-        request,
-        Some(metrics),
-        Some(&mut staged),
-    ) {
-        Ok(response) => response,
-        Err(error) => error_response(id, &error),
-    };
-    for (id, op) in staged {
-        deferred.push(DeferredAppend { slot, id, op });
-    }
-    if response.starts_with("{\"ok\":true") {
-        match class {
-            OpClass::Insert => {
-                ServeMetrics::add(&metrics.insert_requests, 1);
-                ServeMetrics::add(&metrics.insert_engine_batches, 1);
+    let mut staged = None;
+    match dispatch(engine, options, id.as_ref(), request, metrics, &mut staged) {
+        Ok(response) => {
+            count_batch(metrics, class, 1);
+            if let Some(op) = staged {
+                deferred.push(DeferredAppend { slot, id, op });
             }
-            OpClass::Delete => {
-                ServeMetrics::add(&metrics.delete_requests, 1);
-                ServeMetrics::add(&metrics.delete_engine_batches, 1);
-            }
-            OpClass::Other => {}
+            response
         }
+        Err(error) => error_response(id.as_ref(), &error),
     }
-    response
 }
 
 /// A coalesced-run entry: `(slot, id, raw rows, coded rows)` for requests
@@ -523,39 +546,58 @@ fn encode_run<B: CoverageBackend>(
         .collect()
 }
 
-/// Serves a run of ≥1 consecutive insert requests (coalescing them into
-/// one engine batch when there is more than one), appending `(slot,
-/// response)` pairs in run order.
-fn flush_insert_run<B: CoverageBackend>(
+/// Applies one engine batch of a coalescible `class` (insert or delete).
+fn apply_batch<B: CoverageBackend>(
+    engine: &mut CoverageEngine<B>,
+    class: OpClass,
+    rows: &[Vec<u8>],
+) -> crate::Result<()> {
+    match class {
+        OpClass::Insert => engine.insert_batch(rows),
+        OpClass::Delete => engine.remove_batch(rows),
+        OpClass::Other => unreachable!("coalesced runs hold only inserts or deletes"),
+    }
+}
+
+/// The success response of one request of a coalesced run of `class` that
+/// moved `n` rows and left the dataset at `rows` total.
+fn run_response(class: OpClass, id: Option<&RequestId>, n: usize, rows: usize) -> String {
+    if class == OpClass::Insert {
+        insert_response(id, n, rows)
+    } else {
+        delete_response(id, n, rows)
+    }
+}
+
+/// The op-log entry of one request of a coalesced run of `class`.
+fn run_logged_op(class: OpClass, rows: Vec<Vec<String>>) -> LoggedOp {
+    if class == OpClass::Insert {
+        LoggedOp::Insert { rows }
+    } else {
+        LoggedOp::Delete { rows }
+    }
+}
+
+/// Serves a run of consecutive requests of one coalescible `class` (insert
+/// or delete), writing each response into its slot. A run of several is one
+/// engine batch whose per-request responses are rebuilt byte-identically to
+/// sequential execution (`rows` moves as each request's rows land); the op
+/// log gets one entry per request, same order.
+#[allow(clippy::too_many_arguments)]
+fn flush_run<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
-    metrics: &ServeMetrics,
+    metrics: Option<&ServeMetrics>,
+    class: OpClass,
     run: &mut Vec<OpWork>,
-    out: &mut Vec<(usize, String)>,
+    slots: &mut [Option<String>],
     deferred: &mut Vec<DeferredAppend>,
 ) {
-    if run.is_empty() {
-        return;
-    }
-    if run.len() == 1 {
-        let Some(OpWork {
-            slot, id, request, ..
-        }) = run.pop()
-        else {
-            return;
-        };
-        out.push((
-            slot,
-            dispatch_counted(
-                engine,
-                options,
-                metrics,
-                slot,
-                id.as_ref(),
-                request,
-                deferred,
-            ),
-        ));
+    if run.len() <= 1 {
+        if let Some(op) = run.pop() {
+            let slot = op.slot;
+            slots[slot] = Some(dispatch_counted(engine, options, metrics, deferred, op));
+        }
         return;
     }
     let entries = encode_run(engine, run);
@@ -565,252 +607,137 @@ fn flush_insert_run<B: CoverageBackend>(
         .flat_map(|(_, _, _, coded)| coded.iter().cloned())
         .collect();
     let served = entries.iter().filter(|e| e.is_ok()).count();
-    let len_before = engine.dataset().len();
-    match engine.insert_batch(&combined) {
-        Ok(()) => {
-            // One engine batch answered `served` requests: fan responses
-            // back with the dataset length each would have observed had it
-            // run alone, in queue order — byte-identical to sequential.
-            // The op log gets one entry per logical request, same order.
-            let mut rows_so_far = len_before;
-            for entry in entries {
-                match entry {
-                    Ok((slot, id, raw, coded)) => {
-                        rows_so_far += coded.len();
-                        defer_mutation(options, deferred, slot, &id, || LoggedOp::Insert {
-                            rows: raw,
-                        });
-                        out.push((slot, insert_response(id.as_ref(), coded.len(), rows_so_far)));
-                    }
-                    Err((slot, response)) => out.push((slot, response)),
+    let mut rows = engine.dataset().len();
+    if apply_batch(engine, class, &combined).is_ok() {
+        for entry in entries {
+            match entry {
+                Ok((slot, id, raw, coded)) => {
+                    rows = if class == OpClass::Insert {
+                        rows + coded.len()
+                    } else {
+                        rows - coded.len()
+                    };
+                    defer_mutation(options, deferred, slot, &id, || run_logged_op(class, raw));
+                    slots[slot] = Some(run_response(class, id.as_ref(), coded.len(), rows));
                 }
-            }
-            if served > 0 {
-                ServeMetrics::add(&metrics.insert_engine_batches, 1);
-                ServeMetrics::add(&metrics.insert_requests, served as u64);
-                if served > 1 {
-                    ServeMetrics::add(&metrics.coalesced_inserts, served as u64);
-                }
+                Err((slot, response)) => slots[slot] = Some(response),
             }
         }
-        Err(_) => {
-            // The combined batch was rejected as a whole (can't normally
-            // happen with pre-encoded rows, but the engine's verdict is
-            // authoritative): replay per request so each gets the exact
-            // verdict sequential execution would have given it.
-            for entry in entries {
-                match entry {
-                    Ok((slot, id, raw, coded)) => match engine.insert_batch(&coded) {
-                        Ok(()) => {
-                            ServeMetrics::add(&metrics.insert_requests, 1);
-                            ServeMetrics::add(&metrics.insert_engine_batches, 1);
-                            defer_mutation(options, deferred, slot, &id, || LoggedOp::Insert {
-                                rows: raw,
-                            });
-                            out.push((
-                                slot,
-                                insert_response(id.as_ref(), coded.len(), engine.dataset().len()),
-                            ));
-                        }
-                        Err(e) => out.push((
-                            slot,
-                            error_response(id.as_ref(), &ServeError::from_service(e)),
-                        )),
-                    },
-                    Err((slot, response)) => out.push((slot, response)),
-                }
-            }
-        }
-    }
-}
-
-/// Serves a run of ≥1 consecutive delete requests, mirroring
-/// [`flush_insert_run`]: one `remove_batch` when the run coalesces, with
-/// per-request responses reconstructed byte-identically to sequential
-/// execution (`rows` counts down as each request's deletions land).
-fn flush_delete_run<B: CoverageBackend>(
-    engine: &mut CoverageEngine<B>,
-    options: &ServeOptions,
-    metrics: &ServeMetrics,
-    run: &mut Vec<OpWork>,
-    out: &mut Vec<(usize, String)>,
-    deferred: &mut Vec<DeferredAppend>,
-) {
-    if run.is_empty() {
+        count_batch(metrics, class, served as u64);
         return;
     }
-    if run.len() == 1 {
-        let Some(OpWork {
-            slot, id, request, ..
-        }) = run.pop()
-        else {
-            return;
-        };
-        out.push((
-            slot,
-            dispatch_counted(
-                engine,
-                options,
-                metrics,
-                slot,
-                id.as_ref(),
-                request,
-                deferred,
-            ),
-        ));
-        return;
-    }
-    let entries = encode_run(engine, run);
-    let combined: Vec<Vec<u8>> = entries
-        .iter()
-        .filter_map(|e| e.as_ref().ok())
-        .flat_map(|(_, _, _, coded)| coded.iter().cloned())
-        .collect();
-    let served = entries.iter().filter(|e| e.is_ok()).count();
-    let len_before = engine.dataset().len();
-    match engine.remove_batch(&combined) {
-        Ok(()) => {
-            let mut rows_so_far = len_before;
-            for entry in entries {
-                match entry {
-                    Ok((slot, id, raw, coded)) => {
-                        rows_so_far -= coded.len();
-                        defer_mutation(options, deferred, slot, &id, || LoggedOp::Delete {
-                            rows: raw,
-                        });
-                        out.push((slot, delete_response(id.as_ref(), coded.len(), rows_so_far)));
-                    }
-                    Err((slot, response)) => out.push((slot, response)),
+    // The combined batch was rejected atomically — for deletes a *real*
+    // path: two requests each deleting the last copy of the same row fail
+    // combined (multiplicity check), but sequentially the first succeeds
+    // and the second answers `row_not_found`. Replay per request so every
+    // response matches sequential execution exactly.
+    for entry in entries {
+        match entry {
+            Ok((slot, id, raw, coded)) => match apply_batch(engine, class, &coded) {
+                Ok(()) => {
+                    count_batch(metrics, class, 1);
+                    defer_mutation(options, deferred, slot, &id, || run_logged_op(class, raw));
+                    let rows = engine.dataset().len();
+                    slots[slot] = Some(run_response(class, id.as_ref(), coded.len(), rows));
                 }
-            }
-            if served > 0 {
-                ServeMetrics::add(&metrics.delete_engine_batches, 1);
-                ServeMetrics::add(&metrics.delete_requests, served as u64);
-                if served > 1 {
-                    ServeMetrics::add(&metrics.coalesced_deletes, served as u64);
+                Err(e) => {
+                    slots[slot] = Some(error_response(id.as_ref(), &ServeError::from_service(e)));
                 }
-            }
-        }
-        Err(_) => {
-            // The combined batch was rejected atomically — and for deletes
-            // this is a *real* path, not just a safety net: two requests
-            // each deleting the last copy of the same row fail combined
-            // (multiplicity check) but sequentially the first succeeds and
-            // the second answers `row_not_found`. Replay per request so
-            // every response matches sequential execution exactly.
-            for entry in entries {
-                match entry {
-                    Ok((slot, id, raw, coded)) => match engine.remove_batch(&coded) {
-                        Ok(()) => {
-                            ServeMetrics::add(&metrics.delete_requests, 1);
-                            ServeMetrics::add(&metrics.delete_engine_batches, 1);
-                            defer_mutation(options, deferred, slot, &id, || LoggedOp::Delete {
-                                rows: raw,
-                            });
-                            out.push((
-                                slot,
-                                delete_response(id.as_ref(), coded.len(), engine.dataset().len()),
-                            ));
-                        }
-                        Err(e) => out.push((
-                            slot,
-                            error_response(id.as_ref(), &ServeError::from_service(e)),
-                        )),
-                    },
-                    Err((slot, response)) => out.push((slot, response)),
-                }
-            }
+            },
+            Err((slot, response)) => slots[slot] = Some(response),
         }
     }
 }
 
-/// What kind of coalesced run an op can join.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RunKind {
-    Insert,
-    Delete,
-}
-
-/// Serves every engine-bound request of one tick, coalescing consecutive
+/// The engine step of one segment: serves every op against `engine`,
+/// writing each response into `slots[op.slot]`, and coalesces consecutive
 /// runs of inserts (when dictionary growth is off — growth encoding
-/// mutates the schema mid-run, so growth mode serves inserts
-/// individually) and of deletes (always: deletes never grow the schema).
+/// mutates the schema mid-run, so growth mode serves inserts individually)
+/// and of deletes (always: deletes never grow the schema).
 ///
 /// Op-log appends are *not* performed here: every accepted mutation is
 /// staged in the returned [`DeferredAppend`] list, in engine-apply order,
-/// for the event loop to append after the engine lock drops — blocking
-/// log I/O stays out of the engine-lock scope on the mutation hot path.
-/// The one exception is a mid-segment `snapshot`, which drains the staged
-/// appends inline so the anchor it reads covers them (see the dispatch
-/// below).
-fn process_ops<B: CoverageBackend>(
+/// for the caller to append after the engine step — in the event loop,
+/// after the engine lock drops. The one exception is a mid-segment
+/// `snapshot`, which drains the staged appends first so the anchor it
+/// reads covers them (see below).
+pub(crate) fn process_ops<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
-    metrics: &ServeMetrics,
-    ops: Vec<OpWork>,
-) -> (Vec<(usize, String)>, Vec<DeferredAppend>) {
-    let mut out = Vec::with_capacity(ops.len());
+    metrics: Option<&ServeMetrics>,
+    ops: I,
+    slots: &mut [Option<String>],
+) -> Vec<DeferredAppend> {
     let mut deferred: Vec<DeferredAppend> = Vec::new();
     let mut run: Vec<OpWork> = Vec::new();
-    let mut run_kind: Option<RunKind> = None;
-    let flush_run = |engine: &mut CoverageEngine<B>,
-                     kind: Option<RunKind>,
-                     run: &mut Vec<OpWork>,
-                     out: &mut Vec<(usize, String)>,
-                     deferred: &mut Vec<DeferredAppend>| match kind {
-        Some(RunKind::Insert) => flush_insert_run(engine, options, metrics, run, out, deferred),
-        Some(RunKind::Delete) => flush_delete_run(engine, options, metrics, run, out, deferred),
-        None => {}
-    };
+    // The class of the open run; `Other` while none is open.
+    let mut run_class = OpClass::Other;
     for op in ops {
-        let kind = match &op.request {
-            Request::Insert { .. } if !options.grow_schema() => Some(RunKind::Insert),
-            Request::Delete { .. } => Some(RunKind::Delete),
-            _ => None,
+        let class = match &op.request {
+            Request::Insert { .. } if !options.grow_schema() => OpClass::Insert,
+            Request::Delete { .. } => OpClass::Delete,
+            _ => OpClass::Other,
         };
-        if kind.is_some() && kind == run_kind {
+        if class != run_class {
+            flush_run(
+                engine,
+                options,
+                metrics,
+                run_class,
+                &mut run,
+                slots,
+                &mut deferred,
+            );
+            run_class = class;
+        }
+        if class != OpClass::Other {
             run.push(op);
             continue;
         }
-        flush_run(engine, run_kind.take(), &mut run, &mut out, &mut deferred);
-        match kind {
-            Some(k) => {
-                run_kind = Some(k);
-                run.push(op);
-            }
-            None => {
-                let OpWork {
-                    slot, id, request, ..
-                } = op;
-                // A snapshot anchors to the op log's last appended seq and
-                // truncates through it — but mutations this segment already
-                // applied are still *staged*, not appended, so the anchor
-                // would exclude state the snapshot captures and recovery or
-                // follower snapshot-sync would replay (double-apply) them.
-                // Drain the staged appends into the log first; any append
-                // failure revokes its op before the snapshot observes it.
-                // Rare and operator-initiated, and engine→oplog is the same
-                // acquisition order the inline blocking path uses.
-                if matches!(request, Request::Snapshot) && !deferred.is_empty() {
-                    out.append(&mut append_deferred(options, std::mem::take(&mut deferred)));
-                }
-                out.push((
-                    slot,
-                    dispatch_counted(
-                        engine,
-                        options,
-                        metrics,
-                        slot,
-                        id.as_ref(),
-                        request,
-                        &mut deferred,
-                    ),
-                ));
-            }
+        // A snapshot anchors to the op log's last appended seq and
+        // truncates through it — but mutations this segment already
+        // applied are still *staged*, not appended, so the anchor would
+        // exclude state the snapshot captures and recovery or follower
+        // snapshot-sync would replay (double-apply) them. Drain the staged
+        // appends into the log first; any append failure revokes its op
+        // before the snapshot observes it. Rare and operator-initiated.
+        if matches!(op.request, Request::Snapshot) {
+            append_deferred(options, std::mem::take(&mut deferred), slots);
         }
+        let slot = op.slot;
+        slots[slot] = Some(dispatch_counted(
+            engine,
+            options,
+            metrics,
+            &mut deferred,
+            op,
+        ));
     }
-    flush_run(engine, run_kind.take(), &mut run, &mut out, &mut deferred);
-    (out, deferred)
+    flush_run(
+        engine,
+        options,
+        metrics,
+        run_class,
+        &mut run,
+        slots,
+        &mut deferred,
+    );
+    deferred
+}
+
+/// Serves one segment against an engine the caller holds outright — the
+/// stdin front end and `handle_line`: the engine step, the staged appends,
+/// then one batch fsync, so every response in `slots` is final before the
+/// caller writes it.
+pub(crate) fn serve_segment<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
+    engine: &mut CoverageEngine<B>,
+    options: &ServeOptions,
+    ops: I,
+    slots: &mut [Option<String>],
+) {
+    let staged = process_ops(engine, options, None, ops, slots);
+    append_deferred(options, staged, slots);
+    sync_oplog_batch(options);
 }
 
 /// Flushes as much of `conn.out` as the socket will take. Returns `false`
@@ -830,25 +757,6 @@ fn flush(conn: &mut Conn) -> bool {
         conn.out_pos = 0;
     }
     true
-}
-
-/// The event-driven front end behind [`crate::serve`] with
-/// [`IoMode::Event`](crate::IoMode::Event): the single-dataset case of
-/// [`serve_event_tenants`]. Runs until the listener or poller fails.
-pub(crate) fn serve_event<B: CoverageBackend>(
-    engine: Arc<Mutex<CoverageEngine<B>>>,
-    options: ServeOptions,
-    listener: TcpListener,
-) -> io::Result<()> {
-    serve_event_tenants(
-        vec![EventTenant {
-            name: None,
-            engine,
-            options,
-            counters: None,
-        }],
-        listener,
-    )
 }
 
 /// The event loop proper, hosting one or more datasets. Shared machinery —
@@ -971,16 +879,13 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
 
         if !pending.is_empty() {
             // Split the tick's queue: preformed responses fill their slots
-            // now; engine-bound ops run under one lock acquisition and one
-            // panic-containment scope.
+            // now; engine-bound ops run per tenant segment under one lock
+            // acquisition and one panic-containment scope.
             let mut slots: Vec<Option<String>> = Vec::with_capacity(pending.len());
-            slots.resize_with(pending.len(), || None);
             let mut ops: Vec<OpWork> = Vec::new();
             for (slot, item) in pending.iter_mut().enumerate() {
                 match &mut item.kind {
-                    PendingKind::Ready(response) => {
-                        slots[slot] = Some(std::mem::take(response));
-                    }
+                    PendingKind::Ready(response) => slots.push(Some(std::mem::take(response))),
                     PendingKind::Op {
                         tenant,
                         id,
@@ -988,15 +893,13 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                     } => {
                         // Move the op out; the queue keeps token/op/start
                         // for routing and latency accounting.
-                        let tenant = *tenant;
-                        let id = id.take();
-                        let request = std::mem::replace(request, Request::Stats);
                         ops.push(OpWork {
                             slot,
-                            tenant,
-                            id,
-                            request,
+                            tenant: *tenant,
+                            id: id.take(),
+                            request: std::mem::replace(request, Request::Stats),
                         });
+                        slots.push(None);
                     }
                 }
             }
@@ -1018,29 +921,27 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                 }
                 let failure_meta: Vec<(usize, Option<RequestId>)> =
                     segment.iter().map(|op| (op.slot, op.id.clone())).collect();
-                let (results, deferred) = with_engine_contained(
-                    &tenant.engine,
-                    |error| {
-                        let responses = failure_meta
-                            .iter()
-                            .map(|(slot, id)| (*slot, error_response(id.as_ref(), &error)))
-                            .collect();
-                        (responses, Vec::new())
-                    },
-                    // LINT-ALLOW(lock-across-blocking): the event loop defers every append — the inline log path is unreachable here
-                    |engine| process_ops(engine, &tenant.options, &metrics, segment),
-                );
-                for (slot, response) in results {
-                    slots[slot] = Some(response);
-                }
-                // Append the segment's accepted mutations now, after the
-                // engine lock dropped, under one oplog lock acquisition.
-                // The first append failure revokes that op's success
-                // response *and* every later staged op's (none of which is
-                // appended), so the log is a true prefix of the
-                // acknowledged mutation sequence — see `append_deferred`.
-                for (slot, response) in append_deferred(&tenant.options, deferred) {
-                    slots[slot] = Some(response);
+                let staged = with_engine_contained(&tenant.engine, Err, |engine| {
+                    // LINT-ALLOW(lock-across-blocking): a mid-segment snapshot drains the staged appends under the engine lock so its anchor covers them; every other append waits for the lock to drop
+                    Ok(process_ops(
+                        engine,
+                        &tenant.options,
+                        Some(&metrics),
+                        segment,
+                        &mut slots,
+                    ))
+                });
+                match staged {
+                    // Append the segment's accepted mutations now, after
+                    // the engine lock dropped, under one oplog lock
+                    // acquisition; a failed append revokes that op's
+                    // success response and every later staged op's.
+                    Ok(staged) => append_deferred(&tenant.options, staged, &mut slots),
+                    Err(error) => {
+                        for (slot, id) in failure_meta {
+                            slots[slot] = Some(error_response(id.as_ref(), &error));
+                        }
+                    }
                 }
             }
             // One durability point per tick per tenant: everything the
@@ -1059,8 +960,7 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                 let (idx, gen) = split_token(item.token);
                 // A connection that died mid-tick (or was already replaced
                 // in the slab) simply drops its responses — the engine
-                // effects stand, exactly as with a blocking worker whose
-                // peer vanished after the write succeeded.
+                // effects stand.
                 let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
                     continue;
                 };
@@ -1231,7 +1131,7 @@ mod tests {
         let engine = Arc::new(Mutex::new(test_engine()));
         let server = Arc::clone(&engine);
         std::thread::spawn(move || {
-            let _ = serve_event(server, ServeOptions::default(), listener);
+            let _ = crate::serve(server, ServeOptions::default(), listener);
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -1328,7 +1228,7 @@ mod tests {
         let server = Arc::clone(&engine);
         let options = ServeOptions::default().with_oplog(Some(Arc::clone(&log)));
         std::thread::spawn(move || {
-            let _ = serve_event(server, options, listener);
+            let _ = crate::serve(server, options, listener);
         });
         let mut reader = BufReader::new(stream);
         let lines: Vec<String> = (0..3)
@@ -1342,5 +1242,146 @@ mod tests {
         // The engine applied all three; only the log stops at the hole.
         assert_eq!(engine.lock().unwrap().dataset().len(), 7);
         assert_logged_first_insert_only(&path, &log);
+    }
+
+    #[test]
+    fn failed_append_revokes_the_rest_of_a_stdin_read() {
+        let (path, log) = failing_log("revoke-stdin");
+        let options = ServeOptions::default().with_oplog(Some(Arc::clone(&log)));
+        let mut engine = test_engine();
+        let mut output = Vec::new();
+        // A byte slice is one read, so the burst is one segment.
+        crate::serve_lines(&mut engine, &options, FAILING_BURST.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), FAILING_BURST_RESPONSES);
+        assert_eq!(engine.dataset().len(), 7);
+        assert_logged_first_insert_only(&path, &log);
+    }
+
+    #[test]
+    fn failed_append_fails_each_later_handle_line_call() {
+        let (path, log) = failing_log("revoke-handle-line");
+        let options = ServeOptions::default().with_oplog(Some(Arc::clone(&log)));
+        let mut engine = test_engine();
+        let responses: Vec<String> = FAILING_BURST
+            .lines()
+            .map(|line| crate::handle_line(&mut engine, &options, line))
+            .collect();
+        // Each call is a segment of its own, so the third insert has no
+        // earlier failure to be revoked behind: it reports its own failed
+        // append, and is not appended past the hole either.
+        assert_eq!(responses[..2], FAILING_BURST_RESPONSES[..2]);
+        assert_eq!(
+            responses[2],
+            FAILING_BURST_RESPONSES[1].replace("\"id\":2", "\"id\":3")
+        );
+        assert_eq!(engine.dataset().len(), 7);
+        assert_logged_first_insert_only(&path, &log);
+    }
+
+    /// One row over six ten-valued attributes: 54 level-1 MUPs, so each
+    /// `mups` answer is about a kilobyte.
+    fn wide_engine() -> CoverageEngine {
+        let attributes = (0..6)
+            .map(|i| Attribute::new(format!("a{i}"), 10).unwrap())
+            .collect();
+        let ds = Dataset::from_rows(Schema::new(attributes).unwrap(), &[vec![0; 6]]).unwrap();
+        CoverageEngine::new(ds, Threshold::Count(1)).unwrap()
+    }
+
+    /// `io.requests` as another connection's `stats` reports it.
+    fn served_requests(stream: &mut TcpStream, reader: &mut impl BufRead) -> u64 {
+        stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let doc = crate::protocol::Json::parse(line.trim_end()).unwrap();
+        doc.get("io")
+            .and_then(|io| io.get("requests"))
+            .and_then(crate::protocol::Json::as_u64)
+            .unwrap()
+    }
+
+    /// Connection A pipelines `mups` requests and never reads. Once A owes
+    /// more than [`MAX_WRITE_BACKLOG`] of responses the loop stops reading
+    /// A, so A's kernel buffers fill and its writes are refused, while
+    /// connection B is still answered. Once A reads what it is owed, the
+    /// rest of its requests are served.
+    #[test]
+    fn write_backlog_cap_pauses_reading_until_the_client_drains() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let engine = Arc::new(Mutex::new(wide_engine()));
+        std::thread::spawn(move || {
+            let _ = crate::serve(engine, ServeOptions::default(), listener);
+        });
+        // Padded to about the size of its answer, so buffered request bytes
+        // and owed response bytes stay of one order.
+        let request = format!("{{\"op\":\"mups\",\"pad\":\"{}\"}}\n", "x".repeat(1024));
+        let burst = request.repeat(64);
+        let mut a = TcpStream::connect(addr).unwrap();
+        a.set_nonblocking(true).unwrap();
+        let mut b = TcpStream::connect(addr).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut b_reader = BufReader::new(b.try_clone().unwrap());
+
+        let mut sent = 0usize;
+        let mut write_a = |sent: &mut usize| match a.write(&burst.as_bytes()[*sent % burst.len()..])
+        {
+            Ok(n) => {
+                *sent += n;
+                true
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+            Err(e) => panic!("write to A failed: {e}"),
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            while Instant::now() < deadline && write_a(&mut sent) {}
+            // A is refused: paused by the cap only if the loop stays idle
+            // (B's own `stats` is the one request served in between) and A
+            // is still refused afterwards.
+            let before = served_requests(&mut b, &mut b_reader);
+            std::thread::sleep(Duration::from_millis(100));
+            let after = served_requests(&mut b, &mut b_reader);
+            if after == before + 1 && !write_a(&mut sent) {
+                assert!(
+                    after < (sent / request.len()) as u64,
+                    "A's buffered requests must still be unserved"
+                );
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the loop kept reading a connection that never reads"
+            );
+        }
+
+        // A drains: every request it sent is answered, in order, and the
+        // request it sends after the pause is served too.
+        a.set_nonblocking(false).unwrap();
+        a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reader = {
+            let mut reader = BufReader::new(a.try_clone().unwrap());
+            std::thread::spawn(move || {
+                let mut answered = 0usize;
+                let mut line = String::new();
+                loop {
+                    line.clear();
+                    assert!(reader.read_line(&mut line).unwrap() > 0, "A was closed");
+                    answered += 1;
+                    if line.contains("\"id\":\"end\"") {
+                        return answered;
+                    }
+                    assert!(line.starts_with("{\"ok\":true,\"op\":\"mups\""), "{line}");
+                }
+            })
+        };
+        let partial = sent % request.len();
+        if partial > 0 {
+            a.write_all(&request.as_bytes()[partial..]).unwrap();
+            sent += request.len() - partial;
+        }
+        a.write_all(b"{\"op\":\"stats\",\"id\":\"end\"}\n").unwrap();
+        assert_eq!(reader.join().unwrap(), sent / request.len() + 1);
     }
 }

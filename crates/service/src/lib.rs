@@ -38,23 +38,22 @@
 //!   serialization (no external dependencies), including the request
 //!   envelope (optional client `id`, echoed back) and the stable
 //!   machine-readable error-code table;
-//! * [`server`] — the [`server::ServeOptions`] builder and the shared
-//!   request dispatcher behind every front end: [`handle_line`] (one
-//!   request in, one response out), [`serve_lines`] (stdin/stdout), and
-//!   [`serve`] (TCP, in the [`server::IoMode`] of your choice);
-//! * `event` (internal) — the default TCP front end: a readiness-driven
-//!   event loop (epoll on Linux, portable fallback elsewhere) that
-//!   multiplexes every connection on one thread, reassembles fragmented
-//!   NDJSON frames incrementally, coalesces concurrent inserts into single
-//!   engine batches, and sheds load with `overloaded` responses once the
-//!   pending queue passes `--max-pending`;
+//! * [`server`] — the [`server::ServeOptions`] builder, the request
+//!   dispatcher, and the three entry points: [`handle_line`] (one request
+//!   in, one response out), [`serve_lines`] (stdin/stdout), and [`serve`]
+//!   (TCP);
+//! * `event` (internal) — the request pipeline every entry point runs
+//!   (one segment step: coalesce, dispatch, stage op-log appends, append,
+//!   sync), and the TCP front end: a readiness-driven event loop (epoll on
+//!   Linux, portable fallback elsewhere) that multiplexes every connection
+//!   on one thread, reassembles fragmented NDJSON frames incrementally,
+//!   coalesces concurrent inserts into single engine batches, and sheds
+//!   load with `overloaded` responses once the pending queue passes
+//!   `--max-pending`;
 //! * [`net`] — the in-tree poll shim over `std::net` the event loop runs
 //!   on (hand-declared epoll FFI; no external dependencies);
 //! * [`metrics`] — allocation-free log-bucketed latency histograms and
 //!   serving counters, surfaced through the `stats` op's `"io"` section.
-//!
-//! The pre-redesign thread-per-connection pool survives as
-//! `mithra serve --io blocking` for A/B comparison under `mithra loadgen`.
 //!
 //! ## Quickstart
 //!
@@ -112,9 +111,7 @@ pub type CompressedCoverageEngine =
 pub use metrics::ServeMetrics;
 pub use oplog::{LogEntry, LoggedOp, OpLog, SyncPolicy, OPLOG_VERSION};
 pub use replica::{apply_entry, replay_entries, run_follower, ReplicaSource, ReplicationStatus};
-pub use server::{
-    handle_line, serve, serve_lines, IoMode, ServeOptions, DEFAULT_MAX_PENDING, DEFAULT_WORKERS,
-};
+pub use server::{handle_line, serve, serve_lines, ServeOptions, DEFAULT_MAX_PENDING};
 pub use snapshot::{
     load_snapshot, load_snapshot_anchored, load_snapshot_with_layout, save_snapshot,
     save_snapshot_anchored, snapshot_backend, SNAPSHOT_VERSION,

@@ -9,8 +9,8 @@
 //! rank; the answer is exact to within a factor of 2, which is plenty to
 //! tell 5 µs from 5 ms.
 //!
-//! One [`ServeMetrics`] is shared (via `Arc`) by every connection of a
-//! front end and surfaced through the `stats` op as the `"io"` section.
+//! One [`ServeMetrics`] is shared by every connection of the TCP front end
+//! and surfaced through the `stats` op as the `"io"` section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

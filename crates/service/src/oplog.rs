@@ -48,15 +48,16 @@ pub const REPLICATE_BATCH_LIMIT: usize = 512;
 ///
 /// * `Always` — fsync after every entry before the request is acknowledged;
 ///   an acknowledged write survives power loss.
-/// * `Batch` — write+flush per entry, fsync once per event-loop tick; an
-///   acknowledged write survives process death but a power cut can lose the
-///   last tick's worth.
+/// * `Batch` — write+flush per entry, fsync once per serving segment (an
+///   event-loop tick, a stdin read, a `handle_line` call); an acknowledged
+///   write survives process death but a power cut can lose the last
+///   segment's worth.
 /// * `Off` — never fsync explicitly; the OS decides. Fastest, weakest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// fsync every appended entry.
     Always,
-    /// fsync once per event-loop tick (the default).
+    /// fsync once per serving segment (the default).
     #[default]
     Batch,
     /// Never fsync explicitly.
@@ -434,8 +435,8 @@ impl OpLog {
     }
 
     /// Fsyncs pending appends if the policy is [`SyncPolicy::Batch`] and
-    /// anything was written since the last sync. The event loop calls this
-    /// once per tick.
+    /// anything was written since the last sync. The serving pipeline calls
+    /// this once per segment.
     pub fn sync_batch(&mut self) -> io::Result<()> {
         if self.dirty && self.sync == SyncPolicy::Batch {
             self.file.sync_data()?;

@@ -1,82 +1,56 @@
-//! Serving front ends: request dispatch, stdin/stdout line serving, and the
-//! TCP entry point behind [`serve`].
+//! Request dispatch and the serving entry points: [`handle_line`] (one
+//! request in, one response out), [`serve_lines`] (stdin/stdout), and
+//! [`serve`] (TCP: the readiness-driven event loop in `crate::event`).
 //!
-//! Two TCP implementations sit behind one [`ServeOptions`] switch:
-//!
-//! * [`IoMode::Event`] (default) — the readiness-driven event loop in
-//!   `crate::event`: one thread multiplexes every connection through a
-//!   poller, coalescing inserts that arrive in the same tick — across
-//!   connections — into single engine batches.
-//! * [`IoMode::Blocking`] — the original thread-per-connection worker
-//!   pool, kept for one release as `mithra serve --io blocking` so the
-//!   two front ends can be diffed against each other.
-//!
-//! Both funnel into [`dispatch`], which never panics on malformed input —
-//! every request line yields exactly one response line carrying the
-//! request's `id` (when it sent one). Handlers run panic-*contained*: a
-//! request that panics answers an `internal` error response (after
-//! rebuilding the engine's derived state) instead of poisoning the shared
-//! mutex and silently killing the front end.
+//! All three run one request pipeline, the segment step in `crate::event`,
+//! which funnels every request into [`dispatch`] and every accepted
+//! mutation into one op-log discipline: staged during the engine step,
+//! appended in order after it, synced once per segment. Dispatch never
+//! panics on malformed input — every request line yields exactly one
+//! response line carrying the request's `id` (when it sent one). Over TCP
+//! the engine step runs panic-*contained*: a request that panics answers an
+//! `internal` error response (after rebuilding the engine's derived state)
+//! instead of poisoning the shared mutex and silently killing the front
+//! end.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, Write};
+use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Instant;
 
 use coverage_core::pattern::Pattern;
 use coverage_data::Schema;
 use coverage_index::CoverageBackend;
 
 use crate::engine::CoverageEngine;
+use crate::event::{
+    frame_work, request_work, serve_segment, FrameDecoder, OpWork, PendingKind, READ_CHUNK_BYTES,
+};
 use crate::metrics::{OpClass, ServeMetrics};
 use crate::oplog::{LoggedOp, OpLog, REPLICATE_BATCH_LIMIT};
-use crate::protocol::{
-    error_response, ok_head, parse_request, write_json_string, Envelope, ErrorCode, Request,
-    RequestId, ServeError,
-};
+use crate::protocol::{ok_head, write_json_string, ErrorCode, Request, RequestId, ServeError};
 use crate::replica::ReplicationStatus;
 use crate::snapshot::save_snapshot_anchored;
 use crate::tenant::DatasetCounters;
-
-/// Default number of worker threads for [`IoMode::Blocking`].
-pub const DEFAULT_WORKERS: usize = 4;
 
 /// Default bound on requests admitted per event-loop tick before new ones
 /// are shed with an `overloaded` response.
 pub const DEFAULT_MAX_PENDING: usize = 1024;
 
-/// Which TCP front end [`serve`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The readiness-driven event loop with cross-connection insert
-    /// coalescing (default).
-    #[default]
-    Event,
-    /// The legacy thread-per-connection worker pool (`--io blocking`),
-    /// kept for one release as an equivalence baseline.
-    Blocking,
-}
-
 /// Configuration for every serving front end, built fluently:
 ///
 /// ```
-/// use coverage_service::{IoMode, ServeOptions};
+/// use coverage_service::ServeOptions;
 /// let options = ServeOptions::new()
 ///     .with_grow_schema(true)
-///     .with_io(IoMode::Blocking)
-///     .with_workers(8);
+///     .with_max_pending(64);
 /// assert!(options.grow_schema());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     snapshot_path: Option<PathBuf>,
     grow_schema: bool,
-    io: IoMode,
-    workers: usize,
     max_pending: usize,
     oplog: Option<Arc<Mutex<OpLog>>>,
     read_only: bool,
@@ -89,8 +63,6 @@ impl Default for ServeOptions {
         ServeOptions {
             snapshot_path: None,
             grow_schema: false,
-            io: IoMode::default(),
-            workers: DEFAULT_WORKERS,
             max_pending: DEFAULT_MAX_PENDING,
             oplog: None,
             read_only: false,
@@ -118,19 +90,6 @@ impl ServeOptions {
     /// The explicit `grow` op works regardless of this flag.
     pub fn with_grow_schema(mut self, grow_schema: bool) -> Self {
         self.grow_schema = grow_schema;
-        self
-    }
-
-    /// Selects the TCP front end (`--io event|blocking`).
-    pub fn with_io(mut self, io: IoMode) -> Self {
-        self.io = io;
-        self
-    }
-
-    /// Sets the worker-thread count for [`IoMode::Blocking`] (ignored by
-    /// the event front end, which is single-threaded by design).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -184,16 +143,6 @@ impl ServeOptions {
         self.grow_schema
     }
 
-    /// The selected TCP front end.
-    pub fn io(&self) -> IoMode {
-        self.io
-    }
-
-    /// Worker-thread count for the blocking front end.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Admission-control bound for the event front end.
     pub fn max_pending(&self) -> usize {
         self.max_pending
@@ -237,27 +186,6 @@ impl ServeOptions {
     }
 }
 
-/// Appends one accepted mutation to the configured op log (no-op without
-/// one). The append happens *after* the engine applied the op and *before*
-/// the success response is sent: a crash in between loses only an op the
-/// client never saw acknowledged. An append failure (disk full, log gone)
-/// is answered as an `internal` error even though the engine applied —
-/// the message says so, and the operator must intervene anyway.
-pub(crate) fn log_mutation(
-    options: &ServeOptions,
-    op: impl FnOnce() -> LoggedOp,
-) -> Result<(), ServeError> {
-    let Some(oplog) = options.oplog() else {
-        return Ok(());
-    };
-    let mut log = match oplog.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    // LINT-ALLOW(lock-across-blocking): holding the oplog lock across the append is what serializes the log
-    log.append(op()).map(|_| ()).map_err(append_failed_error)
-}
-
 /// The `internal` error a mutation answers when the engine applied it but
 /// the op-log append failed.
 pub(crate) fn append_failed_error(e: impl std::fmt::Display) -> ServeError {
@@ -279,33 +207,23 @@ pub(crate) fn append_skipped_error(cause: &str) -> ServeError {
     )
 }
 
-/// Records one accepted mutation for the op log. With `defer` the op is
-/// staged (with the id to echo if its append later fails) for the caller
-/// to append *after* the engine lock drops — the event loop's path, which
-/// keeps blocking log I/O out of the engine-lock scope. Without it the op
-/// is appended inline — the blocking front ends' path, where the engine
-/// lock is what orders the log. No-op without a configured op log.
-pub(crate) fn stage_mutation(
+/// Stages one accepted mutation for the op log (no-op without one). The
+/// segment step appends it after the engine step, and revokes the success
+/// response if the append fails; nothing blocks on log I/O while the op is
+/// applied.
+fn stage_mutation(
     options: &ServeOptions,
-    defer: Option<&mut Vec<(Option<RequestId>, LoggedOp)>>,
-    id: Option<&RequestId>,
+    staged: &mut Option<LoggedOp>,
     op: impl FnOnce() -> LoggedOp,
-) -> Result<(), ServeError> {
-    if options.oplog().is_none() {
-        return Ok(());
-    }
-    match defer {
-        Some(staged) => {
-            staged.push((id.cloned(), op()));
-            Ok(())
-        }
-        None => log_mutation(options, op),
+) {
+    if options.oplog().is_some() {
+        *staged = Some(op());
     }
 }
 
 /// Flushes a `batch`-policy op log to disk (no-op without one, or under
-/// `always`/`off`). The front ends call this once per tick (event) or once
-/// per request (blocking/stdin, where `batch` degenerates to `always`).
+/// `always`/`off`). Called once per segment: per event-loop tick, per stdin
+/// read, per [`handle_line`] call.
 pub(crate) fn sync_oplog_batch(options: &ServeOptions) {
     if let Some(oplog) = options.oplog() {
         let mut log = match oplog.lock() {
@@ -428,8 +346,8 @@ fn decode_pattern(schema: &Schema, pattern: &Pattern) -> String {
 }
 
 /// The success response for an `insert` of `inserted` rows leaving the
-/// dataset at `rows` total. Shared by [`dispatch`] and the event loop's
-/// coalesced path so the two front ends answer byte-for-byte identically.
+/// dataset at `rows` total. Shared by [`dispatch`] and the coalesced
+/// path so a batch answers byte-for-byte like sequential requests.
 pub(crate) fn insert_response(id: Option<&RequestId>, inserted: usize, rows: usize) -> String {
     let mut out = String::with_capacity(64);
     ok_head(&mut out, id);
@@ -441,8 +359,8 @@ pub(crate) fn insert_response(id: Option<&RequestId>, inserted: usize, rows: usi
 }
 
 /// The success response for a `delete` of `deleted` rows leaving the
-/// dataset at `rows` total. Shared by [`dispatch`] and the event loop's
-/// coalesced path so the two front ends answer byte-for-byte identically.
+/// dataset at `rows` total. Shared by [`dispatch`] and the coalesced
+/// path so a batch answers byte-for-byte like sequential requests.
 pub(crate) fn delete_response(id: Option<&RequestId>, deleted: usize, rows: usize) -> String {
     let mut out = String::with_capacity(64);
     ok_head(&mut out, id);
@@ -471,16 +389,15 @@ pub(crate) fn op_class(request: &Request) -> OpClass {
 }
 
 /// Executes one validated request against the engine, returning the full
-/// response line (with `id` echoed) or a typed error. `defer`, when
-/// given, receives accepted mutations instead of the op log — see
-/// [`stage_mutation`].
+/// response line (with `id` echoed) or a typed error. An accepted mutation
+/// lands in `staged` for the caller to append — see [`stage_mutation`].
 pub(crate) fn dispatch<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
     id: Option<&RequestId>,
     request: Request,
     metrics: Option<&ServeMetrics>,
-    defer: Option<&mut Vec<(Option<RequestId>, LoggedOp)>>,
+    staged: &mut Option<LoggedOp>,
 ) -> Result<String, ServeError> {
     let no_snapshot = || {
         ServeError::new(
@@ -516,7 +433,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             engine
                 .insert_batch(&coded)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, defer, id, || LoggedOp::Insert { rows })?;
+            stage_mutation(options, staged, || LoggedOp::Insert { rows });
             return Ok(insert_response(id, coded.len(), engine.dataset().len()));
         }
         Request::Delete { rows } => {
@@ -527,7 +444,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             engine
                 .remove_batch(&coded)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, defer, id, || LoggedOp::Delete { rows })?;
+            stage_mutation(options, staged, || LoggedOp::Delete { rows });
             return Ok(delete_response(id, coded.len(), engine.dataset().len()));
         }
         Request::Grow { attribute, value } => {
@@ -539,10 +456,10 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             let code = engine
                 .grow_value(index, &value)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, defer, id, || LoggedOp::Grow {
+            stage_mutation(options, staged, || LoggedOp::Grow {
                 attribute: attribute.clone(),
                 value: value.clone(),
-            })?;
+            });
             out.push_str(",\"op\":\"grow\",\"attribute\":");
             write_json_string(&mut out, &attribute);
             out.push_str(",\"value\":");
@@ -842,8 +759,8 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             );
             write_json_string(&mut out, coverage_index::kernel_features());
             out.push('}');
-            // TCP front ends append their I/O counters + latency
-            // histograms; the stdin front end has none to report.
+            // The TCP front end appends its I/O counters + latency
+            // histograms; stdin and `handle_line` have none to report.
             if let Some(metrics) = metrics {
                 out.push_str(",\"io\":");
                 metrics.write_json_fields(&mut out);
@@ -910,29 +827,32 @@ fn write_replication_section(options: &ServeOptions, out: &mut String) {
 
 /// Handles one request line under the given [`ServeOptions`], returning
 /// exactly one response line (without the trailing newline). Never panics
-/// on malformed input. This is the single in-process entry point — the
-/// stdin and TCP front ends answer identically to it (TCP `stats` adds an
-/// `"io"` section).
+/// on malformed input. The request is a one-request segment of the serving
+/// pipeline, op-log append and sync included, so the stdin and TCP front
+/// ends answer identically to it (TCP `stats` adds an `"io"` section).
 pub fn handle_line<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
     line: &str,
 ) -> String {
-    match parse_request(line) {
-        Ok(Envelope {
+    match request_work(line, &[None]) {
+        PendingKind::Ready(response) => response,
+        PendingKind::Op {
+            tenant,
             id,
-            dataset,
             request,
-        }) => {
-            if let Some(name) = dataset {
-                return error_response(id.as_ref(), &unknown_dataset_error(&name));
-            }
-            match dispatch(engine, options, id.as_ref(), request, None, None) {
-                Ok(response) => response,
-                Err(error) => error_response(id.as_ref(), &error),
-            }
+        } => {
+            let mut slots = [None];
+            let op = OpWork {
+                slot: 0,
+                tenant,
+                id,
+                request,
+            };
+            serve_segment(engine, options, [op], &mut slots);
+            let [response] = slots;
+            response.unwrap_or_default()
         }
-        Err(failure) => error_response(failure.id.as_ref(), &failure.error),
     }
 }
 
@@ -941,88 +861,74 @@ pub fn handle_line<B: CoverageBackend>(
 /// newline-free stream would buffer unboundedly and OOM the whole server.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-enum LineRead {
-    Line(String),
-    TooLong,
-    Eof,
-}
-
-/// Reads one newline-terminated request line, never buffering more than
-/// [`MAX_LINE_BYTES`] of it. Invalid UTF-8 is replaced lossily (the JSON
-/// layer then rejects it with a normal error response).
-fn read_request_line(reader: &mut impl BufRead) -> io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let n = io::Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(LineRead::Eof);
-    }
-    let terminated = buf.last() == Some(&b'\n');
-    if terminated {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-    }
-    if buf.len() <= MAX_LINE_BYTES && (terminated || n <= MAX_LINE_BYTES) {
-        // Unterminated final lines (EOF without newline) are served too.
-        return Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()));
-    }
-    // Cap hit mid-line: discard the rest in bounded chunks to resync.
-    loop {
-        buf.clear();
-        let m = io::Read::take(&mut *reader, 64 * 1024).read_until(b'\n', &mut buf)?;
-        if m == 0 || buf.last() == Some(&b'\n') {
-            return Ok(LineRead::TooLong);
-        }
-    }
-}
-
-/// The shared request/response loop: one response line per request line,
-/// oversized lines answered with an error and skipped, until EOF.
-fn serve_loop(
-    mut input: impl BufRead,
-    mut output: impl Write,
-    mut respond: impl FnMut(&str) -> String,
-) -> io::Result<()> {
-    loop {
-        let response = match read_request_line(&mut input)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLong => error_response(None, &line_too_long_error()),
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                respond(&line)
-            }
-        };
-        writeln!(output, "{response}")?;
-        output.flush()?;
-    }
-}
-
 /// Serves newline-delimited requests from `input` to `output` until EOF
 /// (the `mithra serve` stdin/stdout mode) under the given [`ServeOptions`].
-/// Blank lines are skipped.
+/// Blank lines are skipped. Each read of `input` is one segment of the
+/// serving pipeline: its complete lines are served together (consecutive
+/// inserts or deletes coalesce into one engine batch), the op log is synced
+/// once, and then the read's responses are written and flushed.
 pub fn serve_lines<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
-    input: impl BufRead,
-    output: impl Write,
+    mut input: impl BufRead,
+    mut output: impl Write,
 ) -> io::Result<()> {
-    serve_loop(input, output, |line| {
-        let response = handle_line(engine, options, line);
-        // No tick boundary here: a `batch`-policy op log syncs per request
-        // (i.e. degenerates to `always`).
-        sync_oplog_batch(options);
-        response
-    })
+    let mut decoder = FrameDecoder::default();
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let read = chunk.len();
+        let mut slots: Vec<Option<String>> = Vec::new();
+        let mut ops = Vec::new();
+        let mut queue = |frame| match frame_work(frame, &[None]) {
+            Some(PendingKind::Op {
+                tenant,
+                id,
+                request,
+            }) => {
+                ops.push(OpWork {
+                    slot: slots.len(),
+                    tenant,
+                    id,
+                    request,
+                });
+                slots.push(None);
+            }
+            Some(PendingKind::Ready(response)) => slots.push(Some(response)),
+            None => {}
+        };
+        // Decode piece by piece, as the event loop does: the decoder's
+        // buffer stays within one line plus one piece, however much one
+        // read returned.
+        for piece in chunk.chunks(READ_CHUNK_BYTES) {
+            decoder.push(piece);
+            while let Some(frame) = decoder.next_frame() {
+                queue(frame);
+            }
+        }
+        input.consume(read);
+        // EOF: an unterminated last line is served too.
+        if read == 0 {
+            if let Some(frame) = decoder.finish() {
+                queue(frame);
+            }
+        }
+        serve_segment(engine, options, ops, &mut slots);
+        for response in slots.iter().flatten() {
+            writeln!(output, "{response}")?;
+        }
+        output.flush()?;
+        if read == 0 {
+            return Ok(());
+        }
+    }
 }
 
-/// How long a TCP connection may sit idle between requests before it is
-/// closed. Blocking workers come from a small fixed pool — without this
-/// bound a handful of silent clients would park every worker in a blocking
-/// read and starve all queued connections. The event front end applies the
-/// same bound for symmetry (and to shed dead clients' buffers).
+/// How long a TCP connection may sit idle between requests before the
+/// event loop closes it, shedding a dead client's buffers and descriptor.
 pub const IDLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300);
 
 /// Runs `action` against the shared engine with panics **contained**: the
@@ -1040,10 +946,9 @@ pub const IDLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300
 ///   e.g. an external lock holder), the poison is cleared, the engine
 ///   rebuilt, and serving resumes — the front end never wedges permanently.
 ///
-/// Generic over the result so the event loop can run a whole batch drain
-/// under one containment scope: `on_failure` turns the failure into
-/// whatever `action` would have produced (e.g. error responses for every
-/// drained request).
+/// Generic over the result so the event loop can run a whole segment under
+/// one containment scope: `on_failure` turns the failure into whatever
+/// `action` would have produced.
 pub(crate) fn with_engine_contained<B: CoverageBackend, T>(
     engine: &Arc<Mutex<CoverageEngine<B>>>,
     on_failure: impl FnOnce(ServeError) -> T,
@@ -1072,188 +977,33 @@ pub(crate) fn with_engine_contained<B: CoverageBackend, T>(
     }
 }
 
-/// Answers one parsed-or-failed request line against the shared engine,
-/// recording latency + batching counters. Shared by the blocking workers;
-/// the event loop has its own batched equivalent.
-fn respond_contained<B: CoverageBackend>(
-    engine: &Arc<Mutex<CoverageEngine<B>>>,
-    options: &ServeOptions,
-    metrics: &ServeMetrics,
-    line: &str,
-) -> String {
-    let start = Instant::now();
-    // Parse needs no engine state — keep it outside the lock so one
-    // connection's slow/hostile request text cannot stall the others.
-    let (op, response) = match parse_request(line) {
-        Err(failure) => (
-            OpClass::Other,
-            error_response(failure.id.as_ref(), &failure.error),
-        ),
-        Ok(Envelope {
-            id,
-            dataset: Some(name),
-            ..
-        }) => (
-            OpClass::Other,
-            error_response(id.as_ref(), &unknown_dataset_error(&name)),
-        ),
-        Ok(Envelope {
-            id,
-            dataset: None,
-            request,
-        }) => {
-            let op = op_class(&request);
-            let response = with_engine_contained(
-                engine,
-                |error| error_response(id.as_ref(), &error),
-                // LINT-ALLOW(lock-across-blocking): blocking workers log inline — the engine lock is what orders the op log here
-                |engine| match dispatch(engine, options, id.as_ref(), request, Some(metrics), None)
-                {
-                    Ok(response) => response,
-                    Err(error) => error_response(id.as_ref(), &error),
-                },
-            );
-            sync_oplog_batch(options);
-            (op, response)
-        }
-    };
-    if response.starts_with("{\"ok\":true") {
-        // Each blocking insert/delete is its own engine batch — the
-        // coalescing counters make the contrast with the event loop
-        // measurable.
-        match op {
-            OpClass::Insert => {
-                ServeMetrics::add(&metrics.insert_requests, 1);
-                ServeMetrics::add(&metrics.insert_engine_batches, 1);
-            }
-            OpClass::Delete => {
-                ServeMetrics::add(&metrics.delete_requests, 1);
-                ServeMetrics::add(&metrics.delete_engine_batches, 1);
-            }
-            OpClass::Other => {}
-        }
-    }
-    metrics.record(op, start.elapsed().as_nanos() as u64);
-    response
-}
-
-fn serve_connection<B: CoverageBackend>(
-    engine: &Arc<Mutex<CoverageEngine<B>>>,
-    options: &ServeOptions,
-    metrics: &ServeMetrics,
-    stream: TcpStream,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    serve_loop(reader, stream, |line| {
-        respond_contained(engine, options, metrics, line)
-    })
-}
-
-/// The [`IoMode::Blocking`] front end: a fixed pool of `options.workers()`
-/// threads (thread-per-connection; up to `2 × workers` connections queue
-/// when all workers are busy; beyond that new connections are closed
-/// immediately rather than pinning file descriptors in an unbounded
-/// queue). Runs until the listener fails; individual connection errors are
-/// dropped, and a panicking request handler costs one error response —
-/// never a worker thread or the engine mutex.
-fn serve_blocking<B: CoverageBackend>(
-    engine: Arc<Mutex<CoverageEngine<B>>>,
-    options: ServeOptions,
-    listener: TcpListener,
-) -> io::Result<()> {
-    let workers = options.workers();
-    let metrics = Arc::new(ServeMetrics::default());
-    let (sender, receiver) = mpsc::sync_channel::<TcpStream>(workers * 2);
-    let receiver = Arc::new(Mutex::new(receiver));
-    let mut pool = Vec::new();
-    for _ in 0..workers {
-        let receiver = Arc::clone(&receiver);
-        let engine = Arc::clone(&engine);
-        let options = options.clone();
-        let metrics = Arc::clone(&metrics);
-        pool.push(thread::spawn(move || loop {
-            // recv() itself cannot panic while holding the lock, but recover
-            // from poison anyway: a wedged queue mutex must never strand the
-            // listener accepting connections nobody will serve.
-            let next = receiver
-                .lock()
-                .unwrap_or_else(|poisoned| {
-                    receiver.clear_poison();
-                    poisoned.into_inner()
-                })
-                .recv();
-            match next {
-                Ok(stream) => {
-                    // A dropped connection only ends that conversation, and
-                    // an I/O-layer panic only ends this iteration — the
-                    // worker survives to take the next connection.
-                    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        let _ = serve_connection(&engine, &options, &metrics, stream);
-                    }));
-                }
-                Err(_) => break, // listener gone — shut the worker down
-            }
-        }));
-    }
-    let mut accept_failures = 0u32;
-    let mut result = Ok(());
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                accept_failures = 0;
-                ServeMetrics::add(&metrics.connections, 1);
-                match sender.try_send(stream) {
-                    Ok(()) => {}
-                    // Saturated: shed load by closing the new connection now
-                    // (dropping the stream) instead of letting queued sockets
-                    // accumulate fds with no idle timer running.
-                    Err(mpsc::TrySendError::Full(stream)) => drop(stream),
-                    Err(mpsc::TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // Transient accept failures (ECONNABORTED, EMFILE under fd
-            // pressure) recur immediately; back off briefly so they cannot
-            // busy-spin the accept thread while workers hold the fds that
-            // need to drain — but a listener that stays broken must
-            // surface as an error, not an idle zombie process.
-            Err(e) => {
-                accept_failures += 1;
-                if accept_failures >= 100 {
-                    result = Err(e);
-                    break;
-                }
-                thread::sleep(std::time::Duration::from_millis(50));
-            }
-        }
-    }
-    drop(sender);
-    for worker in pool {
-        let _ = worker.join();
-    }
-    result
-}
-
-/// Serves the protocol over TCP until the listener fails, on the front end
-/// selected by `options.io()` — the single entry point for both the
-/// event-driven and the blocking implementation.
+/// Serves the protocol over TCP until the listener or poller fails, on the
+/// readiness-driven event loop (see `crate::event`).
 pub fn serve<B: CoverageBackend>(
     engine: Arc<Mutex<CoverageEngine<B>>>,
     options: ServeOptions,
     listener: TcpListener,
 ) -> io::Result<()> {
-    match options.io() {
-        IoMode::Event => crate::event::serve_event(engine, options, listener),
-        IoMode::Blocking => serve_blocking(engine, options, listener),
-    }
+    crate::event::serve_event_tenants(
+        vec![crate::event::EventTenant {
+            name: None,
+            engine,
+            options,
+            counters: None,
+        }],
+        listener,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Json;
+    use crate::protocol::{error_response, Json};
     use coverage_core::Threshold;
     use coverage_data::{Attribute, Dataset};
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::thread;
 
     /// A dictionary-carrying dataset: sex ∈ {m,f}, race ∈ {white,black,asian}.
     fn engine() -> CoverageEngine {
@@ -1436,8 +1186,8 @@ mod tests {
             .map(|v| v.as_u64().unwrap())
             .collect();
         assert_eq!(rows, vec![5]);
-        // The stdin front end has no I/O metrics; the section appears only
-        // on the TCP front ends.
+        // `handle_line` and stdin have no I/O metrics; the section appears
+        // only over TCP.
         assert!(doc.get("io").is_none());
         // Per-backend memory accounting: dense reports its vector bytes and
         // an all-zero container histogram.
@@ -1482,7 +1232,7 @@ mod tests {
             None,
             Request::Stats,
             Some(&metrics),
-            None,
+            &mut None,
         )
         .unwrap();
         let doc = Json::parse(&response).unwrap();
@@ -1816,11 +1566,21 @@ mod tests {
         assert!(response.contains("\"code\":\"unhittable\""), "{response}");
     }
 
+    /// Answers `line` the way the event loop serves a shared engine: one
+    /// segment under the engine's panic containment.
+    fn contained_line(shared: &Arc<Mutex<CoverageEngine>>, line: &str) -> String {
+        with_engine_contained(
+            shared,
+            |error| error_response(None, &error),
+            |engine| handle_line(engine, &ServeOptions::default(), line),
+        )
+    }
+
     #[test]
     fn panicking_handler_answers_an_error_and_spares_the_mutex() {
         let shared = Arc::new(Mutex::new(engine()));
         // A handler that panics while holding the engine must yield an error
-        // response, not poison the mutex (which would kill every worker).
+        // response, not poison the mutex (which would wedge the front end).
         let response = with_engine_contained(
             &shared,
             |error| error_response(None, &error),
@@ -1834,13 +1594,7 @@ mod tests {
             "mutex must not be poisoned by a contained panic"
         );
         // And the engine still answers real requests afterwards.
-        let metrics = ServeMetrics::default();
-        let response = respond_contained(
-            &shared,
-            &ServeOptions::default(),
-            &metrics,
-            r#"{"op":"stats"}"#,
-        );
+        let response = contained_line(&shared, r#"{"op":"stats"}"#);
         assert!(response.contains("\"ok\":true"), "{response}");
     }
 
@@ -1854,13 +1608,7 @@ mod tests {
         })
         .join();
         assert!(shared.lock().is_err(), "mutex must start poisoned");
-        let metrics = ServeMetrics::default();
-        let response = respond_contained(
-            &shared,
-            &ServeOptions::default(),
-            &metrics,
-            r#"{"op":"stats"}"#,
-        );
+        let response = contained_line(&shared, r#"{"op":"stats"}"#);
         assert!(response.contains("\"ok\":true"), "{response}");
         assert!(shared.lock().is_ok(), "poison must be cleared");
         // The recovery rebuild is visible in the stats.
@@ -1872,7 +1620,7 @@ mod tests {
     fn connection_after_handler_panic_still_gets_an_answer() {
         // The availability property end-to-end: poison the engine mutex
         // (exactly what a panicking handler used to do), then connect — the
-        // worker pool must still answer instead of hanging the connection.
+        // event loop must still answer instead of hanging the connection.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().unwrap();
         let shared = Arc::new(Mutex::new(engine()));
@@ -1885,10 +1633,7 @@ mod tests {
         assert!(shared.lock().is_err(), "mutex must start poisoned");
         let server = Arc::clone(&shared);
         thread::spawn(move || {
-            let options = ServeOptions::new()
-                .with_io(IoMode::Blocking)
-                .with_workers(1);
-            let _ = serve(server, options, listener);
+            let _ = serve(server, ServeOptions::new(), listener);
         });
         for _ in 0..2 {
             let mut stream = TcpStream::connect(addr).expect("connect");

@@ -10,9 +10,9 @@
 //! [`ServeOptions`]). Per-dataset request counters surface in the `stats`
 //! op as `io.datasets`.
 //!
-//! Tenancy rides the event front end only — the blocking pool and stdin
-//! modes serve a single unnamed dataset and answer `unknown_dataset` to
-//! any `"dataset"` routing.
+//! Tenancy rides the TCP front end only — stdin and `handle_line` serve a
+//! single unnamed dataset and answer `unknown_dataset` to any `"dataset"`
+//! routing.
 
 use std::io;
 use std::net::TcpListener;
@@ -24,7 +24,7 @@ use coverage_index::CoverageBackend;
 use crate::engine::CoverageEngine;
 use crate::event::{serve_event_tenants, EventTenant};
 use crate::protocol::{ErrorCode, ServeError};
-use crate::server::{IoMode, ServeOptions};
+use crate::server::ServeOptions;
 
 /// Per-dataset serving counters, surfaced as `stats.io.datasets`.
 #[derive(Debug)]
@@ -113,9 +113,8 @@ pub(crate) fn resolve_tenant(
 }
 
 /// Serves several datasets from one event loop until the listener fails.
-/// Requires the event front end ([`IoMode::Event`]), at least one tenant,
-/// and unique names; tenant 0 is the default dataset that un-routed
-/// requests land on.
+/// Requires at least one tenant and unique names; tenant 0 is the default
+/// dataset that un-routed requests land on.
 pub fn serve_tenants<B: CoverageBackend>(
     tenants: Vec<TenantSpec<B>>,
     listener: TcpListener,
@@ -124,12 +123,6 @@ pub fn serve_tenants<B: CoverageBackend>(
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "no datasets to serve",
-        ));
-    }
-    if tenants[0].options.io() != IoMode::Event {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "multi-dataset serving requires the event front end (--io event)",
         ));
     }
     for (i, a) in tenants.iter().enumerate() {

@@ -3,8 +3,8 @@
 //! ```text
 //! mithra audit        <file.csv> --attrs sex,race,age --tau 30 [--max-level L]
 //! mithra enhance      <file.csv> --attrs sex,race,age --tau 30 --lambda 2
-//! mithra serve        <file.csv> --attrs sex,race,age --tau 30 [--listen ADDR] [--io event|blocking] [--snapshot PATH] [--backend dense|compressed]
-//! mithra loadgen      [--io event|blocking] [--connections N] [--secs S] …
+//! mithra serve        <file.csv> --attrs sex,race,age --tau 30 [--listen ADDR] [--snapshot PATH] [--backend dense|compressed]
+//! mithra loadgen      [--connections N] [--secs S] …
 //! mithra bench-report [--quick]
 //! ```
 //!
@@ -64,16 +64,12 @@ struct Args {
     max_level: Option<usize>,
     limit: usize,
     listen: Option<String>,
-    threads: usize,
     snapshot: Option<std::path::PathBuf>,
     /// `None` = default (machine parallelism for fresh starts, the
     /// snapshot's recorded layout on restore).
     shards: Option<usize>,
     /// Auto-register unknown value strings on insert (dictionary growth).
     grow_schema: bool,
-    /// TCP front end: the readiness-driven event loop (default) or the
-    /// legacy thread-per-connection pool.
-    io: coverage_service::IoMode,
     /// Event-loop admission bound (requests per tick before `overloaded`).
     max_pending: usize,
     /// Append-only durability log: every applied mutation is recorded here,
@@ -93,7 +89,7 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage:\n  mithra audit        <file.csv> --attrs a,b,c --tau N|--rate F [--max-level L] [--limit K]\n  mithra enhance      <file.csv> --attrs a,b,c --tau N|--rate F --lambda L\n  mithra serve        <file.csv> --attrs a,b,c --tau N|--rate F [--listen ADDR] [--io event|blocking] [--threads N] [--max-pending N] [--shards N] [--backend dense|compressed] [--snapshot PATH] [--grow-schema]\n                      [--oplog PATH] [--oplog-sync always|batch|off] [--follow ADDR|PATH] [--datasets name=file.csv,…]\n  mithra loadgen      [--io event|blocking] [--connections N] [--secs S] [--mix I,C] [--deletes PCT] …\n  mithra bench-report [--quick]"
+    "usage:\n  mithra audit        <file.csv> --attrs a,b,c --tau N|--rate F [--max-level L] [--limit K]\n  mithra enhance      <file.csv> --attrs a,b,c --tau N|--rate F --lambda L\n  mithra serve        <file.csv> --attrs a,b,c --tau N|--rate F [--listen ADDR] [--max-pending N] [--shards N] [--backend dense|compressed] [--snapshot PATH] [--grow-schema]\n                      [--oplog PATH] [--oplog-sync always|batch|off] [--follow ADDR|PATH] [--datasets name=file.csv,…]\n  mithra loadgen      [--connections N] [--secs S] [--mix I,C] [--deletes PCT] …\n  mithra bench-report [--quick]"
         .to_string()
 }
 
@@ -115,11 +111,9 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut max_level = None;
     let mut limit = None;
     let mut listen = None;
-    let mut threads = None;
     let mut snapshot = None;
     let mut shards = None;
     let mut grow_schema = false;
-    let mut io = None;
     let mut max_pending = None;
     let mut oplog = None;
     let mut oplog_sync = None;
@@ -175,13 +169,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--limit" => limit = Some(value()?.parse().map_err(|e| flag_error("--limit", e))?),
             "--listen" => listen = Some(value()?),
             "--snapshot" => snapshot = Some(std::path::PathBuf::from(value()?)),
-            "--threads" => {
-                let workers: usize = value()?.parse().map_err(|e| flag_error("--threads", e))?;
-                if workers == 0 {
-                    return Err(flag_error("--threads", "need at least one worker"));
-                }
-                threads = Some(workers);
-            }
             "--shards" => {
                 let count: usize = value()?.parse().map_err(|e| flag_error("--shards", e))?;
                 if count == 0 {
@@ -199,15 +186,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                             "--backend",
                             format!("unknown backend `{other}` (expected dense or compressed)"),
                         ));
-                    }
-                })
-            }
-            "--io" => {
-                io = Some(match value()?.as_str() {
-                    "event" => coverage_service::IoMode::Event,
-                    "blocking" => coverage_service::IoMode::Blocking,
-                    other => {
-                        return Err(flag_error("--io", format!("unknown mode `{other}`")));
                     }
                 })
             }
@@ -281,10 +259,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if command != "serve"
         && (listen.is_some()
-            || threads.is_some()
             || snapshot.is_some()
             || shards.is_some()
-            || io.is_some()
             || max_pending.is_some()
             || oplog.is_some()
             || oplog_sync.is_some()
@@ -295,14 +271,10 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     {
         let flag = if listen.is_some() {
             "--listen"
-        } else if threads.is_some() {
-            "--threads"
         } else if shards.is_some() {
             "--shards"
         } else if backend.is_some() {
             "--backend"
-        } else if io.is_some() {
-            "--io"
         } else if max_pending.is_some() {
             "--max-pending"
         } else if oplog.is_some() {
@@ -340,29 +312,13 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             return Err(flag_error("--follow", "requires --listen"));
         }
     }
-    if !datasets.is_empty() {
-        if listen.is_none() {
-            return Err(flag_error("--datasets", "requires --listen"));
-        }
-        if io == Some(coverage_service::IoMode::Blocking) {
-            return Err(flag_error(
-                "--datasets",
-                "requires the event front end (--io event)",
-            ));
-        }
+    if !datasets.is_empty() && listen.is_none() {
+        return Err(flag_error("--datasets", "requires --listen"));
     }
-    if command == "serve" && listen.is_none() {
-        // stdin/stdout mode runs neither front end; silently ignoring
-        // these would hide a forgotten --listen.
-        for (set, flag) in [
-            (threads.is_some(), "--threads"),
-            (io.is_some(), "--io"),
-            (max_pending.is_some(), "--max-pending"),
-        ] {
-            if set {
-                return Err(flag_error(flag, "requires --listen"));
-            }
-        }
+    if command == "serve" && listen.is_none() && max_pending.is_some() {
+        // stdin/stdout mode admits every request; silently ignoring the
+        // bound would hide a forgotten --listen.
+        return Err(flag_error("--max-pending", "requires --listen"));
     }
     if command == "serve" && (lambda.is_some() || limit.is_some()) {
         // λ comes per-request over the protocol (`{"op":"enhance",...}`);
@@ -383,11 +339,9 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         max_level,
         limit: limit.unwrap_or(20),
         listen,
-        threads: threads.unwrap_or(coverage_service::DEFAULT_WORKERS),
         snapshot,
         shards,
         grow_schema,
-        io: io.unwrap_or_default(),
         max_pending: max_pending.unwrap_or(coverage_service::DEFAULT_MAX_PENDING),
         oplog,
         oplog_sync: oplog_sync.unwrap_or_default(),
@@ -627,22 +581,15 @@ fn serve_with<O: CoverageBackend>(args: &Args) -> Result<(), String> {
     let options = mithra::service::ServeOptions::new()
         .with_snapshot_path(args.snapshot.clone())
         .with_grow_schema(args.grow_schema)
-        .with_io(args.io)
-        .with_workers(args.threads)
         .with_max_pending(args.max_pending)
         .with_oplog(oplog);
     match &args.listen {
         Some(addr) => {
             let (listener, local) = bind_listener(addr)?;
-            match args.io {
-                coverage_service::IoMode::Event => eprintln!(
-                    "listening on {local} (event loop, max {} pending requests/tick)",
-                    args.max_pending
-                ),
-                coverage_service::IoMode::Blocking => {
-                    eprintln!("listening on {local} ({} worker threads)", args.threads)
-                }
-            }
+            eprintln!(
+                "listening on {local} (event loop, max {} pending requests/tick)",
+                args.max_pending
+            );
             let shared = std::sync::Arc::new(std::sync::Mutex::new(engine));
             served(mithra::service::serve(shared, options, listener))
         }
@@ -700,8 +647,6 @@ fn serve_follower<O: CoverageBackend>(args: &Args) -> Result<(), String> {
     }
     let options = mithra::service::ServeOptions::new()
         .with_snapshot_path(args.snapshot.clone())
-        .with_io(args.io)
-        .with_workers(args.threads)
         .with_max_pending(args.max_pending)
         .with_read_only(true)
         .with_replication(Some(status));
@@ -753,7 +698,6 @@ fn serve_datasets<O: CoverageBackend>(args: &Args) -> Result<(), String> {
         let options = mithra::service::ServeOptions::new()
             .with_snapshot_path(snapshot)
             .with_grow_schema(args.grow_schema)
-            .with_io(args.io)
             .with_max_pending(args.max_pending)
             .with_oplog(oplog);
         tenants.push(mithra::service::TenantSpec::new(
@@ -1100,22 +1044,18 @@ mod tests {
             "5",
             "--listen",
             "127.0.0.1:7878",
-            "--threads",
-            "2",
         ])
         .unwrap();
         assert_eq!(args.command, "serve");
         assert_eq!(args.listen.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(args.threads, 2);
         // stdin/stdout mode needs no --listen.
         let args = parse(&["serve", "data.csv", "--attrs", "a", "--rate", "0.01"]).unwrap();
         assert!(args.listen.is_none());
-        assert_eq!(args.threads, coverage_service::DEFAULT_WORKERS);
         assert_eq!(args.shards, None, "default layout is decided at build time");
     }
 
     #[test]
-    fn io_and_max_pending_flags_parse_and_are_tcp_serve_only() {
+    fn max_pending_flag_parses_and_is_tcp_serve_only() {
         let args = parse(&[
             "serve",
             "d.csv",
@@ -1125,27 +1065,31 @@ mod tests {
             "1",
             "--listen",
             ":0",
-            "--io",
-            "blocking",
             "--max-pending",
             "64",
         ])
         .unwrap();
-        assert_eq!(args.io, coverage_service::IoMode::Blocking);
         assert_eq!(args.max_pending, 64);
-        // Defaults: event front end, DEFAULT_MAX_PENDING.
         let args = parse(&[
             "serve", "d.csv", "--attrs", "a", "--tau", "1", "--listen", ":0",
         ])
         .unwrap();
-        assert_eq!(args.io, coverage_service::IoMode::Event);
         assert_eq!(args.max_pending, coverage_service::DEFAULT_MAX_PENDING);
-        // Unknown mode and zero bound are usage errors.
-        let err = parse(&[
-            "serve", "d.csv", "--attrs", "a", "--tau", "1", "--listen", ":0", "--io", "sync",
-        ])
-        .unwrap_err();
-        assert!(err.contains("unknown mode"), "{err}");
+        // `--io` and `--threads` are unknown flags, with or without a
+        // listener.
+        for flags in [&["--io", "event"][..], &["--threads", "2"][..]] {
+            for listen in [&[][..], &["--listen", ":0"][..]] {
+                let mut argv = vec!["serve", "d.csv", "--attrs", "a", "--tau", "1"];
+                argv.extend(listen);
+                argv.extend(flags);
+                let err = parse(&argv).unwrap_err();
+                assert!(
+                    err.contains(&format!("unknown flag `{}`", flags[0])),
+                    "{err}"
+                );
+            }
+        }
+        // A zero bound is a usage error.
         let err = parse(&[
             "serve",
             "d.csv",
@@ -1160,16 +1104,29 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("at least one slot"), "{err}");
-        // Both need TCP mode…
-        for flags in [&["--io", "event"][..], &["--max-pending", "8"][..]] {
-            let mut argv = vec!["serve", "d.csv", "--attrs", "a", "--tau", "1"];
-            argv.extend(flags);
-            let err = parse(&argv).unwrap_err();
-            assert!(err.contains("requires --listen"), "{err}");
-        }
+        // The bound needs TCP mode…
+        let err = parse(&[
+            "serve",
+            "d.csv",
+            "--attrs",
+            "a",
+            "--tau",
+            "1",
+            "--max-pending",
+            "8",
+        ])
+        .unwrap_err();
+        assert!(err.contains("requires --listen"), "{err}");
         // …and the serve command.
         let err = parse(&[
-            "audit", "d.csv", "--attrs", "a", "--tau", "1", "--io", "event",
+            "audit",
+            "d.csv",
+            "--attrs",
+            "a",
+            "--tau",
+            "1",
+            "--max-pending",
+            "8",
         ])
         .unwrap_err();
         assert!(err.contains("only supported with `serve`"), "{err}");
@@ -1281,11 +1238,9 @@ mod tests {
             max_level: None,
             limit: 20,
             listen: None,
-            threads: 1,
             snapshot: snapshot.map(std::path::Path::to_path_buf),
             shards: None,
             grow_schema: false,
-            io: coverage_service::IoMode::Event,
             max_pending: coverage_service::DEFAULT_MAX_PENDING,
             oplog: None,
             oplog_sync: coverage_service::SyncPolicy::default(),
@@ -1400,11 +1355,9 @@ mod tests {
             max_level: None,
             limit: 20,
             listen: None,
-            threads: 1,
             snapshot: Some(snap.clone()),
             shards: None,
             grow_schema: false,
-            io: coverage_service::IoMode::Event,
             max_pending: coverage_service::DEFAULT_MAX_PENDING,
             oplog: None,
             oplog_sync: coverage_service::SyncPolicy::default(),
@@ -1563,36 +1516,18 @@ mod tests {
         argv.extend(["--datasets", "hr=hr.csv"]);
         let err = parse(&argv).unwrap_err();
         assert!(err.contains("requires --listen"), "{err}");
-        let mut argv = base.to_vec();
-        argv.extend([
-            "--listen",
-            ":0",
-            "--io",
-            "blocking",
-            "--datasets",
-            "hr=hr.csv",
-        ]);
-        let err = parse(&argv).unwrap_err();
-        assert!(err.contains("event front end"), "{err}");
     }
 
     #[test]
     fn serve_flag_domains_are_enforced() {
-        // --listen is serve-only; --max-level is audit-only; --threads ≥ 1.
+        // --listen and --shards are serve-only; --max-level is audit-only.
         let err = parse(&[
             "audit", "d.csv", "--attrs", "a", "--tau", "1", "--listen", ":0",
         ])
         .unwrap_err();
         assert!(err.contains("only supported with `serve`"), "{err}");
         let err = parse(&[
-            "enhance",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--threads",
-            "2",
+            "enhance", "d.csv", "--attrs", "a", "--tau", "1", "--shards", "2",
         ])
         .unwrap_err();
         assert!(err.contains("only supported with `serve`"), "{err}");
@@ -1608,36 +1543,11 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("only supported with `audit`"), "{err}");
-        let err = parse(&[
-            "serve",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--threads",
-            "0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("at least one worker"), "{err}");
         // λ and limit are per-request in the protocol, not serve CLI flags.
         for flag in ["--lambda", "--limit"] {
             let err =
                 parse(&["serve", "d.csv", "--attrs", "a", "--tau", "1", flag, "2"]).unwrap_err();
             assert!(err.contains("not supported with `serve`"), "{err}");
         }
-        // Worker threads exist only in TCP mode.
-        let err = parse(&[
-            "serve",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--threads",
-            "2",
-        ])
-        .unwrap_err();
-        assert!(err.contains("requires --listen"), "{err}");
     }
 }

@@ -16,7 +16,7 @@ use mithra::prelude::*;
 use mithra::service::oplog::read_entries_from;
 use mithra::service::protocol::Json;
 use mithra::service::{
-    load_snapshot_anchored, replay_entries, run_follower, serve, serve_tenants, IoMode, OpLog,
+    load_snapshot_anchored, replay_entries, run_follower, serve, serve_lines, serve_tenants, OpLog,
     ReplicaSource, ReplicationStatus, ServeOptions, SyncPolicy, TenantSpec,
 };
 
@@ -351,7 +351,6 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     let addr = spawn(
         Arc::clone(&live),
         ServeOptions::new()
-            .with_io(IoMode::Event)
             .with_oplog(Some(Arc::clone(&log)))
             .with_snapshot_path(Some(snap_path.clone())),
     );
@@ -394,6 +393,65 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     assert_eq!(applied, 5);
     assert_eq!(recovered.dataset().len(), live_rows);
     assert_eq!(recovered.mups(), live.lock().unwrap().mups());
+
+    std::fs::remove_file(&log_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
+
+/// The stdin front end stages appends the same way: a `snapshot` in the
+/// same read as preceding inserts anchors past them, so recovery replays
+/// only what came after it.
+#[test]
+fn same_read_snapshot_on_stdin_anchors_past_staged_mutations() {
+    let log_path = scratch_log("stdin-snap-anchor");
+    let snap_path = std::env::temp_dir().join(format!(
+        "mithra-replication-stdin-snap-anchor-{}.snap",
+        std::process::id()
+    ));
+    std::fs::remove_file(&log_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+    let log = Arc::new(Mutex::new(
+        OpLog::open(&log_path, SyncPolicy::Batch).unwrap(),
+    ));
+    let options = ServeOptions::new()
+        .with_oplog(Some(Arc::clone(&log)))
+        .with_snapshot_path(Some(snap_path.clone()));
+    let mut live = engine();
+    // A byte slice is one read: insert, insert and snapshot form one
+    // segment.
+    let script = concat!(
+        "{\"op\":\"insert\",\"row\":[\"f\",\"black\",\"young\"]}\n",
+        "{\"op\":\"insert\",\"row\":[\"f\",\"hispanic\",\"old\"]}\n",
+        "{\"op\":\"snapshot\"}\n",
+    );
+    let mut output = Vec::new();
+    serve_lines(&mut live, &options, script.as_bytes(), &mut output).unwrap();
+    let text = String::from_utf8(output).unwrap();
+    let responses: Vec<&str> = text.lines().collect();
+    assert_eq!(responses.len(), 3, "{text}");
+    for response in &responses {
+        let doc = Json::parse(response).unwrap();
+        assert_eq!(
+            doc.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{response}"
+        );
+    }
+    let snapshot = Json::parse(responses[2]).unwrap();
+    assert_eq!(snapshot.get("oplog_seq").and_then(Json::as_u64), Some(2));
+    // The log was truncated through the anchor: nothing is left to replay.
+    assert_eq!(log.lock().unwrap().last_seq(), 2);
+    assert!(log.lock().unwrap().is_empty());
+    assert!(read_entries_from(&log_path, 1).unwrap().is_empty());
+
+    // Snapshot + tail replay equals the live engine.
+    let (mut recovered, anchor): (CoverageEngine, u64) =
+        load_snapshot_anchored(&snap_path, None).unwrap();
+    assert_eq!(anchor, 2);
+    let tail = read_entries_from(&log_path, anchor + 1).unwrap();
+    replay_entries(&mut recovered, &tail, anchor).unwrap();
+    assert_eq!(recovered.dataset().len(), live.dataset().len());
+    assert_eq!(recovered.mups(), live.mups());
 
     std::fs::remove_file(&log_path).ok();
     std::fs::remove_file(&snap_path).ok();

@@ -1,7 +1,7 @@
-//! Integration drive of the event-driven TCP front end (`--io event`): one
-//! readiness loop multiplexing every connection, incremental NDJSON frame
-//! decoding, cross-connection insert coalescing, and admission control. The
-//! blocking pool and the in-process [`handle_line`] path serve as the
+//! Integration drive of the event-driven TCP front end: one readiness loop
+//! multiplexing every connection, incremental NDJSON frame decoding,
+//! cross-connection insert coalescing, and admission control. The
+//! in-process [`handle_line`] and [`serve_lines`] paths serve as the
 //! reference — the event loop must produce byte-identical responses.
 
 use std::io::{BufRead, BufReader, Write};
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use mithra::prelude::*;
 use mithra::service::protocol::Json;
 use mithra::service::server::MAX_LINE_BYTES;
-use mithra::service::{handle_line, serve, IoMode, ServeOptions};
+use mithra::service::{handle_line, serve, serve_lines, ServeOptions};
 use proptest::prelude::*;
 
 /// Same COMPAS-flavored fixture as `serve_protocol.rs`, so both suites
@@ -178,11 +178,16 @@ fn mid_batch_disconnect_leaves_the_engine_consistent() {
     assert!(responses[0].starts_with("{\"ok\":true"), "{}", responses[0]);
 }
 
-/// The event loop and the blocking pool are interchangeable on the wire:
-/// an identical pipelined script (mutations, queries, and errors) yields
-/// byte-identical response streams, which also match `handle_line`.
+/// TCP, stdin and `handle_line` run one pipeline: an identical pipelined
+/// script (mutations, queries, errors, a snapshot and `stats`) yields
+/// byte-identical responses on all three, except that TCP `stats` adds the
+/// front end's `"io"` section.
 #[test]
-fn event_and_blocking_front_ends_serve_identical_bytes() {
+fn tcp_stdin_and_handle_line_serve_identical_bytes() {
+    let snapshot = std::env::temp_dir().join(format!(
+        "mithra-serve-event-identical-{}.snap",
+        std::process::id()
+    ));
     let script = [
         r#"{"id":1,"op":"insert","rows":[["f","black","young"],["f","hispanic","old"]]}"#,
         r#"{"id":2,"op":"coverage","pattern":"11X"}"#,
@@ -191,21 +196,59 @@ fn event_and_blocking_front_ends_serve_identical_bytes() {
         r#"{"id":4,"op":"delete","row":["f","black","young"]}"#,
         "not json at all",
         r#"{"id":5,"op":"coverage","pattern":"X0X"}"#,
+        r#"{"id":6,"op":"snapshot"}"#,
+        r#"{"id":7,"op":"stats"}"#,
     ];
+    // Each front end writes the snapshot at the same path in turn, so the
+    // `snapshot` responses name the same file.
+    let options = ServeOptions::new().with_snapshot_path(Some(snapshot.clone()));
     let mut reference = engine();
-    let options = ServeOptions::new();
     let expected: Vec<String> = script
         .iter()
         .map(|line| handle_line(&mut reference, &options, line))
         .collect();
+    assert!(!expected[8].contains("\"io\""), "{}", expected[8]);
 
     let payload: String = script.iter().map(|l| format!("{l}\n")).collect();
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, _) = spawn(ServeOptions::new().with_io(io).with_workers(2));
-        let mut stream = connect(addr);
-        let responses = ask_pipelined(&mut stream, &payload, script.len());
-        assert_eq!(responses, expected, "front end {io:?} diverged");
+    let mut stdin_engine = engine();
+    let mut output = Vec::new();
+    serve_lines(&mut stdin_engine, &options, payload.as_bytes(), &mut output).unwrap();
+    let stdin: Vec<String> = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(stdin, expected, "stdin diverged from handle_line");
+
+    let (addr, _) = spawn(options);
+    let mut stream = connect(addr);
+    let mut tcp = ask_pipelined(&mut stream, &payload, script.len());
+    assert!(tcp[8].contains(",\"io\":{\"requests\":"), "{}", tcp[8]);
+    tcp[8] = without_io_section(&tcp[8]);
+    assert_eq!(tcp, expected, "TCP diverged from handle_line");
+    std::fs::remove_file(&snapshot).ok();
+}
+
+/// `response` with its `,"io":{…}` section cut out.
+fn without_io_section(response: &str) -> String {
+    let Some(start) = response.find(",\"io\":{") else {
+        return response.to_string();
+    };
+    let open = start + ",\"io\":".len();
+    let mut depth = 0usize;
+    for (i, byte) in response.bytes().enumerate().skip(open) {
+        match byte {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return format!("{}{}", &response[..start], &response[i + 1..]);
+                }
+            }
+            _ => {}
+        }
     }
+    panic!("unbalanced io section in {response}");
 }
 
 fn io_counter(stats: &Json, key: &str) -> u64 {

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 
 use mithra::prelude::*;
 use mithra::service::protocol::Json;
-use mithra::service::{handle_line, load_snapshot, serve, serve_lines, IoMode, ServeOptions};
+use mithra::service::{handle_line, load_snapshot, serve, serve_lines, ServeOptions};
 
 /// COMPAS-flavored fixture with value dictionaries, so protocol rows can be
 /// sent as value names.
@@ -399,9 +399,9 @@ not json\n\
     assert_eq!(oks, vec![Some(true), Some(false), Some(true), Some(true)]);
 }
 
-/// Full TCP round trip: bind an ephemeral port, serve with the blocking
-/// two-thread pool, and run two sequential client connections against the
-/// shared engine — state must persist across connections.
+/// Full TCP round trip: bind an ephemeral port, serve on the event loop,
+/// and run two sequential client connections against the shared engine —
+/// state must persist across connections.
 #[test]
 fn tcp_round_trip_shares_one_engine() {
     use std::net::{TcpListener, TcpStream};
@@ -412,10 +412,7 @@ fn tcp_round_trip_shares_one_engine() {
     let shared = Arc::new(Mutex::new(engine()));
     let server = Arc::clone(&shared);
     std::thread::spawn(move || {
-        let options = ServeOptions::new()
-            .with_io(IoMode::Blocking)
-            .with_workers(2);
-        let _ = serve(server, options, listener);
+        let _ = serve(server, ServeOptions::new(), listener);
     });
 
     let ask = |line: &str| -> Json {
