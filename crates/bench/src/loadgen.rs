@@ -75,11 +75,9 @@ pub struct LoadgenReport {
     pub elapsed_secs: f64,
     /// Responses received (any outcome).
     pub requests: u64,
-    /// `{"ok":false}` responses that were *not* `overloaded` sheds.
+    /// `{"ok":false}` responses.
     pub errors: u64,
-    /// Responses shed with the `overloaded` code.
-    pub overloaded: u64,
-    /// Times a client had to reconnect (dropped/shed connections).
+    /// Times a client had to reconnect (dropped connections).
     pub reconnects: u64,
     /// Responses per second over the window.
     pub ops_per_sec: f64,
@@ -101,8 +99,6 @@ pub struct LoadgenReport {
     pub delete_engine_batches: u64,
     /// Server-side `stats.io.coalesced_deletes` after the run.
     pub coalesced_deletes: u64,
-    /// Server-side `stats.io.shed_overloaded` after the run.
-    pub shed_overloaded: u64,
 }
 
 impl LoadgenReport {
@@ -110,17 +106,15 @@ impl LoadgenReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"connections\":{},\"elapsed_secs\":{:.3},\
-             \"requests\":{},\"errors\":{},\"overloaded\":{},\"reconnects\":{},\
+             \"requests\":{},\"errors\":{},\"reconnects\":{},\
              \"ops_per_sec\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
              \"insert_requests\":{},\"insert_engine_batches\":{},\
              \"coalesced_inserts\":{},\"delete_requests\":{},\
-             \"delete_engine_batches\":{},\"coalesced_deletes\":{},\
-             \"shed_overloaded\":{}}}",
+             \"delete_engine_batches\":{},\"coalesced_deletes\":{}}}",
             self.connections,
             self.elapsed_secs,
             self.requests,
             self.errors,
-            self.overloaded,
             self.reconnects,
             self.ops_per_sec,
             self.p50_ns,
@@ -132,7 +126,6 @@ impl LoadgenReport {
             self.delete_requests,
             self.delete_engine_batches,
             self.coalesced_deletes,
-            self.shed_overloaded,
         )
     }
 }
@@ -159,7 +152,6 @@ struct ClientStats {
     latencies_ns: Vec<u64>,
     requests: u64,
     errors: u64,
-    overloaded: u64,
     reconnects: u64,
 }
 
@@ -234,8 +226,8 @@ fn gen_request(
 }
 
 /// One client: keeps `pipeline` requests in flight against `addr` until
-/// the deadline, reconnecting (with a tiny backoff) when the server sheds
-/// or drops the connection.
+/// the deadline, reconnecting (with a tiny backoff) when the server drops
+/// the connection.
 fn client_loop(
     addr: std::net::SocketAddr,
     config: &LoadgenConfig,
@@ -247,7 +239,6 @@ fn client_loop(
         latencies_ns: Vec::new(),
         requests: 0,
         errors: 0,
-        overloaded: 0,
         reconnects: 0,
     };
     let mut first_attempt = true;
@@ -295,11 +286,7 @@ fn client_loop(
                 stats.requests += 1;
                 stats.latencies_ns.push(sent_at.elapsed().as_nanos() as u64);
                 if line.starts_with("{\"ok\":false") {
-                    if line.contains("\"code\":\"overloaded\"") {
-                        stats.overloaded += 1;
-                    } else {
-                        stats.errors += 1;
-                    }
+                    stats.errors += 1;
                 }
             }
         }
@@ -314,7 +301,7 @@ fn scrape_io_counter(io: &Json, key: &str) -> u64 {
 
 /// Asks the server for `stats` and returns the parsed `"io"` section.
 /// Retries briefly: right after the measurement window the front end may
-/// still be shedding the departing clients.
+/// still be serving the departing clients.
 fn scrape_stats(addr: std::net::SocketAddr) -> Option<Json> {
     for _ in 0..50 {
         let attempt = (|| -> std::io::Result<String> {
@@ -392,13 +379,12 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         }));
     }
     let mut latencies: Vec<u64> = Vec::new();
-    let (mut requests, mut errors, mut overloaded, mut reconnects) = (0u64, 0u64, 0u64, 0u64);
+    let (mut requests, mut errors, mut reconnects) = (0u64, 0u64, 0u64);
     for handle in handles {
         let stats = handle.join().map_err(|_| "client thread panicked")?;
         latencies.extend(stats.latencies_ns);
         requests += stats.requests;
         errors += stats.errors;
-        overloaded += stats.overloaded;
         reconnects += stats.reconnects;
     }
     let elapsed = started.elapsed().as_secs_f64();
@@ -422,7 +408,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         elapsed_secs: elapsed,
         requests,
         errors,
-        overloaded,
         reconnects,
         ops_per_sec: if elapsed > 0.0 {
             requests as f64 / elapsed
@@ -438,7 +423,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         delete_requests: counter("delete_requests"),
         delete_engine_batches: counter("delete_engine_batches"),
         coalesced_deletes: counter("coalesced_deletes"),
-        shed_overloaded: counter("shed_overloaded"),
     })
 }
 

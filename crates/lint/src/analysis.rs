@@ -11,7 +11,6 @@
 //!   must themselves be well-formed and actually used.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::path::PathBuf;
 
 /// A parsed `// LINT-ALLOW(rule): reason` comment.
 #[derive(Debug, Clone)]
@@ -41,8 +40,6 @@ pub struct MalformedAllow {
 pub struct SourceFile {
     /// Path relative to the workspace root (always with `/` separators).
     pub rel_path: String,
-    /// Absolute path on disk.
-    pub abs_path: PathBuf,
     /// The raw source text.
     pub text: String,
     /// All tokens, including comments.
@@ -57,13 +54,12 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lexes and annotates one file.
-    pub fn new(rel_path: String, abs_path: PathBuf, text: String) -> Self {
+    pub fn new(rel_path: String, text: String) -> Self {
         let tokens = lex(&text);
         let test_mask = compute_test_mask(&rel_path, &text, &tokens);
         let (allows, malformed_allows) = parse_allows(&text, &tokens);
         SourceFile {
             rel_path,
-            abs_path,
             text,
             tokens,
             test_mask,
@@ -239,7 +235,8 @@ fn compute_test_mask(rel_path: &str, text: &str, tokens: &[Token]) -> Vec<bool> 
 ///
 /// Only plain comments count: doc comments (`///`, `//!`, `/**`, `/*!`)
 /// are rendered prose — the linter's own documentation *describes* the
-/// escape hatch without enacting it.
+/// escape hatch without enacting it. A marker in any other spelling is
+/// malformed.
 fn parse_allows(text: &str, tokens: &[Token]) -> (Vec<Allow>, Vec<MalformedAllow>) {
     let mut allows = Vec::new();
     let mut malformed = Vec::new();
@@ -258,55 +255,48 @@ fn parse_allows(text: &str, tokens: &[Token]) -> (Vec<Allow>, Vec<MalformedAllow
         let Some(at) = body.find("LINT-ALLOW") else {
             continue;
         };
-        let rest = &body[at + "LINT-ALLOW".len()..];
-        let Some(open_rel) = rest.find('(') else {
-            malformed.push(MalformedAllow {
+        let marker = &body[at..];
+        let marker = marker.strip_suffix("*/").unwrap_or(marker).trim_end();
+        match canonical_allow(marker) {
+            Ok((rule, reason)) => allows.push(Allow {
+                rule: rule.to_string(),
                 line: tok.line,
-                problem: "missing `(rule)` after LINT-ALLOW".into(),
-            });
-            continue;
-        };
-        if !rest[..open_rel].trim().is_empty() {
-            malformed.push(MalformedAllow {
-                line: tok.line,
-                problem: "text between LINT-ALLOW and `(`".into(),
-            });
-            continue;
-        }
-        let after_open = &rest[open_rel + 1..];
-        let Some(close_rel) = after_open.find(')') else {
-            malformed.push(MalformedAllow {
-                line: tok.line,
-                problem: "unclosed `(rule)` in LINT-ALLOW".into(),
-            });
-            continue;
-        };
-        let rule = after_open[..close_rel].trim().to_string();
-        if rule.is_empty() || !rule.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            malformed.push(MalformedAllow {
-                line: tok.line,
-                problem: format!("bad rule name `{rule}` in LINT-ALLOW"),
-            });
-            continue;
-        }
-        let after_close = &after_open[close_rel + 1..];
-        let reason = after_close
-            .trim_start()
-            .strip_prefix(':')
-            .map(|r| r.trim().trim_end_matches("*/").trim().to_string());
-        match reason {
-            Some(r) if !r.is_empty() => allows.push(Allow {
-                rule,
-                line: tok.line,
-                reason: r,
+                reason: reason.to_string(),
             }),
-            _ => malformed.push(MalformedAllow {
+            Err(problem) => malformed.push(MalformedAllow {
                 line: tok.line,
-                problem: format!("LINT-ALLOW({rule}) has no `: reason`"),
+                problem: format!(
+                    "{problem}; the only accepted spelling is `LINT-ALLOW(rule): reason`"
+                ),
             }),
         }
     }
     (allows, malformed)
+}
+
+/// Splits a marker spelled exactly `LINT-ALLOW(rule): reason` into its rule
+/// and reason, or says what deviates.
+fn canonical_allow(marker: &str) -> Result<(&str, &str), String> {
+    let rest = &marker["LINT-ALLOW".len()..];
+    let Some(inner) = rest.strip_prefix('(') else {
+        return Err("`(rule)` must follow LINT-ALLOW directly".into());
+    };
+    let Some((rule, after)) = inner.split_once(')') else {
+        return Err("unclosed `(rule)` in LINT-ALLOW".into());
+    };
+    if rule.is_empty()
+        || !rule
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+    {
+        return Err(format!("bad rule name `{rule}` in LINT-ALLOW"));
+    }
+    match after.strip_prefix(": ") {
+        Some(reason) if !reason.is_empty() && !reason.starts_with(char::is_whitespace) => {
+            Ok((rule, reason))
+        }
+        _ => Err(format!("LINT-ALLOW({rule}) lacks a `: reason`")),
+    }
 }
 
 #[cfg(test)]
@@ -314,7 +304,7 @@ mod tests {
     use super::*;
 
     fn file(rel: &str, src: &str) -> SourceFile {
-        SourceFile::new(rel.to_string(), PathBuf::from(rel), src.to_string())
+        SourceFile::new(rel.to_string(), src.to_string())
     }
 
     fn unmasked_idents(f: &SourceFile) -> Vec<String> {
@@ -399,6 +389,11 @@ fn a() {}
 // LINT-ALLOW: no rule
 /* LINT-ALLOW(unsafe-audit): block comment form */
 // LINT-ALLOW(bad rule!): spaces
+// LINT-ALLOW (panic-freedom): space before the parenthesis
+// LINT-ALLOW( panic-freedom ): padded rule name
+// LINT-ALLOW(panic-freedom) : space before the colon
+// LINT-ALLOW(panic-freedom):no space after the colon
+// LINT-ALLOW(panic-freedom):
 ";
         let f = file("crates/x/src/lib.rs", src);
         assert_eq!(f.allows.len(), 2);
@@ -407,7 +402,8 @@ fn a() {}
         assert_eq!(f.allows[0].reason, "guarded by len check above");
         assert_eq!(f.allows[1].rule, "unsafe-audit");
         assert_eq!(f.allows[1].reason, "block comment form");
-        assert_eq!(f.malformed_allows.len(), 3);
+        let lines: Vec<u32> = f.malformed_allows.iter().map(|m| m.line).collect();
+        assert_eq!(lines, [3, 4, 6, 7, 8, 9, 10, 11]);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! * Multi-character punctuation (`::`, `=>`, `..=`) is emitted as single
 //!   characters; rules match the sequence.
 //! * Numeric literals are lexed loosely (enough to never leak into
-//!   neighbouring tokens); their decimal value is recovered on demand via
-//!   [`Token::integer_value`].
+//!   neighbouring tokens).
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,24 +63,6 @@ impl Token {
     /// multi-line block comments and strings).
     pub fn end_line(&self, src: &str) -> u32 {
         self.line + self.text(src).bytes().filter(|&b| b == b'\n').count() as u32
-    }
-
-    /// The token's value as a non-negative integer, when it is a plain
-    /// decimal [`TokenKind::Number`] (underscores and suffixes stripped).
-    pub fn integer_value(&self, src: &str) -> Option<u64> {
-        if self.kind != TokenKind::Number {
-            return None;
-        }
-        let digits: String = self
-            .text(src)
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '_')
-            .filter(|c| c.is_ascii_digit())
-            .collect();
-        if digits.is_empty() {
-            return None;
-        }
-        digits.parse().ok()
     }
 }
 
@@ -492,18 +473,20 @@ mod tests {
     }
 
     #[test]
-    fn integer_values_parse() {
+    fn numeric_literals_lex_as_single_tokens() {
         let src = "4 1_000 0xff 2.5 SNAPSHOT_VERSION 9u64";
-        let toks = lex(src);
-        let vals: Vec<Option<u64>> = toks.iter().map(|t| t.integer_value(src)).collect();
-        assert_eq!(vals[0], Some(4));
-        assert_eq!(vals[1], Some(1000));
-        // Hex lexes as one token; only its leading `0` parses — the rules
-        // that consume integer_value only deal in small decimal constants.
-        assert_eq!(vals[2], Some(0));
-        assert_eq!(vals[3], Some(2)); // leading digits of a float
-        assert_eq!(vals[4], None); // ident
-        assert_eq!(vals[5], Some(9));
+        let toks: Vec<(TokenKind, &str)> = lex(src).iter().map(|t| (t.kind, t.text(src))).collect();
+        assert_eq!(
+            toks,
+            vec![
+                (TokenKind::Number, "4"),
+                (TokenKind::Number, "1_000"),
+                (TokenKind::Number, "0xff"),
+                (TokenKind::Number, "2.5"),
+                (TokenKind::Ident, "SNAPSHOT_VERSION"),
+                (TokenKind::Number, "9u64"),
+            ]
+        );
     }
 
     #[test]

@@ -1,23 +1,19 @@
 //! `mithra-lint`: the in-tree conformance linter.
 //!
 //! Clippy and rustc enforce language-level hygiene; this crate enforces
-//! *project* invariants that no off-the-shelf tool knows about (and, per
-//! the offline-build policy, no off-the-shelf tool could be added for):
+//! the *project* invariants that only a static pass over the source can
+//! check (and, per the offline-build policy, that no off-the-shelf tool
+//! could be added for):
 //!
 //! * `panic-freedom` — serving hot paths must not contain panicking calls;
 //! * `unsafe-audit` — every `unsafe` carries an adjacent `// SAFETY:`;
-//! * `error-codes` — the `ErrorCode` enum, the README table, production
-//!   construction sites, and test assertions all agree;
-//! * `protocol-ops` — every dispatched op is documented and tested;
-//! * `snapshot-version` — the snapshot format version is consistent across
-//!   the writer, the restore gates, and the README;
 //! * `lock-across-blocking` — no Mutex/RwLock guard in a serving hot path
 //!   is held across blocking I/O (directly or through a call chain);
-//! * `lock-order` — the lock-acquisition graph stays acyclic;
-//! * `oplog-format` — the op-log entry wire format agrees across the
-//!   writer, the reader, the README, and the tests;
-//! * `replicate-protocol` — the catch-up protocol agrees across the
-//!   leader, the follower, the README, and the tests.
+//! * `lock-order` — the lock-acquisition graph stays acyclic.
+//!
+//! Facts the compiler already knows — the protocol's error codes and ops,
+//! the op-log and snapshot versions — are kept in step with the README by
+//! ordinary tests over compile-time tables, not by this crate.
 //!
 //! The rules work on a token stream from a small hand-rolled lexer
 //! ([`lexer`]), a lightweight item/block parse on top of it ([`parser`]),
@@ -26,14 +22,12 @@
 //! suppressed with a `// LINT-ALLOW(rule): reason` comment on the
 //! offending line or the line above; allows are counted in the report,
 //! and a malformed or unused allow is itself a finding (rule
-//! `lint-allow`). `mithra-lint fix` mechanically repairs drift the rules
-//! detect ([`fix`]).
+//! `lint-allow`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod fix;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -45,14 +39,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The loaded workspace: every first-party `.rs` file plus the README.
+/// The loaded workspace: every first-party `.rs` file.
 pub struct Workspace {
-    /// Workspace root directory.
-    pub root: PathBuf,
     /// All discovered source files, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// `README.md` content (empty when absent — rules report that).
-    pub readme: String,
 }
 
 /// Top-level directories scanned for Rust sources. `vendor/` is included:
@@ -78,19 +68,9 @@ impl Workspace {
                 .to_string_lossy()
                 .replace('\\', "/");
             let text = fs::read_to_string(&abs)?;
-            files.push(SourceFile::new(rel, abs, text));
+            files.push(SourceFile::new(rel, text));
         }
-        let readme = fs::read_to_string(root.join("README.md")).unwrap_or_default();
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            readme,
-        })
-    }
-
-    /// Looks up a file by workspace-relative path.
-    pub fn file(&self, rel_path: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel_path == rel_path)
+        Ok(Workspace { files })
     }
 }
 
@@ -110,56 +90,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Returns the byte spans (`{` start .. `}` end) of every `fn <name>` body
-/// in the file. Multiple impls may define the same method name, so all
-/// spans are returned; callers pick the one whose contents match.
-pub fn fn_body_spans(file: &SourceFile, name: &str) -> Vec<(usize, usize)> {
-    let sig: Vec<usize> = file.significant().collect();
-    let mut spans = Vec::new();
-    let mut p = 0;
-    while p + 1 < sig.len() {
-        if file.is_ident(sig[p], "fn") && file.is_ident(sig[p + 1], name) {
-            // Find the opening brace of the body, then its match.
-            let mut q = p + 2;
-            while q < sig.len() && file.text_of(&file.tokens[sig[q]]) != "{" {
-                if file.text_of(&file.tokens[sig[q]]) == ";" {
-                    break; // trait method declaration — no body
-                }
-                q += 1;
-            }
-            if q < sig.len() && file.text_of(&file.tokens[sig[q]]) == "{" {
-                let open = sig[q];
-                let mut depth = 0usize;
-                let mut close = None;
-                for &j in &sig[q..] {
-                    match file.text_of(&file.tokens[j]) {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = Some(j);
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(close) = close {
-                    spans.push((file.tokens[open].start, file.tokens[close].end));
-                }
-            }
-        }
-        p += 1;
-    }
-    spans
-}
-
-/// Convenience: the first `fn <name>` body span, when there is exactly one
-/// obvious candidate. Returns `None` when the fn is absent.
-pub fn fn_body_span(file: &SourceFile, name: &str) -> Option<(usize, usize)> {
-    fn_body_spans(file, name).into_iter().next()
 }
 
 /// Per-rule totals for the report.
@@ -195,19 +125,11 @@ pub type RuleFn = fn(&Workspace) -> Vec<Finding>;
 
 /// The runnable rules, in [`rules::RULE_NAMES`] order (the trailing
 /// `lint-allow` entry is the driver's own audit, not a rule function).
-pub const RULES: [(&str, RuleFn); 9] = [
+pub const RULES: [(&str, RuleFn); 4] = [
     (rules::panic_free::RULE, rules::panic_free::run),
     (rules::unsafe_audit::RULE, rules::unsafe_audit::run),
-    (rules::error_codes::RULE, rules::error_codes::run),
-    (rules::protocol_ops::RULE, rules::protocol_ops::run),
-    (rules::snapshot_version::RULE, rules::snapshot_version::run),
     (rules::lock_blocking::RULE, rules::lock_blocking::run),
     (rules::lock_order::RULE, rules::lock_order::run),
-    (rules::oplog_format::RULE, rules::oplog_format::run),
-    (
-        rules::replicate_protocol::RULE,
-        rules::replicate_protocol::run,
-    ),
 ];
 
 /// Loads the workspace at `root` and runs every rule, applying
@@ -351,19 +273,5 @@ mod tests {
         assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
         assert_eq!(json_escape("x\ny\t"), "x\\ny\\t");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn fn_body_spans_finds_all_overloads() {
-        let src = "\
-impl A { fn go(&self) -> u8 { 1 } }
-impl B { fn go(&self) -> u8 { { 2 } } }
-trait T { fn go(&self) -> u8; }
-";
-        let file = SourceFile::new("x.rs".into(), PathBuf::from("x.rs"), src.into());
-        let spans = fn_body_spans(&file, "go");
-        assert_eq!(spans.len(), 2);
-        assert!(src[spans[0].0..spans[0].1].contains('1'));
-        assert!(src[spans[1].0..spans[1].1].contains('2'));
     }
 }

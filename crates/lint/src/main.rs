@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mithra-lint check [--root PATH] [--rule NAME] [--format human|ndjson]
-//! mithra-lint fix   [--root PATH] [--check]
 //! ```
 //!
 //! `check` findings stream to stdout as NDJSON (one object per finding,
@@ -12,17 +11,13 @@
 //! table); `--format human` prints only the table, on stdout. `--rule`
 //! restricts the run to one rule. Exit code: 0 clean, 1 findings, 2
 //! usage/IO error.
-//!
-//! `fix` applies the mechanical rewrites (LINT-ALLOW normalization,
-//! README table regeneration); `fix --check` is the CI dry run — it
-//! prints what would change and exits 1 without touching anything.
 
 use mithra_lint::rules::RULE_NAMES;
-use mithra_lint::{check_loaded_filtered, fix, json_escape, Report, Workspace};
+use mithra_lint::{check_loaded_filtered, json_escape, Report, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mithra-lint check [--root PATH] [--rule NAME] [--format human|ndjson]\n       mithra-lint fix [--root PATH] [--check]";
+const USAGE: &str = "usage: mithra-lint check [--root PATH] [--rule NAME] [--format human|ndjson]";
 
 #[derive(PartialEq)]
 enum Format {
@@ -37,14 +32,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if command != "check" && command != "fix" {
+    if command != "check" {
         eprintln!("unknown command `{command}`\n{USAGE}");
         return ExitCode::from(2);
     }
     let mut root = PathBuf::from(".");
     let mut rule: Option<String> = None;
     let mut format = Format::Both;
-    let mut dry_run = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -54,7 +48,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--rule" if command == "check" => match args.next() {
+            "--rule" => match args.next() {
                 Some(name) => {
                     if !RULE_NAMES.contains(&name.as_str()) {
                         eprintln!(
@@ -70,7 +64,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--format" if command == "check" => match args.next().as_deref() {
+            "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
                 Some("ndjson") => format = Format::Ndjson,
                 Some(other) => {
@@ -82,7 +76,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--check" if command == "fix" => dry_run = true,
             other => {
                 eprintln!("unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
@@ -101,10 +94,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if command == "fix" {
-        return run_fix(&ws, dry_run);
-    }
-
     let report = check_loaded_filtered(&ws, rule.as_deref());
     if format != Format::Human {
         print_ndjson(&report);
@@ -116,37 +105,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
-}
-
-/// `fix` / `fix --check`: plan the rewrites, then apply or report them.
-fn run_fix(ws: &Workspace, dry_run: bool) -> ExitCode {
-    let fixes = fix::plan(ws);
-    if fixes.is_empty() {
-        eprintln!("mithra-lint: nothing to fix");
-        return ExitCode::SUCCESS;
-    }
-    for f in &fixes {
-        for note in &f.notes {
-            println!("{}: {}", f.rel_path, note);
-        }
-    }
-    if dry_run {
-        eprintln!(
-            "mithra-lint: {} file(s) would be rewritten (run `mithra-lint fix` to apply)",
-            fixes.len()
-        );
-        return ExitCode::from(1);
-    }
-    match fix::apply(ws, &fixes) {
-        Ok(()) => {
-            eprintln!("mithra-lint: rewrote {} file(s)", fixes.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mithra-lint: fix failed: {e}");
-            ExitCode::from(2)
-        }
     }
 }
 

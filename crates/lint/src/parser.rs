@@ -102,7 +102,10 @@ impl FileAst {
                     pending = Some((BlockKind::TypeBody, None));
                     bracket_depth = 0;
                 }
-                (TokenKind::Ident, "impl") => {
+                // `impl Trait` in a signature (argument or return position)
+                // is a type, not an item: it must not displace the pending
+                // fn body.
+                (TokenKind::Ident, "impl") if !matches!(pending, Some((BlockKind::FnBody, _))) => {
                     pending = Some((BlockKind::Impl, None));
                     bracket_depth = 0;
                 }
@@ -225,10 +228,9 @@ pub fn statement_end(file: &SourceFile, sig: &[usize], pos: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::new("x.rs".into(), PathBuf::from("x.rs"), src.into())
+        SourceFile::new("x.rs".into(), src.into())
     }
 
     #[test]
@@ -282,6 +284,25 @@ mod m {
         let ast = FileAst::build(&f);
         assert_eq!(ast.fns.len(), 1);
         assert_eq!(ast.fns[0].name, "f");
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_keeps_the_fn() {
+        let src = "fn a(x: impl Read) -> u8 { 1 }\nfn b() -> impl Fn() { || () }\nimpl S { fn c(&self) {} }";
+        let f = file(src);
+        let ast = FileAst::build(&f);
+        let names: Vec<&str> = ast.fns.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        let kinds: Vec<BlockKind> = ast.blocks.iter().map(|b| b.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                BlockKind::FnBody,
+                BlockKind::FnBody,
+                BlockKind::Impl,
+                BlockKind::FnBody
+            ]
+        );
     }
 
     #[test]

@@ -5,18 +5,10 @@
 //! driver in [`crate::check_workspace`] applies suppression centrally so
 //! every rule gets the escape hatch (and its accounting) for free.
 
-use crate::analysis::SourceFile;
-use crate::lexer::TokenKind;
-
-pub mod error_codes;
 pub mod lock_blocking;
 pub mod lock_order;
 pub mod locks;
-pub mod oplog_format;
 pub mod panic_free;
-pub mod protocol_ops;
-pub mod replicate_protocol;
-pub mod snapshot_version;
 pub mod unsafe_audit;
 
 /// One rule violation, pointing at a file and line.
@@ -36,127 +28,10 @@ pub struct Finding {
 /// Rule names, in reporting order. `lint-allow` is the internal rule that
 /// covers the escape-hatch mechanism itself (malformed or unused allows)
 /// and must stay last.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 5] = [
     panic_free::RULE,
     unsafe_audit::RULE,
-    error_codes::RULE,
-    protocol_ops::RULE,
-    snapshot_version::RULE,
     lock_blocking::RULE,
     lock_order::RULE,
-    oplog_format::RULE,
-    replicate_protocol::RULE,
     "lint-allow",
 ];
-
-/// Finds `const <name> … = <integer>` in the file's production code.
-/// Shared by the version/cap drift rules.
-pub fn extract_const(file: &SourceFile, name: &str) -> Option<u64> {
-    let sig: Vec<usize> = file.significant().collect();
-    for (p, &i) in sig.iter().enumerate() {
-        if !file.is_ident(i, name) {
-            continue;
-        }
-        // Accept `NAME = <num>` or `NAME : <type> = <num>`.
-        let mut q = p + 1;
-        if sig
-            .get(q)
-            .is_some_and(|&j| file.text_of(&file.tokens[j]) == ":")
-        {
-            q += 1; // `:`
-            while sig
-                .get(q)
-                .is_some_and(|&j| file.tokens[j].kind == TokenKind::Ident)
-            {
-                q += 1; // type path segment(s) — a plain `u64` in practice
-            }
-        }
-        if sig
-            .get(q)
-            .is_none_or(|&j| file.text_of(&file.tokens[j]) != "=")
-        {
-            continue;
-        }
-        q += 1;
-        if let Some(&j) = sig.get(q) {
-            if let Some(v) = file.tokens[j].integer_value(&file.text) {
-                return Some(v);
-            }
-        }
-    }
-    None
-}
-
-/// JSON object keys embedded in a string literal's source text: every
-/// `"name":` occurrence, with `\"` escapes normalized first so both
-/// ordinary and raw string literals yield their keys.
-pub fn embedded_keys(literal: &str) -> Vec<String> {
-    let cleaned = literal.replace("\\\"", "\"");
-    let mut keys = Vec::new();
-    let bytes = cleaned.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-                j += 1;
-            }
-            if j > start && j + 1 < bytes.len() && bytes[j] == b'"' && bytes[j + 1] == b':' {
-                keys.push(cleaned[start..j].to_string());
-                i = j + 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Op names embedded as `"op":"<name>"` in a string literal's source
-/// text (escapes normalized as in [`embedded_keys`]).
-pub fn embedded_op_names(literal: &str) -> Vec<String> {
-    let cleaned = literal.replace("\\\"", "\"");
-    let mut ops = Vec::new();
-    let mut rest = cleaned.as_str();
-    while let Some(at) = rest.find("\"op\":\"") {
-        let tail = &rest[at + "\"op\":\"".len()..];
-        if let Some(end) = tail.find('"') {
-            let op = &tail[..end];
-            if !op.is_empty() && op.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                ops.push(op.to_string());
-            }
-            rest = &tail[end + 1..];
-        } else {
-            break;
-        }
-    }
-    ops
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn embedded_keys_handle_escaped_and_raw_forms() {
-        assert_eq!(
-            embedded_keys(r#""{{\"v\":{OPLOG_VERSION},\"seq\":{}""#),
-            vec!["v".to_string(), "seq".to_string()]
-        );
-        assert_eq!(
-            embedded_keys(r##"r#"{"last_seq":4,"entries":[]}"#"##),
-            vec!["last_seq".to_string(), "entries".to_string()]
-        );
-        assert!(embedded_keys("\"no keys here\"").is_empty());
-    }
-
-    #[test]
-    fn embedded_op_names_extract() {
-        assert_eq!(
-            embedded_op_names(r#"",\"op\":\"insert\",\"rows\":""#),
-            vec!["insert".to_string()]
-        );
-        assert!(embedded_op_names(r#""\"op\":{\"insert\":1}""#).is_empty());
-    }
-}

@@ -276,18 +276,13 @@ fn collect_facts(file: &SourceFile, name: &str, line: u32, start: usize, end: us
 mod tests {
     use super::*;
     use crate::analysis::SourceFile;
-    use std::path::PathBuf;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace {
-            root: PathBuf::from("."),
             files: files
                 .iter()
-                .map(|(rel, src)| {
-                    SourceFile::new(rel.to_string(), PathBuf::from(rel), src.to_string())
-                })
+                .map(|(rel, src)| SourceFile::new(rel.to_string(), src.to_string()))
                 .collect(),
-            readme: String::new(),
         }
     }
 

@@ -2,8 +2,8 @@
 //! sits, and stay quiet on a conforming workspace.
 //!
 //! Every test materializes a miniature workspace under a temp directory —
-//! a hot-path file, a `protocol.rs`, a `snapshot.rs`, and a README — then
-//! mutates one facet and asserts the resulting findings.
+//! a conforming hot-path file plus whatever the test seeds — and asserts
+//! the resulting findings.
 
 use mithra_lint::{check_workspace, Report};
 use std::fs;
@@ -46,75 +46,6 @@ impl Drop for Fixture {
     }
 }
 
-/// A conforming `protocol.rs`: two error codes, two ops, all constructed
-/// and test-asserted.
-const PROTOCOL_OK: &str = r#"
-pub enum ErrorCode { Parse, Internal }
-impl ErrorCode {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Parse => "parse",
-            ErrorCode::Internal => "internal",
-        }
-    }
-}
-pub fn classify(bad: bool) -> ErrorCode {
-    if bad { ErrorCode::Parse } else { ErrorCode::Internal }
-}
-pub fn parse_request(op: &str) -> u8 {
-    match op {
-        "insert" => 1,
-        "stats" => 2,
-        _ => 0,
-    }
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn wire_strings() {
-        assert_eq!(super::classify(true).as_str(), "parse");
-        let resp = "{\"ok\":false,\"code\":\"internal\"}";
-        assert!(resp.contains("\"code\":\"internal\""));
-        assert_eq!(super::parse_request("insert"), 1);
-        let _ = "{\"op\":\"insert\"}";
-        let _ = "{\"op\":\"stats\"}";
-    }
-}
-"#;
-
-/// A conforming `snapshot.rs`: version 3, restorable from 1, gates for
-/// the two upgrades, writer interpolates the constant.
-const SNAPSHOT_OK: &str = r#"
-pub const SNAPSHOT_VERSION: u64 = 3;
-pub const SNAPSHOT_MIN_VERSION: u64 = 1;
-pub fn restore(version: u64) -> u8 {
-    let mut format = 0;
-    if version >= 2 { format += 1; }
-    if version >= 3 { format += 1; }
-    format
-}
-pub fn header() -> String {
-    format!("{{\"version\":{SNAPSHOT_VERSION}}}")
-}
-"#;
-
-/// A conforming README with both drift-checked tables.
-const README_OK: &str = "\
-# fixture
-
-| Op | Request fields | Success response fields |
-| --- | --- | --- |
-| `insert` | rows | ok |
-| `stats` | — | ok |
-
-| Code | Meaning |
-| --- | --- |
-| `parse` | malformed request |
-| `internal` | handler bug |
-
-Snapshots carry an integer `\"version\"` (currently 3).
-";
-
 /// A hot-path file with no violations.
 const EVENT_OK: &str = r#"
 pub fn tick(input: Option<u8>) -> u8 {
@@ -123,11 +54,7 @@ pub fn tick(input: Option<u8>) -> u8 {
 "#;
 
 fn conforming() -> Fixture {
-    Fixture::new()
-        .file("crates/service/src/protocol.rs", PROTOCOL_OK)
-        .file("crates/service/src/snapshot.rs", SNAPSHOT_OK)
-        .file("crates/service/src/event.rs", EVENT_OK)
-        .file("README.md", README_OK)
+    Fixture::new().file("crates/service/src/event.rs", EVENT_OK)
 }
 
 fn rule_findings<'r>(report: &'r Report, rule: &str) -> Vec<&'r mithra_lint::rules::Finding> {
@@ -138,7 +65,7 @@ fn rule_findings<'r>(report: &'r Report, rule: &str) -> Vec<&'r mithra_lint::rul
 fn conforming_fixture_is_clean() {
     let report = conforming().check();
     assert!(report.clean(), "expected clean, got: {:?}", report.findings);
-    assert_eq!(report.files_scanned, 3);
+    assert_eq!(report.files_scanned, 1);
 }
 
 #[test]
@@ -252,6 +179,38 @@ pub fn tuck() -> u8 { 2 }
     assert!(findings.iter().any(|f| f.message.contains("unknown rule")));
 }
 
+/// Only the canonical spelling suppresses: markers in spellings that used
+/// to be respelled mechanically (a space before the parenthesis, no space
+/// after the colon) are malformed, and the findings they meant to silence
+/// stand.
+#[test]
+fn non_canonical_allow_spellings_are_malformed_and_suppress_nothing() {
+    let fixture = conforming().file(
+        "crates/service/src/event.rs",
+        r#"
+pub fn tick(input: Option<u8>) -> u8 {
+    // LINT-ALLOW (panic-freedom): space before the parenthesis
+    input.unwrap()
+}
+pub fn tock(input: Option<u8>) -> u8 {
+    input.expect("x") // LINT-ALLOW(panic-freedom):no space after the colon
+}
+"#,
+    );
+    let report = fixture.check();
+    let malformed = rule_findings(&report, "lint-allow");
+    let lines: Vec<u32> = malformed.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [3, 7], "{:?}", report.findings);
+    assert!(malformed
+        .iter()
+        .all(|f| f.message.contains("`LINT-ALLOW(rule): reason`")));
+    let unsuppressed: Vec<u32> = rule_findings(&report, "panic-freedom")
+        .iter()
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(unsuppressed, [4, 7]);
+}
+
 #[test]
 fn unsafe_audit_requires_adjacent_safety() {
     let fixture = conforming().file(
@@ -298,134 +257,6 @@ pub fn good(p: *const u8) -> u8 {
 }
 
 #[test]
-fn error_codes_catch_dropped_readme_row() {
-    let fixture = conforming().file(
-        "README.md",
-        &README_OK.replace("| `internal` | handler bug |\n", ""),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "error-codes");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("`internal`"));
-    assert!(findings[0].message.contains("README"));
-}
-
-#[test]
-fn error_codes_catch_stale_readme_row() {
-    let fixture = conforming().file(
-        "README.md",
-        &README_OK.replace(
-            "| `internal` | handler bug |",
-            "| `internal` | handler bug |\n| `retired` | no longer exists |",
-        ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "error-codes");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("`retired`"));
-    assert!(findings[0].line > 0, "stale rows carry the README line");
-}
-
-#[test]
-fn error_codes_catch_unconstructed_and_untested() {
-    // Remove the production constructor and the test assertions for
-    // `internal`: two findings.
-    let fixture = conforming().file(
-        "crates/service/src/protocol.rs",
-        &PROTOCOL_OK
-            .replace(
-                "if bad { ErrorCode::Parse } else { ErrorCode::Internal }",
-                "let _ = bad; ErrorCode::Parse",
-            )
-            .replace(
-                "let resp = \"{\\\"ok\\\":false,\\\"code\\\":\\\"internal\\\"}\";",
-                "let resp = \"\";",
-            )
-            .replace(
-                "assert!(resp.contains(\"\\\"code\\\":\\\"internal\\\"\"));",
-                "let _ = resp;",
-            ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "error-codes");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("never constructed") && f.message.contains("Internal")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("not asserted") && f.message.contains("`internal`")));
-}
-
-#[test]
-fn protocol_ops_catch_dropped_readme_row_and_missing_test() {
-    let fixture = conforming()
-        .file(
-            "README.md",
-            &README_OK.replace("| `stats` | — | ok |\n", ""),
-        )
-        .file(
-            "crates/service/src/protocol.rs",
-            &PROTOCOL_OK.replace("let _ = \"{\\\"op\\\":\\\"stats\\\"}\";", ""),
-        );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "protocol-ops");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`stats`") && f.message.contains("README")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`stats`") && f.message.contains("not exercised")));
-}
-
-#[test]
-fn protocol_ops_catch_stale_readme_row() {
-    let fixture = conforming().file(
-        "README.md",
-        &README_OK.replace(
-            "| `stats` | — | ok |",
-            "| `stats` | — | ok |\n| `vacuum` | — | ok |",
-        ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "protocol-ops");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("`vacuum`"));
-}
-
-#[test]
-fn snapshot_version_catches_bump_without_gate_and_stale_readme() {
-    // Bump the constant without teaching restore about version 4 and
-    // without refreshing the README sentence: two findings.
-    let fixture = conforming().file(
-        "crates/service/src/snapshot.rs",
-        &SNAPSHOT_OK.replace("SNAPSHOT_VERSION: u64 = 3", "SNAPSHOT_VERSION: u64 = 4"),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "snapshot-version");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings.iter().any(|f| f.message.contains("restore gates")));
-    assert!(findings.iter().any(|f| f.message.contains("(currently 4)")));
-}
-
-#[test]
-fn snapshot_version_catches_hardcoded_writer_digit() {
-    let fixture = conforming().file(
-        "crates/service/src/snapshot.rs",
-        &SNAPSHOT_OK.replace(
-            "format!(\"{{\\\"version\\\":{SNAPSHOT_VERSION}}}\")",
-            "String::from(\"{\\\"version\\\":3}\")",
-        ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "snapshot-version");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("hardcodes"));
-    assert!(findings[0].line > 0);
-}
-
-#[test]
 fn cli_exits_zero_on_clean_and_one_on_violations() {
     use std::process::Command;
     let clean = conforming();
@@ -437,7 +268,7 @@ fn cli_exits_zero_on_clean_and_one_on_violations() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"summary\""), "{stdout}");
-    assert!(stdout.contains("\"files_scanned\":3"), "{stdout}");
+    assert!(stdout.contains("\"files_scanned\":1"), "{stdout}");
 
     let dirty = conforming().file(
         "crates/service/src/event.rs",
@@ -512,6 +343,35 @@ pub fn tick(shared: &Shared, file: &mut std::fs::File) {
     assert_eq!(findings.len(), 1, "{:?}", report.findings);
     assert!(findings[0].message.contains("`persist()`"));
     assert!(findings[0].message.contains("blocks via"));
+}
+
+/// `impl Trait` in a signature does not hide a fn from the symbol table:
+/// a guard held across a call into a fn that takes an `impl Trait`
+/// parameter and fsyncs is flagged, from a holder with such a parameter
+/// too.
+#[test]
+fn lock_blocking_sees_fns_with_impl_trait_parameters() {
+    let fixture = conforming().file(
+        "crates/service/src/event.rs",
+        r#"
+use std::sync::Mutex;
+pub struct Shared { state: Mutex<u8> }
+fn persist(file: &mut std::fs::File, note: impl Fn() -> u8) -> u8 {
+    let _ = file.sync_all();
+    note()
+}
+pub fn tick(shared: &Shared, file: &mut std::fs::File, next: impl FnOnce() -> u8) -> u8 {
+    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    let n = persist(file, || 1);
+    *guard + n + next()
+}
+"#,
+    );
+    let report = fixture.check();
+    let findings = rule_findings(&report, "lock-across-blocking");
+    assert_eq!(findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(findings[0].line, 10);
+    assert!(findings[0].message.contains("`persist()`"));
 }
 
 #[test]
@@ -644,347 +504,6 @@ pub fn second(shared: &Shared) {
     assert!(report.clean(), "{:?}", report.findings);
 }
 
-// ---- multi-pass fixtures: wire-format drift rules ----
-
-/// A conforming op log: flat versioned writer, symmetric reader behind
-/// the version gate, literal-line / torn-tail / paging test anchors.
-const OPLOG_OK: &str = r#"
-pub const OPLOG_VERSION: u64 = 1;
-pub const REPLICATE_BATCH_LIMIT: u64 = 4;
-pub struct LogEntry { pub seq: u64 }
-impl LogEntry {
-    pub fn to_line(&self) -> String {
-        format!(
-            "{{\"v\":{OPLOG_VERSION},\"seq\":{},\"op\":\"insert\",\"rows\":[]}}",
-            self.seq
-        )
-    }
-    pub fn from_json(json: &Json) -> Option<LogEntry> {
-        let version = json.get("v")?;
-        if version > OPLOG_VERSION {
-            return None;
-        }
-        let seq = json.get("seq")?;
-        let _rows = json.get("rows")?;
-        match json.get("op")? {
-            "insert" => Some(LogEntry { seq }),
-            _ => None,
-        }
-    }
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn literal_entry_line() {
-        let line = "{\"v\":1,\"seq\":7,\"op\":\"insert\",\"rows\":[]}";
-        assert!(line.contains("\"seq\":7"));
-    }
-    #[test]
-    fn torn_tail_is_dropped() {
-        let torn = "{\"v\":1,\"se";
-        let _ = torn;
-    }
-    #[test]
-    fn paging_respects_the_cap() {
-        let _ = (entries_from, REPLICATE_BATCH_LIMIT);
-    }
-}
-"#;
-
-/// README additions documenting the fixture op log.
-const OPLOG_README_EXTRA: &str = "\
-Entries are one JSON object per line:
-
-    {\"v\":1,\"seq\":7,\"op\":\"insert\",\"rows\":[]}
-
-| Entry field | Meaning |
-| --- | --- |
-| `v` | entry-format version (currently 1) |
-| `seq` | sequence number |
-| `op` | mutation name |
-| `rows` | payload |
-
-A torn final line is dropped on replay.
-";
-
-fn conforming_oplog() -> Fixture {
-    conforming()
-        .file("crates/service/src/oplog.rs", OPLOG_OK)
-        .file("README.md", &format!("{README_OK}\n{OPLOG_README_EXTRA}"))
-}
-
-#[test]
-fn conforming_oplog_fixture_is_clean() {
-    let report = conforming_oplog().check();
-    assert!(report.clean(), "{:?}", report.findings);
-    assert_eq!(report.files_scanned, 4);
-}
-
-#[test]
-fn oplog_format_fires_on_reader_writer_drift() {
-    // The reader stops reading `rows` and loses the version gate.
-    let fixture = conforming_oplog().file(
-        "crates/service/src/oplog.rs",
-        &OPLOG_OK
-            .replace("let _rows = json.get(\"rows\")?;", "let _rows = 0;")
-            .replace("if version > OPLOG_VERSION {", "if version > 9000 {"),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "oplog-format");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`rows`") && f.message.contains("never reads")));
-    assert!(findings.iter().any(|f| f.message.contains("refusal gate")));
-}
-
-#[test]
-fn oplog_format_fires_on_stale_readme() {
-    // A stale table row, a wrong version marker, and no torn-tail note.
-    let fixture = conforming_oplog().file(
-        "README.md",
-        &format!(
-            "{README_OK}\n{}",
-            OPLOG_README_EXTRA
-                .replace(
-                    "| `rows` | payload |",
-                    "| `rows` | payload |\n| `crc` | checksum |"
-                )
-                .replace("(currently 1)", "(currently 2)")
-                .replace("A torn final line is dropped on replay.\n", "")
-        ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "oplog-format");
-    assert_eq!(findings.len(), 3, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`crc`") && f.line > 0));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("entry-format version (currently 1)")));
-    assert!(findings.iter().any(|f| f.message.contains("torn-tail")));
-}
-
-/// A conforming leader: the `Request::Replicate` arm references the
-/// batch-limit constant, clamps the cursor, and refuses stale history.
-const SERVER_OK: &str = r#"
-pub enum Request { Replicate { from_seq: u64 } }
-pub fn dispatch(req: Request, log: &OpLog) -> String {
-    match req {
-        Request::Replicate { from_seq } => {
-            let start = from_seq.max(1);
-            if start < log.first_seq() {
-                return error(BadRequest);
-            }
-            let (entries, next) = log.entries_from(start, REPLICATE_BATCH_LIMIT);
-            let _ = entries;
-            format!(
-                "{{\"op\":\"replicate\",\"from\":{start},\"last_seq\":9,\"count\":1,\"entries\":[],\"next\":{next}}}"
-            )
-        }
-    }
-}
-"#;
-
-/// A conforming follower: sends the replicate request, reads only fields
-/// the leader sends (plus the shared envelope).
-const REPLICA_OK: &str = r#"
-pub fn fetch_tcp(from: u64) -> String {
-    let request = format!("{{\"op\":\"replicate\",\"from\":{from}}}");
-    let ok = response.get("ok");
-    let entries = response.get("entries");
-    let next = response.get("next");
-    let last_seq = response.get("last_seq");
-    let _ = (ok, entries, next, last_seq);
-    request
-}
-"#;
-
-/// README additions documenting the fixture replicate protocol.
-const REPLICATE_README_EXTRA: &str = "\
-| Replicate field | Meaning |
-| --- | --- |
-| `op` | echoes `replicate` |
-| `from` | the cursor served |
-| `last_seq` | the log tail |
-| `count` | entries in this batch |
-| `entries` | the entry lines |
-| `next` | cursor for the next call |
-";
-
-fn replication_readme() -> String {
-    let ops = README_OK.replace(
-        "| `stats` | — | ok |",
-        "| `stats` | — | ok |\n| `replicate` | from (`0 = beginning`) | entries (≤4), next |",
-    );
-    format!("{ops}\n{OPLOG_README_EXTRA}\n{REPLICATE_README_EXTRA}")
-}
-
-fn conforming_replication() -> Fixture {
-    conforming_oplog()
-        .file(
-            "crates/service/src/protocol.rs",
-            &PROTOCOL_OK
-                .replace("\"stats\" => 2,", "\"stats\" => 2,\n        \"replicate\" => 3,")
-                .replace(
-                    "let _ = \"{\\\"op\\\":\\\"stats\\\"}\";",
-                    "let _ = \"{\\\"op\\\":\\\"stats\\\"}\";\n        let _ = \"{\\\"op\\\":\\\"replicate\\\"}\";",
-                ),
-        )
-        .file("crates/service/src/server.rs", SERVER_OK)
-        .file("crates/service/src/replica.rs", REPLICA_OK)
-        .file("README.md", &replication_readme())
-}
-
-#[test]
-fn conforming_replication_fixture_is_clean() {
-    let report = conforming_replication().check();
-    assert!(report.clean(), "{:?}", report.findings);
-    assert_eq!(report.files_scanned, 6);
-}
-
-#[test]
-fn replicate_protocol_fires_on_arm_regressions() {
-    // Re-hardcode the cap and drop the cursor clamp: two findings.
-    let fixture = conforming_replication().file(
-        "crates/service/src/server.rs",
-        &SERVER_OK
-            .replace("from_seq.max(1)", "from_seq")
-            .replace("REPLICATE_BATCH_LIMIT", "4"),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "replicate-protocol");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("REPLICATE_BATCH_LIMIT")));
-    assert!(findings.iter().any(|f| f.message.contains("cursor clamp")));
-}
-
-#[test]
-fn replicate_protocol_fires_on_follower_extra_read() {
-    let fixture = conforming_replication().file(
-        "crates/service/src/replica.rs",
-        &REPLICA_OK.replace(
-            "let last_seq = response.get(\"last_seq\");",
-            "let last_seq = response.get(\"last_seq\");\n    let bogus = response.get(\"checksum\");\n    let _ = bogus;",
-        ),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "replicate-protocol");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("`checksum`"));
-    assert!(findings[0].message.contains("never sends"));
-}
-
-#[test]
-fn replicate_protocol_fires_on_stale_readme_table() {
-    let fixture = conforming_replication().file(
-        "README.md",
-        &replication_readme()
-            .replace("| `count` | entries in this batch |\n", "")
-            .replace("entries (≤4), next", "entries, next"),
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "replicate-protocol");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`count`") && f.message.contains("no row")));
-    assert!(findings.iter().any(|f| f.message.contains("batch cap")));
-}
-
-// ---- fix mode ----
-
-#[test]
-fn fix_normalizes_malformed_allow_and_is_idempotent() {
-    use std::process::Command;
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-pub fn tick(input: Option<u8>) -> u8 {
-    // LINT-ALLOW panic-freedom: fixture-justified
-    input.expect("present")
-}
-"#,
-    );
-    // Before the fix: the marker is malformed (a finding) and does not
-    // suppress the `.expect()` (another finding).
-    let report = fixture.check();
-    assert!(!rule_findings(&report, "lint-allow").is_empty());
-    assert!(!rule_findings(&report, "panic-freedom").is_empty());
-
-    // Dry run: exit 1, names the rewrite, touches nothing.
-    let out = Command::new(env!("CARGO_BIN_EXE_mithra-lint"))
-        .args(["fix", "--check", "--root"])
-        .arg(&fixture.root)
-        .output()
-        .expect("run mithra-lint fix --check");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("normalized to `LINT-ALLOW(panic-freedom): fixture-justified`"),
-        "{stdout}"
-    );
-    assert!(!fixture.check().clean(), "dry run must not rewrite");
-
-    // Apply: the canonical marker now suppresses, and the workspace is
-    // at the fixed point (a second fix plans nothing).
-    let out = Command::new(env!("CARGO_BIN_EXE_mithra-lint"))
-        .args(["fix", "--root"])
-        .arg(&fixture.root)
-        .output()
-        .expect("run mithra-lint fix");
-    assert!(out.status.success(), "{out:?}");
-    let report = fixture.check();
-    assert!(report.clean(), "{:?}", report.findings);
-    let out = Command::new(env!("CARGO_BIN_EXE_mithra-lint"))
-        .args(["fix", "--check", "--root"])
-        .arg(&fixture.root)
-        .output()
-        .expect("run mithra-lint fix --check again");
-    assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("nothing to fix"));
-}
-
-#[test]
-fn fix_regenerates_readme_table_rows() {
-    let fixture = conforming().file(
-        "README.md",
-        &README_OK.replace("| `internal` | handler bug |\n", "| `retired` | gone |\n"),
-    );
-    assert!(!fixture.check().clean());
-
-    let ws = mithra_lint::Workspace::load(&fixture.root).expect("load fixture");
-    let fixes = mithra_lint::fix::plan(&ws);
-    assert_eq!(fixes.len(), 1, "one README rewrite expected");
-    assert!(fixes[0]
-        .notes
-        .iter()
-        .any(|n| n.contains("removed stale `retired` row")));
-    assert!(fixes[0]
-        .notes
-        .iter()
-        .any(|n| n.contains("added missing `internal` row")));
-    mithra_lint::fix::apply(&ws, &fixes).expect("apply fixes");
-
-    let readme = fs::read_to_string(fixture.root.join("README.md")).expect("read back");
-    assert!(!readme.contains("`retired`"));
-    assert!(readme.contains("| `internal` |"));
-
-    // Idempotent: re-planning on the rewritten tree is empty, and the
-    // error-codes rule is satisfied again.
-    let ws = mithra_lint::Workspace::load(&fixture.root).expect("reload fixture");
-    assert!(mithra_lint::fix::plan(&ws).is_empty());
-    let report = fixture.check();
-    assert!(
-        rule_findings(&report, "error-codes").is_empty(),
-        "{:?}",
-        report.findings
-    );
-}
-
 // ---- CLI: --rule and --format ----
 
 #[test]
@@ -1010,7 +529,7 @@ fn cli_rule_filter_restricts_the_run() {
 
     // …while filtering to an unrelated rule exits clean on the same tree.
     let out = Command::new(env!("CARGO_BIN_EXE_mithra-lint"))
-        .args(["check", "--rule", "error-codes", "--root"])
+        .args(["check", "--rule", "lock-order", "--root"])
         .arg(&dirty.root)
         .output()
         .expect("run filtered check");

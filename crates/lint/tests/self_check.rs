@@ -74,27 +74,3 @@ fn real_workspace_lock_allows_are_counted() {
         row.allows
     );
 }
-
-#[test]
-fn real_workspace_is_at_the_fix_point() {
-    // CI runs `mithra-lint fix --check`; enforce the same invariant from
-    // inside `cargo test`: the committed tree plans zero rewrites.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let ws = mithra_lint::Workspace::load(root).expect("load workspace");
-    let fixes = mithra_lint::fix::plan(&ws);
-    assert!(
-        fixes.is_empty(),
-        "pending fixes:\n{}",
-        fixes
-            .iter()
-            .flat_map(|f| f
-                .notes
-                .iter()
-                .map(move |n| format!("  {}: {n}", f.rel_path)))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}

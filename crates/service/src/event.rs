@@ -42,13 +42,17 @@
 //! * **per-tick read cap** — a connection gets at most
 //!   [`PER_TICK_READ_BYTES`] of its stream decoded per tick, so one
 //!   firehose client cannot starve the rest;
-//! * **admission control** — at most `options.max_pending()` requests are
-//!   admitted per tick; beyond that, requests are answered immediately
-//!   with an `overloaded` error (cheap to produce, no engine work) and
-//!   counted in `stats.io.shed_overloaded`;
+//! * **admission budget** — at most `options.max_pending()` engine-bound
+//!   requests are admitted per tick. Once the budget is spent the loop
+//!   stops decoding: complete frames stay in their connection's decoder and
+//!   further bytes stay in the socket, so a burst is *deferred* to later
+//!   ticks, never answered with an error. Connections left holding input
+//!   are carried to the next tick, which polls without blocking and serves
+//!   them first (the poller cannot report bytes already in a decoder);
 //! * **write backpressure** — a connection whose response backlog exceeds
 //!   [`MAX_WRITE_BACKLOG`] stops being *read* (its poller interest drops
-//!   to write-only) until the peer drains what it already owes.
+//!   to write-only, and it is not carried) until the peer drains what it
+//!   already owes.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -62,9 +66,7 @@ use crate::engine::CoverageEngine;
 use crate::metrics::{OpClass, ServeMetrics};
 use crate::net::{Interest, Poller};
 use crate::oplog::LoggedOp;
-use crate::protocol::{
-    error_response, parse_request, Envelope, ErrorCode, Request, RequestId, ServeError,
-};
+use crate::protocol::{error_response, parse_request, Envelope, Request, RequestId, ServeError};
 use crate::server::{
     append_failed_error, append_skipped_error, delete_response, dispatch, encode_row,
     insert_response, line_too_long_error, op_class, sync_oplog_batch, with_engine_contained,
@@ -174,6 +176,12 @@ impl FrameDecoder {
     fn is_empty(&self) -> bool {
         self.buf.is_empty() && !self.discarding
     }
+
+    /// Whether a complete frame is buffered (one [`FrameDecoder::next_frame`]
+    /// would yield).
+    fn has_frame(&self) -> bool {
+        self.buf.contains(&b'\n')
+    }
 }
 
 /// Per-connection state in the slab.
@@ -193,12 +201,21 @@ struct Conn {
     interest: Interest,
     eof: bool,
     dead: bool,
+    /// Whether the connection's token sits in the current tick's read order
+    /// or in the carry list for the next tick (so it is read once a tick).
+    scheduled: bool,
     last_active: Instant,
 }
 
 impl Conn {
     fn backlog(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// Whether the decoder still holds a frame to serve: a complete line,
+    /// or after EOF an unterminated last one.
+    fn holds_frame(&self) -> bool {
+        self.decoder.has_frame() || (self.eof && !self.decoder.is_empty())
     }
 
     fn desired_interest(&self) -> Interest {
@@ -249,8 +266,8 @@ pub(crate) enum PendingKind {
         request: Request,
     },
     /// A response already in final form (parse error, oversized line,
-    /// unknown dataset, admission shed) — flows through the queue so
-    /// per-connection response order matches request order.
+    /// unknown dataset) — flows through the queue so per-connection
+    /// response order matches request order.
     Ready(String),
 }
 
@@ -261,13 +278,6 @@ pub(crate) struct OpWork {
     pub(crate) tenant: usize,
     pub(crate) id: Option<RequestId>,
     pub(crate) request: Request,
-}
-
-fn overloaded_error(max_pending: usize) -> ServeError {
-    ServeError::new(
-        ErrorCode::Overloaded,
-        format!("server overloaded: more than {max_pending} requests queued; retry"),
-    )
 }
 
 /// Parses one request line and routes it among the hosted tenant `names`
@@ -304,10 +314,12 @@ pub(crate) fn frame_work(frame: Frame, names: &[Option<String>]) -> Option<Pendi
     }
 }
 
-/// Serves one connection's freshly-readable bytes: decode frames, parse
-/// them (no engine needed), and queue work. Returns `false` if the
-/// connection errored and must be torn down.
-#[allow(clippy::too_many_arguments)]
+/// Serves one connection's input for this tick: decodes buffered frames
+/// into the pending queue until the tick's admission budget is spent,
+/// reading more bytes from the socket only once the decoder holds no
+/// complete frame. Frames past the budget stay in the decoder, and unread
+/// bytes in the socket, for a later tick. Returns `false` if the connection
+/// errored and must be torn down.
 fn read_ready(
     conn: &mut Conn,
     token: u64,
@@ -315,18 +327,21 @@ fn read_ready(
     max_pending: usize,
     admitted: &mut usize,
     pending: &mut Vec<PendingItem>,
-    metrics: &ServeMetrics,
 ) -> bool {
     let mut chunk = [0u8; READ_CHUNK_BYTES];
     let mut read_total = 0usize;
     loop {
-        if conn.eof || read_total >= PER_TICK_READ_BYTES {
+        while *admitted < max_pending {
+            let Some(frame) = conn.decoder.next_frame() else {
+                break;
+            };
+            queue_frame(frame, token, names, admitted, pending);
+        }
+        if *admitted >= max_pending || conn.eof || read_total >= PER_TICK_READ_BYTES {
             break;
         }
         match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-            }
+            Ok(0) => conn.eof = true,
             Ok(n) => {
                 read_total += n;
                 conn.decoder.push(&chunk[..n]);
@@ -335,46 +350,37 @@ fn read_ready(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
-        // Drain every complete frame the new bytes produced before the
-        // next read: the decoder buffer stays bounded by one frame.
-        while let Some(frame) = conn.decoder.next_frame() {
-            queue_frame(frame, token, names, max_pending, admitted, pending, metrics);
-        }
     }
-    if conn.eof {
+    // With budget left every complete frame was drained above, so what
+    // remains at EOF is the unterminated last line.
+    if conn.eof && *admitted < max_pending {
         if let Some(frame) = conn.decoder.finish() {
-            queue_frame(frame, token, names, max_pending, admitted, pending, metrics);
+            queue_frame(frame, token, names, admitted, pending);
         }
     }
     true
 }
 
-/// Queues one decoded frame, shedding engine-bound requests past the
-/// tick's admission budget with `overloaded`.
-#[allow(clippy::too_many_arguments)]
+/// Queues one decoded frame, counting an engine-bound request against the
+/// tick's admission budget.
 fn queue_frame(
     frame: Frame,
     token: u64,
     names: &[Option<String>],
-    max_pending: usize,
     admitted: &mut usize,
     pending: &mut Vec<PendingItem>,
-    metrics: &ServeMetrics,
 ) {
     let start = Instant::now();
-    let Some(mut kind) = frame_work(frame, names) else {
+    let Some(kind) = frame_work(frame, names) else {
         return;
     };
-    let mut op = OpClass::Other;
-    if let PendingKind::Op { id, request, .. } = &kind {
-        if *admitted >= max_pending {
-            ServeMetrics::add(&metrics.shed_overloaded, 1);
-            kind = PendingKind::Ready(error_response(id.as_ref(), &overloaded_error(max_pending)));
-        } else {
+    let op = match &kind {
+        PendingKind::Op { request, .. } => {
             *admitted += 1;
-            op = op_class(request);
+            op_class(request)
         }
-    }
+        PendingKind::Ready(_) => OpClass::Other,
+    };
     pending.push(PendingItem {
         token,
         op,
@@ -786,13 +792,20 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
     let mut events = Vec::new();
     let mut pending: Vec<PendingItem> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
+    // Tokens of connections left holding input when a tick's admission
+    // budget ran out, in the order the next tick reads them.
+    let mut carry: Vec<u64> = Vec::new();
+    let mut order: Vec<u64> = Vec::new();
     let mut accept_failures = 0u32;
     let mut last_sweep = Instant::now();
 
     loop {
-        poller.wait(&mut events, 1000)?;
+        poller.wait(&mut events, if carry.is_empty() { 1000 } else { 0 })?;
         let now = Instant::now();
-        let mut admitted = 0usize;
+        // This tick's read order: carried connections first, then the
+        // ones the poller reports readable.
+        order.clear();
+        order.append(&mut carry);
 
         for event in &events {
             if event.token == LISTENER {
@@ -831,6 +844,7 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                                 interest: Interest::READ,
                                 eof: false,
                                 dead: false,
+                                scheduled: false,
                                 last_active: now,
                             });
                         }
@@ -858,20 +872,45 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                 continue;
             }
             conn.last_active = now;
-            if event.readable
-                && !read_ready(
-                    conn,
-                    event.token,
-                    &names,
-                    max_pending,
-                    &mut admitted,
-                    &mut pending,
-                    &metrics,
-                )
-            {
+            if event.writable && !flush(conn) {
                 conn.dead = true;
             }
-            if event.writable && !conn.dead && !flush(conn) {
+            if event.readable && !conn.scheduled {
+                conn.scheduled = true;
+                order.push(event.token);
+            }
+            touched.push(idx);
+        }
+
+        // Read in order until the admission budget is spent; connections
+        // not reached go to the front of the next tick's order, ahead of
+        // the one the budget cut off (carried when finalized below).
+        let mut admitted = 0usize;
+        for (k, &token) in order.iter().enumerate() {
+            if admitted >= max_pending {
+                carry.extend_from_slice(&order[k..]);
+                break;
+            }
+            let (idx, gen) = split_token(token);
+            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+                continue;
+            };
+            if conn.gen != gen {
+                continue;
+            }
+            conn.scheduled = false;
+            if conn.dead || conn.backlog() >= MAX_WRITE_BACKLOG {
+                continue;
+            }
+            conn.last_active = now;
+            if !read_ready(
+                conn,
+                token,
+                &names,
+                max_pending,
+                &mut admitted,
+                &mut pending,
+            ) {
                 conn.dead = true;
             }
             touched.push(idx);
@@ -994,6 +1033,13 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                 free.push(idx);
                 live -= 1;
                 continue;
+            }
+            // Frames already in the decoder are invisible to the poller:
+            // carry the connection so the next tick serves them, unless
+            // its backlog pauses it (a later flush touches it again).
+            if !conn.scheduled && conn.backlog() < MAX_WRITE_BACKLOG && conn.holds_frame() {
+                conn.scheduled = true;
+                carry.push(token_of(idx, conn.gen));
             }
             let desired = conn.desired_interest();
             if desired != conn.interest {

@@ -47,9 +47,9 @@
 //!   sync), and the TCP front end: a readiness-driven event loop (epoll on
 //!   Linux, portable fallback elsewhere) that multiplexes every connection
 //!   on one thread, reassembles fragmented NDJSON frames incrementally,
-//!   coalesces concurrent inserts into single engine batches, and sheds
-//!   load with `overloaded` responses once the pending queue passes
-//!   `--max-pending`;
+//!   coalesces concurrent inserts into single engine batches, and defers
+//!   reading further requests to a later tick once a tick has admitted
+//!   `--max-pending` of them;
 //! * [`net`] — the in-tree poll shim over `std::net` the event loop runs
 //!   on (hand-declared epoll FFI; no external dependencies);
 //! * [`metrics`] — allocation-free log-bucketed latency histograms and

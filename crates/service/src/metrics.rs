@@ -150,8 +150,6 @@ pub struct ServeMetrics {
     /// Delete requests that shared their engine batch with at least one
     /// other request.
     pub coalesced_deletes: AtomicU64,
-    /// Requests shed with an `overloaded` response by admission control.
-    pub shed_overloaded: AtomicU64,
     /// Connections accepted over the lifetime of the front end.
     pub connections: AtomicU64,
 }
@@ -185,8 +183,7 @@ impl ServeMetrics {
             "{{\"requests\":{},\"connections\":{},\"insert_requests\":{},\
              \"insert_engine_batches\":{},\"coalesced_inserts\":{},\
              \"delete_requests\":{},\"delete_engine_batches\":{},\
-             \"coalesced_deletes\":{},\
-             \"shed_overloaded\":{},\"latency_ns\":{{",
+             \"coalesced_deletes\":{},\"latency_ns\":{{",
             self.requests.load(Ordering::Relaxed),
             self.connections.load(Ordering::Relaxed),
             self.insert_requests.load(Ordering::Relaxed),
@@ -195,7 +192,6 @@ impl ServeMetrics {
             self.delete_requests.load(Ordering::Relaxed),
             self.delete_engine_batches.load(Ordering::Relaxed),
             self.coalesced_deletes.load(Ordering::Relaxed),
-            self.shed_overloaded.load(Ordering::Relaxed),
         );
         for (i, op) in OpClass::ALL.into_iter().enumerate() {
             if i > 0 {

@@ -395,17 +395,40 @@ pub enum ErrorCode {
     SnapshotIo,
     /// A `restore` would change the serving threshold mid-flight.
     ThresholdMismatch,
-    /// The server shed this request under admission control; retry later.
-    Overloaded,
     /// A mutation was sent to a read-only follower replica.
     ReadOnly,
     /// The request named a dataset this server does not host.
     UnknownDataset,
-    /// The handler failed internally (e.g. a contained panic).
+    /// The handler failed internally (e.g. a contained panic). Keep this
+    /// variant last: the check under [`ErrorCode::ALL`] counts up to it.
     Internal,
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order. A compile-time check below holds
+    /// it to exactly the variants up to the last one, `Internal`, and a
+    /// test-side `match` without a wildcard arm produces each one from a
+    /// real request.
+    pub const ALL: [ErrorCode; 17] = [
+        ErrorCode::Parse,
+        ErrorCode::LineTooLong,
+        ErrorCode::UnknownOp,
+        ErrorCode::BadRequest,
+        ErrorCode::ArityMismatch,
+        ErrorCode::UnknownValue,
+        ErrorCode::UnknownAttribute,
+        ErrorCode::DuplicateValue,
+        ErrorCode::BadPattern,
+        ErrorCode::RowNotFound,
+        ErrorCode::Unhittable,
+        ErrorCode::NoSnapshot,
+        ErrorCode::SnapshotIo,
+        ErrorCode::ThresholdMismatch,
+        ErrorCode::ReadOnly,
+        ErrorCode::UnknownDataset,
+        ErrorCode::Internal,
+    ];
+
     /// The stable wire form of the code (snake_case).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -423,13 +446,22 @@ impl ErrorCode {
             ErrorCode::NoSnapshot => "no_snapshot",
             ErrorCode::SnapshotIo => "snapshot_io",
             ErrorCode::ThresholdMismatch => "threshold_mismatch",
-            ErrorCode::Overloaded => "overloaded",
             ErrorCode::ReadOnly => "read_only",
             ErrorCode::UnknownDataset => "unknown_dataset",
             ErrorCode::Internal => "internal",
         }
     }
 }
+
+// `ALL` lists each variant once, in declaration order, through `Internal`.
+const _: () = {
+    assert!(ErrorCode::ALL.len() == ErrorCode::Internal as usize + 1);
+    let mut i = 0;
+    while i < ErrorCode::ALL.len() {
+        assert!(ErrorCode::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 /// A rejected request: a machine [`ErrorCode`] plus human-readable detail.
 #[derive(Debug, Clone, PartialEq)]
@@ -531,6 +563,21 @@ pub fn ok_head(out: &mut String, id: Option<&RequestId>) {
         write_request_id(out, id);
     }
 }
+
+/// Every `"op"` name [`parse_request`] accepts; it answers `unknown_op` to
+/// any other name, even one its dispatch `match` has an arm for.
+pub const OPS: [&str; 10] = [
+    "insert",
+    "delete",
+    "grow",
+    "mups",
+    "coverage",
+    "enhance",
+    "stats",
+    "snapshot",
+    "restore",
+    "replicate",
+];
 
 /// A validated protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -691,6 +738,15 @@ pub fn parse_request(line: &str) -> Result<Envelope, ParseFailure> {
         Some(op) => op,
         None => return Err(fail(ErrorCode::Parse, "missing string field `op`".into())),
     };
+    let unknown_op = || {
+        fail(
+            ErrorCode::UnknownOp,
+            format!("unknown op `{op}` (expected {})", OPS.join("|")),
+        )
+    };
+    if !OPS.contains(&op) {
+        return Err(unknown_op());
+    }
     let request = match op {
         "insert" => Request::Insert {
             rows: parse_rows(&doc, "insert").map_err(|e| fail(e.code, e.message))?,
@@ -750,14 +806,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, ParseFailure> {
                 .ok_or_else(|| bad("replicate needs a non-negative integer field `from`"))?;
             Request::Replicate { from_seq }
         }
-        other => {
-            return Err(fail(
-                ErrorCode::UnknownOp,
-                format!(
-                    "unknown op `{other}` (expected insert|delete|grow|mups|coverage|enhance|stats|snapshot|restore|replicate)"
-                ),
-            ))
-        }
+        _ => return Err(unknown_op()),
     };
     Ok(Envelope {
         id,

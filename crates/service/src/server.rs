@@ -34,8 +34,8 @@ use crate::replica::ReplicationStatus;
 use crate::snapshot::save_snapshot_anchored;
 use crate::tenant::DatasetCounters;
 
-/// Default bound on requests admitted per event-loop tick before new ones
-/// are shed with an `overloaded` response.
+/// Default bound on engine-bound requests admitted per event-loop tick;
+/// further requests are read on a later tick.
 pub const DEFAULT_MAX_PENDING: usize = 1024;
 
 /// Configuration for every serving front end, built fluently:
@@ -93,8 +93,8 @@ impl ServeOptions {
         self
     }
 
-    /// Bounds how many requests the event loop admits per tick before
-    /// shedding with `overloaded` (`--max-pending`).
+    /// Bounds how many engine-bound requests the event loop admits per
+    /// tick (`--max-pending`); the rest stay unread until a later tick.
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending.max(1);
         self
@@ -1071,44 +1071,109 @@ mod tests {
         assert!(!response.contains("\"id\""), "{response}");
     }
 
-    #[test]
-    fn error_codes_classify_request_failures() {
+    /// The responses to real requests that answer `code` (one per path that
+    /// reaches it), served under the options its failure needs; `scratch`
+    /// holds the files a case writes. The match has no wildcard arm, so a
+    /// new code does not compile until it has a case here.
+    fn produce(code: ErrorCode, scratch: &std::path::Path) -> Vec<String> {
         let mut engine = engine();
-        for (line, code) in [
-            ("nonsense", "parse"),
-            (r#"{"op":"frobnicate"}"#, "unknown_op"),
-            (r#"{"op":"insert","row":["f"]}"#, "arity_mismatch"),
-            (r#"{"op":"insert","row":["f","martian"]}"#, "unknown_value"),
-            (r#"{"op":"coverage","pattern":"XXX"}"#, "bad_pattern"),
-            (r#"{"op":"coverage","pattern":"=Y"}"#, "bad_pattern"),
-            (
-                r#"{"op":"grow","attr":"height","value":"tall"}"#,
-                "unknown_attribute",
+        let default = ServeOptions::default;
+        let snapshot_at = |path| ServeOptions::new().with_snapshot_path(Some(path));
+        let insert = r#"{"op":"insert","row":["f","white"]}"#;
+        let (options, lines) = match code {
+            ErrorCode::Parse => (default(), vec!["nonsense"]),
+            ErrorCode::LineTooLong => {
+                let line = format!("{}\n", "x".repeat(MAX_LINE_BYTES + 1));
+                let mut output = Vec::new();
+                serve_lines(&mut engine, &default(), line.as_bytes(), &mut output).unwrap();
+                return vec![String::from_utf8(output).unwrap()];
+            }
+            ErrorCode::UnknownOp => (default(), vec![r#"{"op":"frobnicate"}"#]),
+            ErrorCode::BadRequest => (default(), vec![r#"{"op":"enhance","lambda":9}"#]),
+            ErrorCode::ArityMismatch => (default(), vec![r#"{"op":"insert","row":["f"]}"#]),
+            ErrorCode::UnknownValue => {
+                (default(), vec![r#"{"op":"insert","row":["f","martian"]}"#])
+            }
+            ErrorCode::UnknownAttribute => (
+                default(),
+                vec![r#"{"op":"grow","attr":"height","value":"tall"}"#],
             ),
-            (
-                r#"{"op":"grow","attr":"race","value":"white"}"#,
-                "duplicate_value",
+            ErrorCode::DuplicateValue => (
+                default(),
+                vec![r#"{"op":"grow","attr":"race","value":"white"}"#],
             ),
-            (
-                r#"{"op":"delete","rows":[["f","white"],["f","white"]]}"#,
-                "row_not_found",
+            // `=Y` fails `Pattern::parse`; `XXX` parses but does not fit the
+            // two-attribute schema.
+            ErrorCode::BadPattern => (
+                default(),
+                vec![
+                    r#"{"op":"coverage","pattern":"=Y"}"#,
+                    r#"{"op":"coverage","pattern":"XXX"}"#,
+                ],
             ),
-            (r#"{"op":"enhance","lambda":9}"#, "bad_request"),
-            (r#"{"op":"snapshot"}"#, "no_snapshot"),
-        ] {
-            let response = plain(&mut engine, line);
-            let doc = Json::parse(&response).expect("error response is valid JSON");
-            assert_eq!(
-                doc.get("ok").and_then(Json::as_bool),
-                Some(false),
-                "`{line}` should fail: {response}"
-            );
-            assert_eq!(
-                doc.get("code").and_then(Json::as_str),
-                Some(code),
-                "`{line}` gave {response}"
-            );
+            ErrorCode::RowNotFound => (
+                default(),
+                vec![r#"{"op":"delete","rows":[["f","white"],["f","white"]]}"#],
+            ),
+            // No request reaches this code: the serving enhancer plans
+            // without a validation oracle, so every target is hittable.
+            // It is the wire form of the core solver's verdict.
+            ErrorCode::Unhittable => {
+                let verdict = coverage_core::CoverageError::Unhittable {
+                    patterns: vec!["1X".into()],
+                };
+                let error = ServeError::from_service(crate::ServiceError::Core(verdict));
+                return vec![error_response(None, &error)];
+            }
+            ErrorCode::NoSnapshot => (default(), vec![r#"{"op":"snapshot"}"#]),
+            ErrorCode::SnapshotIo => (
+                snapshot_at(scratch.join("no-such-dir").join("engine.snapshot")),
+                vec![r#"{"op":"snapshot"}"#],
+            ),
+            ErrorCode::ThresholdMismatch => {
+                let path = scratch.join("tau2.snapshot");
+                let dataset = engine.dataset().clone();
+                let tau2 = CoverageEngine::new(dataset, Threshold::Count(2)).unwrap();
+                crate::snapshot::save_snapshot(&tau2, &path).unwrap();
+                (snapshot_at(path), vec![r#"{"op":"restore"}"#])
+            }
+            ErrorCode::ReadOnly => (ServeOptions::new().with_read_only(true), vec![insert]),
+            ErrorCode::UnknownDataset => (default(), vec![r#"{"op":"stats","dataset":"hr"}"#]),
+            ErrorCode::Internal => {
+                let log = OpLog::open(&scratch.join("failing.oplog"), crate::SyncPolicy::Batch);
+                let log = log.unwrap();
+                log.fail_appends_from(1);
+                let log = Some(Arc::new(Mutex::new(log)));
+                (ServeOptions::new().with_oplog(log), vec![insert])
+            }
+        };
+        lines
+            .into_iter()
+            .map(|line| handle_line(&mut engine, &options, line))
+            .collect()
+    }
+
+    #[test]
+    fn every_error_code_is_produced_by_a_real_request() {
+        let scratch =
+            std::env::temp_dir().join(format!("mithra-error-codes-{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
+        for code in ErrorCode::ALL {
+            for response in produce(code, &scratch) {
+                let doc = Json::parse(response.trim_end()).expect("error response is valid JSON");
+                assert_eq!(
+                    doc.get("ok").and_then(Json::as_bool),
+                    Some(false),
+                    "{response}"
+                );
+                assert_eq!(
+                    doc.get("code").and_then(Json::as_str),
+                    Some(code.as_str()),
+                    "{response}"
+                );
+            }
         }
+        std::fs::remove_dir_all(&scratch).unwrap();
     }
 
     #[test]
@@ -1540,30 +1605,6 @@ mod tests {
             assert!(response.contains("no snapshot path"), "{response}");
             assert!(response.contains("\"code\":\"no_snapshot\""), "{response}");
         }
-    }
-
-    #[test]
-    fn snapshot_io_and_unhittable_codes_reach_the_wire() {
-        // A snapshot path whose parent directory does not exist fails in
-        // the tmp-file write and is classified as `snapshot_io`.
-        let mut engine = engine();
-        let dir = std::env::temp_dir().join(format!("mithra-missing-{}", std::process::id()));
-        let options =
-            ServeOptions::new().with_snapshot_path(Some(dir.join("no-such-dir").join("snap.json")));
-        let response = handle_line(&mut engine, &options, r#"{"op":"snapshot"}"#);
-        assert!(response.contains("\"ok\":false"), "{response}");
-        assert!(response.contains("\"code\":\"snapshot_io\""), "{response}");
-
-        // `unhittable` wraps the core solver's verdict that the remaining
-        // target patterns cannot be covered by any valid row.
-        let error = ServeError::from_service(crate::ServiceError::Core(
-            coverage_core::CoverageError::Unhittable {
-                patterns: vec!["1X".into()],
-            },
-        ));
-        assert_eq!(error.code.as_str(), "unhittable");
-        let response = error_response(None, &error);
-        assert!(response.contains("\"code\":\"unhittable\""), "{response}");
     }
 
     /// Answers `line` the way the event loop serves a shared engine: one

@@ -62,6 +62,8 @@ pub const SNAPSHOT_VERSION: u64 = 5;
 /// Oldest snapshot version this build still reads.
 pub const SNAPSHOT_MIN_VERSION: u64 = 1;
 
+const _: () = assert!(1 <= SNAPSHOT_MIN_VERSION && SNAPSHOT_MIN_VERSION <= SNAPSHOT_VERSION);
+
 /// The `"format"` marker distinguishing snapshots from arbitrary JSON.
 pub const SNAPSHOT_FORMAT: &str = "mithra-coverage-snapshot";
 

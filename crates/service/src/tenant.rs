@@ -47,8 +47,8 @@ impl DatasetCounters {
         &self.name
     }
 
-    /// Requests routed to this dataset (engine-bound ones; shed and
-    /// malformed requests are not attributed).
+    /// Requests routed to this dataset (engine-bound ones; malformed
+    /// requests are not attributed).
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -59,8 +59,8 @@ impl DatasetCounters {
 }
 
 /// One hosted dataset: its routing name, engine, and per-tenant options
-/// (snapshot path, op log, growth mode — the shared knobs like
-/// `max_pending` are read from tenant 0).
+/// (snapshot path, op log, growth mode — the shared knobs like the
+/// `max_pending` admission budget are read from tenant 0).
 pub struct TenantSpec<B: CoverageBackend> {
     /// The `"dataset"` request field that routes here. Tenant 0's name is
     /// also implied by requests with no `"dataset"` field at all.

@@ -70,7 +70,8 @@ struct Args {
     shards: Option<usize>,
     /// Auto-register unknown value strings on insert (dictionary growth).
     grow_schema: bool,
-    /// Event-loop admission bound (requests per tick before `overloaded`).
+    /// Event-loop admission budget: engine-bound requests admitted per tick;
+    /// further requests wait, unread, for a later tick.
     max_pending: usize,
     /// Append-only durability log: every applied mutation is recorded here,
     /// and recovery is snapshot + tail replay.

@@ -13,11 +13,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mithra::prelude::*;
-use mithra::service::oplog::read_entries_from;
+use mithra::service::oplog::{read_entries_from, REPLICATE_BATCH_LIMIT};
 use mithra::service::protocol::Json;
 use mithra::service::{
-    load_snapshot_anchored, replay_entries, run_follower, serve, serve_lines, serve_tenants, OpLog,
-    ReplicaSource, ReplicationStatus, ServeOptions, SyncPolicy, TenantSpec,
+    handle_line, load_snapshot_anchored, replay_entries, run_follower, serve, serve_lines,
+    serve_tenants, OpLog, ReplicaSource, ReplicationStatus, ServeOptions, SyncPolicy, TenantSpec,
 };
 
 /// Same COMPAS-flavored fixture as the protocol suites, so the replicated
@@ -452,6 +452,61 @@ fn same_read_snapshot_on_stdin_anchors_past_staged_mutations() {
     replay_entries(&mut recovered, &tail, anchor).unwrap();
     assert_eq!(recovered.dataset().len(), live.dataset().len());
     assert_eq!(recovered.mups(), live.mups());
+
+    std::fs::remove_file(&log_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
+
+/// The leader's side of catch-up: `from:0` means the beginning, a page
+/// carries at most `REPLICATE_BATCH_LIMIT` entries and points `next` past
+/// them, a caught-up cursor gets an empty page, and a cursor the leader
+/// has truncated past answers `bad_request`.
+#[test]
+fn replicate_pages_from_the_beginning_and_refuses_truncated_history() {
+    let log_path = scratch_log("paging");
+    let snap_path = log_path.with_extension("snap");
+    std::fs::remove_file(&log_path).ok();
+    let log = OpLog::open(&log_path, SyncPolicy::Off).unwrap();
+    let options = ServeOptions::new()
+        .with_oplog(Some(Arc::new(Mutex::new(log))))
+        .with_snapshot_path(Some(snap_path.clone()));
+    let mut leader = engine();
+    let total = REPLICATE_BATCH_LIMIT as u64 + 3;
+    let script = "{\"op\":\"insert\",\"row\":[\"f\",\"black\",\"old\"]}\n".repeat(total as usize);
+    serve_lines(&mut leader, &options, script.as_bytes(), &mut Vec::new()).unwrap();
+
+    let mut ask = |line: &str| Json::parse(&handle_line(&mut leader, &options, line)).unwrap();
+    let replicate = |from: u64| format!("{{\"op\":\"replicate\",\"from\":{from}}}");
+    let field = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_u64);
+    let first = ask(&replicate(0));
+    assert_eq!(field(&first, "from"), Some(1));
+    assert_eq!(field(&first, "last_seq"), Some(total));
+    assert_eq!(field(&first, "count"), Some(REPLICATE_BATCH_LIMIT as u64));
+    assert_eq!(
+        first
+            .get("entries")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
+        Some(REPLICATE_BATCH_LIMIT)
+    );
+    let next = field(&first, "next").unwrap();
+    assert_eq!(next, REPLICATE_BATCH_LIMIT as u64 + 1);
+    let rest = ask(&replicate(next));
+    assert_eq!(field(&rest, "count"), Some(3));
+    assert_eq!(field(&rest, "next"), Some(total + 1));
+    let caught_up = ask(&replicate(total + 1));
+    assert_eq!(field(&caught_up, "count"), Some(0));
+    assert_eq!(field(&caught_up, "next"), Some(total + 1));
+
+    // A snapshot truncates the log through its anchor: seq 1 is gone.
+    let snapshot = ask(r#"{"op":"snapshot"}"#);
+    assert_eq!(snapshot.get("ok").and_then(Json::as_bool), Some(true));
+    let stale = ask(&replicate(1));
+    assert_eq!(stale.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        stale.get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
 
     std::fs::remove_file(&log_path).ok();
     std::fs::remove_file(&snap_path).ok();

@@ -301,38 +301,56 @@ fn pipelined_insert_bursts_coalesce_into_fewer_engine_batches() {
     );
 }
 
-/// With `max_pending` forced to 1, a pipelined burst trips admission
-/// control: excess requests are answered `overloaded` (a response, not a
-/// dropped connection) and the front end keeps serving afterwards.
+/// Connects and writes `payload` before the server's event loop starts, so
+/// the loop's first read finds the whole burst already in the socket.
+fn serve_preloaded(options: ServeOptions, payload: &str) -> TcpStream {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let mut stream = connect(listener.local_addr().unwrap());
+    stream.write_all(payload.as_bytes()).unwrap();
+    let server = Arc::new(Mutex::new(engine()));
+    std::thread::spawn(move || {
+        let _ = serve(server, options, listener);
+    });
+    stream
+}
+
+/// `n` pipelined inserts of one fixture row, ids 1..=n.
+fn insert_burst(n: usize) -> String {
+    (1..=n)
+        .map(|i| format!("{{\"id\":{i},\"op\":\"insert\",\"row\":[\"f\",\"black\",\"old\"]}}\n"))
+        .collect()
+}
+
+/// A full admission budget defers reading; it never refuses a request. A
+/// burst of several budgets' worth of inserts, already buffered when the
+/// loop first reads, is answered `ok`, in order, one full budget per tick:
+/// the engine sees exactly `n / max_pending` insert batches.
 #[test]
-fn admission_control_sheds_bursts_with_overloaded_responses() {
-    let (addr, _) = spawn(ServeOptions::new().with_max_pending(1));
-    let mut stream = connect(addr);
-    let per_burst = 256usize;
-    let burst: String = "{\"op\":\"coverage\",\"pattern\":\"11X\"}\n".repeat(per_burst);
-    let mut shed = 0usize;
-    for _ in 0..5 {
-        let responses = ask_pipelined(&mut stream, &burst, per_burst);
-        for response in &responses {
-            let doc = Json::parse(response).unwrap();
-            if doc.get("code").and_then(Json::as_str) == Some("overloaded") {
-                assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
-                shed += 1;
-            } else {
-                assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
-            }
+fn admission_budget_defers_a_burst_instead_of_shedding_it() {
+    for (max_pending, n) in [(4, 12), (1, 16)] {
+        let payload = format!("{}{{\"op\":\"stats\"}}\n", insert_burst(n));
+        let options = ServeOptions::new().with_max_pending(max_pending);
+        let mut stream = serve_preloaded(options, &payload);
+        let responses = ask_pipelined(&mut stream, "", n + 1);
+        for (i, response) in responses[..n].iter().enumerate() {
+            assert_eq!(
+                *response,
+                format!(
+                    "{{\"ok\":true,\"id\":{},\"op\":\"insert\",\"inserted\":1,\"rows\":{}}}",
+                    i + 1,
+                    6 + i + 1
+                ),
+            );
         }
-        if shed > 0 {
-            break;
-        }
+        let stats = Json::parse(&responses[n]).unwrap();
+        assert_eq!(io_counter(&stats, "insert_requests"), n as u64);
+        assert_eq!(
+            io_counter(&stats, "insert_engine_batches"),
+            (n / max_pending) as u64
+        );
+        let responses = ask_pipelined(&mut stream, "{\"op\":\"mups\",\"limit\":1}\n", 1);
+        assert!(responses[0].starts_with("{\"ok\":true"), "{}", responses[0]);
     }
-    assert!(
-        shed > 0,
-        "a max_pending=1 server should shed part of a {per_burst}-request burst"
-    );
-    // Shedding is per-request, not per-connection: the line is still open.
-    let responses = ask_pipelined(&mut stream, "{\"op\":\"mups\",\"limit\":1}\n", 1);
-    assert!(responses[0].starts_with("{\"ok\":true"), "{}", responses[0]);
 }
 
 proptest! {

@@ -4,9 +4,11 @@
 //! malformed-request error responses and a real TCP round trip.
 
 use std::io::{BufRead, BufReader, Write};
+use std::sync::{Arc, Mutex};
 
 use mithra::prelude::*;
-use mithra::service::protocol::Json;
+use mithra::service::oplog::{OpLog, SyncPolicy};
+use mithra::service::protocol::{parse_request, Json, Request, OPS};
 use mithra::service::{handle_line, load_snapshot, serve, serve_lines, ServeOptions};
 
 /// COMPAS-flavored fixture with value dictionaries, so protocol rows can be
@@ -92,6 +94,64 @@ fn insert_mups_coverage_stats_sequence() {
     );
     let shards = doc.get("shards").expect("stats must carry shard layout");
     assert_eq!(shards.get("count").and_then(Json::as_u64), Some(1));
+}
+
+/// The op name of a parsed request. No wildcard arm: a new `Request`
+/// variant does not compile here until it is named.
+fn op_name(request: &Request) -> &'static str {
+    match request {
+        Request::Insert { .. } => "insert",
+        Request::Delete { .. } => "delete",
+        Request::Grow { .. } => "grow",
+        Request::Mups { .. } => "mups",
+        Request::Coverage { .. } => "coverage",
+        Request::Enhance { .. } => "enhance",
+        Request::Stats => "stats",
+        Request::Snapshot => "snapshot",
+        Request::Restore => "restore",
+        Request::Replicate { .. } => "replicate",
+    }
+}
+
+/// Every op `parse_request` accepts is served end to end: one request per
+/// entry of `OPS`, each parsed to the variant of that name and answered
+/// `ok` under it.
+#[test]
+fn every_op_is_served_through_handle_line() {
+    let requests = [
+        ("insert", r#"{"op":"insert","row":["f","black","old"]}"#),
+        ("delete", r#"{"op":"delete","row":["f","black","old"]}"#),
+        ("grow", r#"{"op":"grow","attr":"race","value":"asian"}"#),
+        ("mups", r#"{"op":"mups","limit":1}"#),
+        ("coverage", r#"{"op":"coverage","pattern":"1XX"}"#),
+        ("enhance", r#"{"op":"enhance","lambda":1}"#),
+        ("stats", r#"{"op":"stats"}"#),
+        ("snapshot", r#"{"op":"snapshot"}"#),
+        ("restore", r#"{"op":"restore"}"#),
+        ("replicate", r#"{"op":"replicate","from":0}"#),
+    ];
+    assert_eq!(requests.map(|(op, _)| op), OPS);
+    let dir = std::env::temp_dir().join(format!("mithra-every-op-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // `restore` refuses to run beside an op log, so only `replicate` gets one.
+    let with_snapshot = ServeOptions::new().with_snapshot_path(Some(dir.join("engine.snapshot")));
+    let log = OpLog::open(&dir.join("engine.oplog"), SyncPolicy::Off).unwrap();
+    let with_log = ServeOptions::new().with_oplog(Some(Arc::new(Mutex::new(log))));
+    let mut engine = engine();
+    for (op, line) in requests {
+        let parsed = parse_request(line).unwrap_or_else(|f| panic!("{line}: {f:?}"));
+        assert_eq!(op_name(&parsed.request), op, "{line}");
+        let options = if op == "replicate" {
+            &with_log
+        } else {
+            &with_snapshot
+        };
+        let response = handle_line(&mut engine, options, line);
+        let doc = Json::parse(&response).unwrap();
+        assert_ok(&doc, line);
+        assert_eq!(doc.get("op").and_then(Json::as_str), Some(op), "{response}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A sharded serving engine answers byte-identical `mups`/`coverage`
@@ -405,7 +465,6 @@ not json\n\
 #[test]
 fn tcp_round_trip_shares_one_engine() {
     use std::net::{TcpListener, TcpStream};
-    use std::sync::{Arc, Mutex};
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap();
