@@ -26,14 +26,18 @@ use std::collections::HashMap;
 /// channel hand-off is its own design decision) and the `write!`/
 /// `writeln!` macros (formatting into a `String` is not I/O; macro calls
 /// never match the `.name(` shape anyway).
-pub const BLOCKING_PRIMITIVES: [&str; 14] = [
+pub const BLOCKING_PRIMITIVES: [&str; 18] = [
     "write",
     "write_all",
+    "write_at",
+    "write_all_at",
     "flush",
     "sync_all",
     "sync_data",
     "read",
     "read_exact",
+    "read_at",
+    "read_exact_at",
     "read_line",
     "read_until",
     "read_to_end",

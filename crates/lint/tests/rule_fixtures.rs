@@ -319,6 +319,31 @@ fn lock_blocking_fires_on_guard_across_fsync() {
     assert!(findings[0].message.contains("`.sync_all()`"));
 }
 
+/// Positioned reads and writes (`FileExt::read_exact_at` and friends) are
+/// file I/O like any other: a page read under the op-log guard blocks it.
+#[test]
+fn lock_blocking_fires_on_positioned_io() {
+    let fixture = conforming().file(
+        "crates/service/src/event.rs",
+        r#"
+use std::os::unix::fs::FileExt;
+use std::sync::Mutex;
+pub struct Shared { oplog: Mutex<std::fs::File> }
+pub fn page(shared: &Shared, buf: &mut [u8]) {
+    let log = shared.oplog.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = log.read_exact_at(buf, 0);
+    let _ = log.write_all_at(buf, 0);
+}
+"#,
+    );
+    let report = fixture.check();
+    let findings = rule_findings(&report, "lock-across-blocking");
+    assert_eq!(findings.len(), 2, "{:?}", report.findings);
+    assert_eq!([findings[0].line, findings[1].line], [7, 8]);
+    assert!(findings[0].message.contains("`.read_exact_at()`"));
+    assert!(findings[1].message.contains("`.write_all_at()`"));
+}
+
 #[test]
 fn lock_blocking_fires_transitively_via_the_symbol_table() {
     // The blocking call is one hop away: the guard scope calls a

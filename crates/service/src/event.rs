@@ -961,7 +961,7 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                 let failure_meta: Vec<(usize, Option<RequestId>)> =
                     segment.iter().map(|op| (op.slot, op.id.clone())).collect();
                 let staged = with_engine_contained(&tenant.engine, Err, |engine| {
-                    // LINT-ALLOW(lock-across-blocking): a mid-segment snapshot drains the staged appends under the engine lock so its anchor covers them; every other append waits for the lock to drop
+                    // LINT-ALLOW(lock-across-blocking): a mid-segment snapshot drains the staged appends under the engine lock so its anchor covers them, and a replicate page (at most 512 lines) is read from the op-log file; every other append waits for the lock to drop
                     Ok(process_ops(
                         engine,
                         &tenant.options,

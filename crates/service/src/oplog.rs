@@ -31,8 +31,10 @@
 //! without a bump.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::protocol::{write_json_string, Json};
 
@@ -229,142 +231,325 @@ impl LogEntry {
     }
 }
 
-/// Result of scanning a log file: the complete entries plus the byte
-/// offset just past the last complete line (a torn tail starts there).
-struct Scan {
-    entries: Vec<LogEntry>,
-    complete_bytes: u64,
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Scans NDJSON log text, stopping cleanly at the last complete entry. A
-/// final line that is unterminated or fails to parse is tolerated (crash
-/// tear); a bad line *followed by complete entries* is corruption.
-fn scan_log(text: &str) -> io::Result<Scan> {
-    let mut entries: Vec<LogEntry> = Vec::new();
-    let mut complete_bytes = 0u64;
-    let mut torn: Option<String> = None;
-    let mut offset = 0usize;
-    for piece in text.split_inclusive('\n') {
-        let start = offset;
-        offset += piece.len();
-        let terminated = piece.ends_with('\n');
-        let line = piece.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            if terminated {
-                complete_bytes = offset as u64;
+/// Streams a log's lines and applies the recovery rules to them: a final
+/// line that is unterminated or fails to decode is tolerated (crash tear),
+/// a bad line *followed by complete entries* is corruption, seqs must be
+/// dense, and an entry from a newer format version is refused even as the
+/// tail. Each line is decoded on its own, so a tear inside a multi-byte
+/// UTF-8 value is a tear like any other.
+struct Scanner<R> {
+    reader: R,
+    /// Byte offset of the next unread line.
+    offset: u64,
+    /// Byte offset just past the last complete line (a torn tail starts
+    /// there).
+    complete: u64,
+    /// The seq the next entry must carry, once one entry has been seen.
+    expect: Option<u64>,
+    /// The start offset of the last non-blank line and why it was not a
+    /// complete entry.
+    torn: Option<(u64, String)>,
+    line: Vec<u8>,
+}
+
+impl<R: BufRead> Scanner<R> {
+    /// Scans `reader`, which is positioned at byte `offset` of the file.
+    fn new(reader: R, offset: u64, expect: Option<u64>) -> Self {
+        Scanner {
+            reader,
+            offset,
+            complete: offset,
+            expect,
+            torn: None,
+            line: Vec::new(),
+        }
+    }
+
+    /// The next complete entry and the offset its line starts at; `None`
+    /// at the end of the log's complete entries.
+    fn next_entry(&mut self) -> io::Result<Option<(u64, LogEntry)>> {
+        loop {
+            self.line.clear();
+            let read = self.reader.read_until(b'\n', &mut self.line)?;
+            if read == 0 {
+                return match self.torn.take() {
+                    // A newer-version entry is not a tear, terminated or not.
+                    Some((_, reason)) if reason.contains("newer than this build") => {
+                        Err(invalid(reason))
+                    }
+                    torn => {
+                        self.torn = torn;
+                        Ok(None)
+                    }
+                };
             }
-            continue;
-        }
-        if torn.is_some() {
-            // Entries after a bad line: the tear was not at the tail.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "op log corrupt at byte {start}: {}",
-                    torn.take().unwrap_or_default()
-                ),
-            ));
-        }
-        match LogEntry::parse(line) {
-            Ok(entry) if !terminated => {
+            let start = self.offset;
+            self.offset += read as u64;
+            let terminated = self.line.ends_with(b"\n");
+            let mut body = self.line.as_slice();
+            while let [rest @ .., b'\n' | b'\r'] = body {
+                body = rest;
+            }
+            if body.is_empty() {
+                if terminated && self.torn.is_none() {
+                    self.complete = self.offset;
+                }
+                continue;
+            }
+            if let Some((at, reason)) = self.torn.take() {
+                // Entries after a bad line: the tear was not at the tail.
+                return Err(invalid(format!("op log corrupt at byte {at}: {reason}")));
+            }
+            let parsed = std::str::from_utf8(body)
+                .map_err(|e| format!("line is not valid UTF-8 ({e})"))
+                .and_then(LogEntry::parse);
+            match parsed {
                 // A fully parseable final line without its newline: the
                 // newline write itself tore. Treat it as incomplete.
-                let _ = entry;
-                torn = Some("final line missing newline".into());
-            }
-            Ok(entry) => {
-                if let Some(last) = entries.last() {
-                    if entry.seq != last.seq + 1 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "op log seq jumps from {} to {} at byte {start}",
-                                last.seq, entry.seq
-                            ),
-                        ));
-                    }
+                Ok(_) if !terminated => {
+                    self.torn = Some((start, "final line missing newline".into()));
                 }
-                entries.push(entry);
-                complete_bytes = offset as u64;
+                Ok(entry) => {
+                    if let Some(expect) = self.expect.filter(|&seq| seq != entry.seq) {
+                        return Err(invalid(format!(
+                            "op log seq jumps from {} to {} at byte {start}",
+                            expect - 1,
+                            entry.seq
+                        )));
+                    }
+                    self.expect = Some(entry.seq + 1);
+                    self.complete = self.offset;
+                    return Ok(Some((start, entry)));
+                }
+                Err(e) if !terminated => self.torn = Some((start, e)),
+                Err(e) => self.torn = Some((start, format!("{e} (line is newline-terminated)"))),
             }
-            Err(e) if !terminated => torn = Some(e),
-            Err(e) => torn = Some(format!("{e} (line is newline-terminated)")),
         }
     }
-    // A trailing `torn` here is the tolerated crash tear — but a *newer
-    // version* entry must refuse, terminated or not: it is not a tear.
-    if let Some(reason) = &torn {
-        if reason.contains("newer than this build") {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, reason.clone()));
+}
+
+/// Where a file follower's next read of a log resumes: just past the last
+/// entry it read, in the file (inode) it read it from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FileCursor {
+    inode: u64,
+    offset: u64,
+    /// The seq expected at `offset`.
+    seq: u64,
+}
+
+/// Scans `file` from byte `start` for at most `max` entries with
+/// `seq >= from_seq`, returning them and the cursor past the last entry
+/// scanned.
+fn scan_file(
+    file: &File,
+    inode: u64,
+    start: u64,
+    expect: Option<u64>,
+    from_seq: u64,
+    max: usize,
+) -> io::Result<(Vec<LogEntry>, FileCursor)> {
+    let mut reader = BufReader::new(file);
+    reader.seek(SeekFrom::Start(start))?;
+    let mut scanner = Scanner::new(reader, start, expect);
+    let mut entries = Vec::new();
+    let mut cursor = FileCursor {
+        inode,
+        offset: start,
+        seq: from_seq,
+    };
+    while entries.len() < max {
+        let Some((_, entry)) = scanner.next_entry()? else {
+            break;
+        };
+        cursor.offset = scanner.complete;
+        cursor.seq = entry.seq + 1;
+        if entry.seq >= from_seq {
+            entries.push(entry);
         }
     }
-    Ok(Scan {
-        entries,
-        complete_bytes,
-    })
+    Ok((entries, cursor))
 }
 
 /// Reads the complete entries of a log file with `seq >= from_seq`,
-/// tolerating a torn final line. Used by followers tailing a shared file
-/// and by recovery replay.
+/// tolerating a torn final line. Used by recovery replay and tests.
 pub fn read_entries_from(path: &Path, from_seq: u64) -> io::Result<Vec<LogEntry>> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut scan = scan_log(&text)?;
-    scan.entries.retain(|e| e.seq >= from_seq);
-    Ok(scan.entries)
+    read_entries_resuming(path, from_seq, usize::MAX, None).map(|(entries, _)| entries)
 }
 
-/// Logs whose appends fail on purpose, with the first failing call: a
-/// fault seam for tests, keyed by path so parallel tests stay apart.
+/// Reads at most `max` complete entries with `seq >= from_seq` from the log
+/// at `path`, and returns them with the cursor past them. A cursor from an
+/// earlier call resumes the scan at its offset when it still describes the
+/// file: the same inode, not shrunk, and the entry at the offset carries
+/// `from_seq`. Otherwise (the leader truncated or replaced the log) the
+/// whole file is scanned again. A missing file reads as empty.
+pub(crate) fn read_entries_resuming(
+    path: &Path,
+    from_seq: u64,
+    max: usize,
+    cursor: Option<FileCursor>,
+) -> io::Result<(Vec<LogEntry>, Option<FileCursor>)> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), None)),
+        Err(e) => return Err(e),
+    };
+    let meta = file.metadata()?;
+    let inode = meta.ino();
+    if let Some(cursor) =
+        cursor.filter(|c| c.inode == inode && c.seq == from_seq && c.offset <= meta.len())
+    {
+        if let Ok((entries, next)) =
+            scan_file(&file, inode, cursor.offset, Some(from_seq), from_seq, max)
+        {
+            return Ok((entries, Some(next)));
+        }
+    }
+    let (entries, next) = scan_file(&file, inode, 0, None, from_seq, max)?;
+    Ok((entries, Some(next)))
+}
+
+/// Fsyncs the directory holding `path`, making a rename into it durable.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// The step of an op log that a test makes fail on purpose.
 #[cfg(test)]
-static FAILING_APPENDS: std::sync::Mutex<Vec<(PathBuf, u64)>> = std::sync::Mutex::new(Vec::new());
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// Every append from the `k`-th call on (counting from 1).
+    AppendsFrom(u64),
+    /// The rewrite of every truncation, after the tail is copied and
+    /// before the rename.
+    Truncations,
+}
+
+/// Logs with an injected fault: a fault seam for tests, keyed by path so
+/// parallel tests stay apart.
+#[cfg(test)]
+static FAULTS: std::sync::Mutex<Vec<(PathBuf, Fault)>> = std::sync::Mutex::new(Vec::new());
 
 /// The writable append-only op log a leader owns.
 ///
-/// All complete entries since the last snapshot-anchored truncation are
-/// kept in memory (they are also what `replicate` serves), so the resident
-/// size is bounded by how often the operator snapshots.
+/// The file is the only copy of the retained entries (those since the
+/// last snapshot-anchored truncation). In memory the log keeps one byte
+/// offset per retained entry, 8 bytes each, so `replicate` pages and
+/// truncation read the entries back from the file.
 #[derive(Debug)]
 pub struct OpLog {
     path: PathBuf,
-    file: File,
+    /// The handle appends write through and pages read from; truncation
+    /// replaces it, and a [`LogPage`] taken earlier keeps the old one.
+    file: Arc<File>,
     sync: SyncPolicy,
     dirty: bool,
-    entries: Vec<LogEntry>,
-    next_seq: u64,
+    /// The start offset of each retained entry's line, in seq order.
+    offsets: Vec<u64>,
+    /// The seq of the first retained entry; the next seq to append when
+    /// none is retained.
+    first_seq: u64,
+    /// The offset just past the last complete line.
+    end: u64,
     appends: u64,
     fsyncs: u64,
+}
+
+/// A run of retained entries located under the op-log lock and read after
+/// it drops: the file handle and byte range of their lines.
+#[derive(Debug)]
+pub struct LogPage {
+    file: Arc<File>,
+    start: u64,
+    end: u64,
+    first_seq: u64,
+    len: usize,
+}
+
+impl LogPage {
+    /// Number of entries on the page.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the page holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The page's lines exactly as [`LogEntry::to_line`] wrote them, each
+    /// ending in a newline, read with one positioned read.
+    pub fn read_lines(&self) -> io::Result<String> {
+        let mut buf = vec![0; (self.end - self.start) as usize];
+        self.file.read_exact_at(&mut buf, self.start)?;
+        String::from_utf8(buf).map_err(|e| invalid(format!("op log page: {e}")))
+    }
+
+    /// The page's entries, parsed.
+    pub fn entries(&self) -> io::Result<Vec<LogEntry>> {
+        let text = self.read_lines()?;
+        let mut entries = Vec::with_capacity(self.len);
+        for line in text.lines().filter(|line| !line.is_empty()) {
+            let entry = LogEntry::parse(line).map_err(invalid)?;
+            let seq = self.first_seq + entries.len() as u64;
+            if entry.seq != seq {
+                return Err(invalid(format!(
+                    "op log page expected seq {seq}, found {}",
+                    entry.seq
+                )));
+            }
+            entries.push(entry);
+        }
+        if entries.len() != self.len {
+            return Err(invalid(format!(
+                "op log page holds {} entries, expected {}",
+                entries.len(),
+                self.len
+            )));
+        }
+        Ok(entries)
+    }
 }
 
 impl OpLog {
     /// Opens (or creates) the log at `path`, scanning existing entries and
     /// truncating a torn final line so appends start clean.
     pub fn open(path: &Path, sync: SyncPolicy) -> io::Result<OpLog> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        let scan = scan_log(&text)?;
-        if scan.complete_bytes < text.len() as u64 {
-            file.set_len(scan.complete_bytes)?;
+        let mut offsets = Vec::new();
+        let mut first_seq = 1;
+        let mut scanner = Scanner::new(BufReader::new(&file), 0, None);
+        while let Some((start, entry)) = scanner.next_entry()? {
+            if offsets.is_empty() {
+                first_seq = entry.seq;
+            }
+            offsets.push(start);
         }
-        file.seek(SeekFrom::Start(scan.complete_bytes))?;
-        let next_seq = scan.entries.last().map_or(1, |e| e.seq + 1);
+        let end = scanner.complete;
+        if scanner.offset > end {
+            file.set_len(end)?;
+        }
         Ok(OpLog {
             path: path.to_path_buf(),
-            file,
+            file: Arc::new(file),
             sync,
             dirty: false,
-            entries: scan.entries,
-            next_seq,
+            offsets,
+            first_seq,
+            end,
             appends: 0,
             fsyncs: 0,
         })
@@ -377,28 +562,24 @@ impl OpLog {
     /// verify).
     pub fn open_anchored(path: &Path, sync: SyncPolicy, anchor: u64) -> io::Result<OpLog> {
         let mut log = OpLog::open(path, sync)?;
-        if log.entries.is_empty() && log.next_seq <= anchor {
-            log.next_seq = anchor + 1;
+        if log.offsets.is_empty() && log.first_seq <= anchor {
+            log.first_seq = anchor + 1;
         }
         Ok(log)
     }
 
     /// Appends one mutation, returning its sequence number. The entry is
-    /// written and flushed before returning; under [`SyncPolicy::Always`]
-    /// it is also fsynced.
+    /// written at the end of the last complete line before returning;
+    /// under [`SyncPolicy::Always`] it is also fsynced.
     pub fn append(&mut self, op: LoggedOp) -> io::Result<u64> {
         #[cfg(test)]
-        if self.injected_failure() {
+        if self.injected(|fault| matches!(fault, Fault::AppendsFrom(k) if self.appends + 1 >= k)) {
             return Err(io::Error::other("injected append failure"));
         }
-        let entry = LogEntry {
-            seq: self.next_seq,
-            op,
-        };
-        let mut line = entry.to_line();
+        let seq = self.last_seq() + 1;
+        let mut line = LogEntry { seq, op }.to_line();
         line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
+        self.file.write_all_at(line.as_bytes(), self.end)?;
         self.appends += 1;
         match self.sync {
             SyncPolicy::Always => {
@@ -408,30 +589,44 @@ impl OpLog {
             SyncPolicy::Batch => self.dirty = true,
             SyncPolicy::Off => {}
         }
-        self.next_seq += 1;
-        self.entries.push(entry);
-        Ok(self.next_seq - 1)
+        self.offsets.push(self.end);
+        self.end += line.len() as u64;
+        Ok(seq)
     }
 
     /// Makes every append to this log from the `k`-th call on (counting
-    /// from 1) fail before writing a byte (tests only).
+    /// from 1) fail before writing a byte (tests only). Only failed calls
+    /// follow the first failing one, so the successful count stays at
+    /// `k - 1` from then on.
     #[cfg(test)]
     pub(crate) fn fail_appends_from(&self, k: u64) {
-        let mut faults = FAILING_APPENDS.lock().unwrap();
-        faults.retain(|(path, _)| path != &self.path);
-        faults.push((self.path.clone(), k));
+        self.inject(Fault::AppendsFrom(k));
     }
 
-    /// Whether the fault set by [`OpLog::fail_appends_from`] fails this
-    /// append: only failed calls follow the first failing one, so the
-    /// successful count stays at `k - 1` from then on.
+    /// Makes every truncation of this log fail after copying the retained
+    /// tail and before renaming it into place (tests only).
     #[cfg(test)]
-    fn injected_failure(&self) -> bool {
-        FAILING_APPENDS
+    pub(crate) fn fail_truncations(&self) {
+        self.inject(Fault::Truncations);
+    }
+
+    #[cfg(test)]
+    fn inject(&self, fault: Fault) {
+        let mut faults = FAULTS.lock().unwrap();
+        faults.retain(|(path, old)| {
+            path != &self.path || std::mem::discriminant(old) != std::mem::discriminant(&fault)
+        });
+        faults.push((self.path.clone(), fault));
+    }
+
+    /// Whether an injected fault on this log matches.
+    #[cfg(test)]
+    fn injected(&self, matches: impl Fn(Fault) -> bool) -> bool {
+        FAULTS
             .lock()
             .unwrap()
             .iter()
-            .any(|(path, k)| path == &self.path && self.appends + 1 >= *k)
+            .any(|(path, fault)| path == &self.path && matches(*fault))
     }
 
     /// Fsyncs pending appends if the policy is [`SyncPolicy::Batch`] and
@@ -448,23 +643,28 @@ impl OpLog {
 
     /// The sequence number of the last appended entry (0 if none ever).
     pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
+        self.first_seq + self.offsets.len() as u64 - 1
     }
 
     /// The sequence number of the oldest *retained* entry; equals
     /// `last_seq() + 1` when the log holds no entries (all truncated).
     pub fn first_seq(&self) -> u64 {
-        self.entries.first().map_or(self.next_seq, |e| e.seq)
+        self.first_seq
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.offsets.len()
     }
 
     /// Whether the log retains no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.offsets.is_empty()
+    }
+
+    /// Bytes of complete lines in the file: the retained entries on disk.
+    pub fn retained_bytes(&self) -> u64 {
+        self.end
     }
 
     /// Total appends since open (for stats).
@@ -487,32 +687,42 @@ impl OpLog {
         &self.path
     }
 
-    /// Retained entries with `seq >= from`, capped at `max`. `Err` carries
-    /// the oldest available seq when `from` predates the retained window
-    /// (the follower must restart from a fresh snapshot).
-    pub fn entries_from(&self, from: u64, max: usize) -> Result<&[LogEntry], u64> {
-        let first = self.first_seq();
-        if from < first {
-            return Err(first);
+    /// Locates the retained entries with `seq >= from`, capped at `max`,
+    /// without reading them: [`LogPage::read_lines`] does, after the caller has
+    /// released the log. `Err` carries the oldest available seq when `from`
+    /// predates the retained window (the follower must restart from a
+    /// fresh snapshot).
+    pub fn entries_from(&self, from: u64, max: usize) -> Result<LogPage, u64> {
+        if from < self.first_seq {
+            return Err(self.first_seq);
         }
-        let skip = (from - first) as usize;
-        let upper = self.entries.len().min(skip.saturating_add(max));
-        Ok(&self.entries[skip.min(self.entries.len())..upper])
+        let count = self.offsets.len();
+        let skip = usize::try_from(from - self.first_seq).map_or(count, |skip| skip.min(count));
+        let upper = count.min(skip.saturating_add(max));
+        let at = |i: usize| self.offsets.get(i).copied().unwrap_or(self.end);
+        Ok(LogPage {
+            file: Arc::clone(&self.file),
+            start: at(skip),
+            end: at(upper),
+            first_seq: self.first_seq + skip as u64,
+            len: upper - skip,
+        })
     }
 
     /// Drops every entry with `seq <= through` (a snapshot at that anchor
-    /// makes them redundant), rewriting the file atomically via tmp+rename
-    /// and reopening the append handle.
+    /// makes them redundant). The retained tail is copied from the file
+    /// into `<path>.tmp`, fsynced, renamed over the log, and the directory
+    /// is fsynced. If the copy fails, nothing changes; once the rename has
+    /// landed, the log follows the renamed file even if the directory
+    /// fsync then fails, because appends must reach the file the path
+    /// names.
     pub fn truncate_through(&mut self, through: u64) -> io::Result<()> {
-        if self.entries.first().is_none_or(|e| e.seq > through) {
+        if self.offsets.is_empty() || self.first_seq > through {
             return Ok(());
         }
-        let keep = self.entries.iter().position(|e| e.seq > through);
-        let retained: Vec<LogEntry> = match keep {
-            Some(i) => self.entries.split_off(i),
-            None => Vec::new(),
-        };
-        self.entries = retained;
+        let dropped = usize::try_from(through + 1 - self.first_seq)
+            .map_or(self.offsets.len(), |n| n.min(self.offsets.len()));
+        let from_byte = self.offsets.get(dropped).copied().unwrap_or(self.end);
         let mut tmp_name = self
             .path
             .file_name()
@@ -520,22 +730,30 @@ impl OpLog {
             .unwrap_or_else(|| "oplog".into());
         tmp_name.push_str(".tmp");
         let tmp = self.path.with_file_name(tmp_name);
-        {
-            let mut out = File::create(&tmp)?;
-            let mut text = String::new();
-            for entry in &self.entries {
-                text.push_str(&entry.to_line());
-                text.push('\n');
-            }
-            out.write_all(text.as_bytes())?;
-            out.sync_data()?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let mut source = &*self.file;
+        source.seek(SeekFrom::Start(from_byte))?;
+        io::copy(&mut source.take(self.end - from_byte), &mut &file)?;
+        file.sync_data()?;
+        #[cfg(test)]
+        if self.injected(|fault| fault == Fault::Truncations) {
+            return Err(io::Error::other("injected truncation failure"));
         }
         fs::rename(&tmp, &self.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.file = file;
+        self.file = Arc::new(file);
+        self.offsets.drain(..dropped);
+        for offset in &mut self.offsets {
+            *offset -= from_byte;
+        }
+        self.first_seq += dropped as u64;
+        self.end -= from_byte;
         self.dirty = false;
-        Ok(())
+        sync_parent_dir(&self.path)
     }
 }
 
@@ -745,12 +963,213 @@ mod tests {
         }
         let page = log.entries_from(4, 3).unwrap();
         assert_eq!(
-            page.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            page.entries()
+                .unwrap()
+                .iter()
+                .map(|e| e.seq)
+                .collect::<Vec<_>>(),
             vec![4, 5, 6]
         );
         assert_eq!(log.entries_from(11, 3).unwrap().len(), 0);
         log.truncate_through(5).unwrap();
-        assert_eq!(log.entries_from(3, 10), Err(6));
+        assert_eq!(log.entries_from(3, 10).unwrap_err(), 6);
+        let _ = fs::remove_file(&path);
+    }
+
+    fn grow(value: &str) -> LoggedOp {
+        LoggedOp::Grow {
+            attribute: "a".into(),
+            value: value.into(),
+        }
+    }
+
+    #[test]
+    fn torn_tail_inside_a_multibyte_value_is_a_tear() {
+        let path = temp_path("utf8-tear");
+        let mut log = OpLog::open(&path, SyncPolicy::Off).unwrap();
+        log.append(grow("é")).unwrap();
+        log.append(grow("ü")).unwrap();
+        drop(log);
+        let complete = fs::read(&path).unwrap();
+        // The crash cut the third entry after the first byte of `é`.
+        let mut bytes = complete.clone();
+        let line = LogEntry {
+            seq: 3,
+            op: grow("é"),
+        }
+        .to_line();
+        let cut = line.find('é').unwrap() + 1;
+        bytes.extend_from_slice(&line.as_bytes()[..cut]);
+        fs::write(&path, &bytes).unwrap();
+
+        let entries = read_entries_from(&path, 1).unwrap();
+        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2]);
+        let mut log = OpLog::open(&path, SyncPolicy::Off).unwrap();
+        assert_eq!(log.last_seq(), 2);
+        assert_eq!(fs::read(&path).unwrap(), complete, "the tear is truncated");
+        assert_eq!(log.append(grow("é")).unwrap(), 3);
+        drop(log);
+        assert_eq!(read_entries_from(&path, 3).unwrap()[0].op, grow("é"));
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A failed append can leave a prefix of its line past the last
+    /// complete one; appends write at the end of the last complete line,
+    /// so the next one overwrites it and the log stays openable.
+    #[test]
+    fn torn_append_bytes_are_overwritten_by_the_next_append() {
+        let path = temp_path("short-write");
+        let mut log = OpLog::open(&path, SyncPolicy::Off).unwrap();
+        log.append(grow("a")).unwrap();
+        let torn = LogEntry {
+            seq: 2,
+            op: grow(&"x".repeat(200)),
+        }
+        .to_line();
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_all_at(&torn.as_bytes()[..150], log.retained_bytes())
+            .unwrap();
+        assert_eq!(log.append(grow("b")).unwrap(), 2);
+        assert_eq!(log.append(grow("c")).unwrap(), 3);
+        drop(log);
+        let log = OpLog::open(&path, SyncPolicy::Off).unwrap();
+        assert_eq!(log.last_seq(), 3);
+        let entries = log.entries_from(1, 10).unwrap().entries().unwrap();
+        assert_eq!(entries[1].op, grow("b"));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn invalid_utf8_before_the_tail_is_corruption() {
+        let path = temp_path("utf8-corrupt");
+        let mut bytes =
+            b"{\"v\":1,\"seq\":1,\"op\":\"grow\",\"attr\":\"a\",\"value\":\"\xc3\"}\n".to_vec();
+        bytes.extend_from_slice(
+            b"{\"v\":1,\"seq\":2,\"op\":\"grow\",\"attr\":\"a\",\"value\":\"b\"}\n",
+        );
+        fs::write(&path, &bytes).unwrap();
+        let err = read_entries_from(&path, 1).unwrap_err();
+        assert!(err.to_string().contains("corrupt at byte 0"), "{err}");
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+        assert!(OpLog::open(&path, SyncPolicy::Off).is_err());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_truncation_changes_nothing() {
+        let path = temp_path("failed-truncation");
+        let mut log = OpLog::open(&path, SyncPolicy::Batch).unwrap();
+        for i in 0..5 {
+            log.append(grow(&format!("v{i}"))).unwrap();
+        }
+        let before = log.entries_from(1, 10).unwrap().read_lines().unwrap();
+        log.fail_truncations();
+        let err = log.truncate_through(3).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        assert_eq!(log.first_seq(), 1);
+        assert_eq!(log.len(), 5);
+        assert_eq!(
+            log.entries_from(1, 10).unwrap().read_lines().unwrap(),
+            before
+        );
+        assert_eq!(
+            log.entries_from(4, 10).unwrap().entries().unwrap()[0].seq,
+            4
+        );
+        assert_eq!(log.append(grow("v5")).unwrap(), 6);
+        log.sync_batch().unwrap();
+        drop(log);
+        let entries = read_entries_from(&path, 1).unwrap();
+        assert_eq!(
+            entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6]
+        );
+        FAULTS.lock().unwrap().retain(|(p, _)| p != &path);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let _ = fs::remove_file(tmp);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Pages of `max` entries through the cursor path, from seq `from`.
+    fn read_resuming(
+        path: &Path,
+        mut from: u64,
+        max: usize,
+        cursor: &mut Option<FileCursor>,
+    ) -> Vec<LogEntry> {
+        let mut all = Vec::new();
+        loop {
+            let (page, next) = read_entries_resuming(path, from, max, *cursor).unwrap();
+            *cursor = next;
+            let Some(last) = page.last() else {
+                return all;
+            };
+            from = last.seq + 1;
+            all.extend(page);
+        }
+    }
+
+    #[test]
+    fn resumed_reads_match_a_full_scan_across_truncation() {
+        let path = temp_path("cursor");
+        let mut log = OpLog::open(&path, SyncPolicy::Off).unwrap();
+        for i in 0..10 {
+            log.append(grow(&format!("v{i}"))).unwrap();
+        }
+        let mut cursor = None;
+        assert_eq!(
+            read_resuming(&path, 1, 3, &mut cursor),
+            read_entries_from(&path, 1).unwrap()
+        );
+        // Caught up: nothing new, and the cursor stays put.
+        let caught_up = cursor;
+        assert_eq!(read_resuming(&path, 11, 3, &mut cursor), []);
+        assert_eq!(cursor, caught_up);
+
+        // The cursor really resumes: damage to bytes it already passed,
+        // which a full scan refuses, is not read again.
+        for i in 10..14 {
+            log.append(grow(&format!("v{i}"))).unwrap();
+        }
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_all_at(b"X", 0)
+            .unwrap();
+        assert!(read_entries_from(&path, 11).is_err());
+        let tail = read_resuming(&path, 11, 3, &mut cursor);
+        assert_eq!(
+            tail.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            [11, 12, 13, 14]
+        );
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_all_at(b"{", 0)
+            .unwrap();
+
+        // A truncation replaces the file: the cursor falls back to a full
+        // scan and still reads the same entries.
+        log.truncate_through(12).unwrap();
+        for i in 14..17 {
+            log.append(grow(&format!("v{i}"))).unwrap();
+        }
+        assert_eq!(
+            read_resuming(&path, 15, 2, &mut cursor),
+            read_entries_from(&path, 15).unwrap()
+        );
+        // A cursor for a different seq falls back too.
+        let mut stale = caught_up;
+        assert_eq!(
+            read_resuming(&path, 13, 2, &mut stale),
+            read_entries_from(&path, 13).unwrap()
+        );
         let _ = fs::remove_file(&path);
     }
 

@@ -8,9 +8,9 @@
 //!
 //! * **TCP** (`--follow host:port`) — the follower sends `replicate`
 //!   requests to the leader and pages through the returned entry batches;
-//! * **shared file** (`--follow path`) — the follower re-reads the
-//!   leader's log file directly, tolerating a torn final line exactly like
-//!   recovery does.
+//! * **shared file** (`--follow path`) — the follower reads the leader's
+//!   log file directly, a page at a time from just past the last entry it
+//!   applied, tolerating a torn final line exactly like recovery does.
 //!
 //! Replay is deterministic because entries store *raw* values and are
 //! applied through the same encode path the leader used, in the same
@@ -29,7 +29,7 @@ use std::time::Duration;
 use coverage_index::CoverageBackend;
 
 use crate::engine::CoverageEngine;
-use crate::oplog::{read_entries_from, LogEntry, LoggedOp};
+use crate::oplog::{read_entries_resuming, FileCursor, LogEntry, LoggedOp, REPLICATE_BATCH_LIMIT};
 use crate::protocol::{Json, ServeError};
 use crate::server::{encode_row, encode_rows_growing, with_engine_contained};
 
@@ -109,7 +109,7 @@ impl ReplicationStatus {
 pub enum ReplicaSource {
     /// A leader's TCP address; entries arrive via the `replicate` op.
     Tcp(String),
-    /// The leader's log file on shared storage; entries are re-read.
+    /// The leader's log file on shared storage, read a page at a time.
     File(PathBuf),
 }
 
@@ -216,9 +216,16 @@ enum FetchError {
     Fatal(String),
 }
 
-fn fetch_file(path: &Path, from: u64) -> Result<Batch, FetchError> {
-    match read_entries_from(path, from) {
-        Ok(entries) => {
+/// Reads the next page of a shared log file, resuming at `cursor` (just
+/// past the last entry read) instead of re-reading the whole file.
+fn fetch_file(
+    path: &Path,
+    from: u64,
+    cursor: &mut Option<FileCursor>,
+) -> Result<Batch, FetchError> {
+    match read_entries_resuming(path, from, REPLICATE_BATCH_LIMIT, *cursor) {
+        Ok((entries, next)) => {
+            *cursor = next;
             let leader_seq = entries.last().map(|e| e.seq);
             Ok(Batch {
                 entries,
@@ -309,11 +316,12 @@ pub fn run_follower<B: CoverageBackend>(
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
     let mut conn: Option<TcpFetcher> = None;
+    let mut cursor: Option<FileCursor> = None;
     let mut was_failing = false;
     while !stop.load(Ordering::Relaxed) {
         let from = status.applied_seq() + 1;
         let fetched = match &source {
-            ReplicaSource::File(path) => fetch_file(path, from),
+            ReplicaSource::File(path) => fetch_file(path, from, &mut cursor),
             ReplicaSource::Tcp(addr) => fetch_tcp(&mut conn, addr, from),
         };
         status.rounds.fetch_add(1, Ordering::Relaxed);
@@ -383,7 +391,7 @@ pub fn run_follower<B: CoverageBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oplog::{OpLog, SyncPolicy};
+    use crate::oplog::{read_entries_from, OpLog, SyncPolicy};
     use coverage_core::Threshold;
     use coverage_data::{Attribute, Dataset, Schema};
 

@@ -632,33 +632,43 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             };
             // Seqs start at 1; `from:0` means "from the beginning".
             let from = from_seq.max(1);
-            let entries = log
-                .entries_from(from, REPLICATE_BATCH_LIMIT)
-                .map_err(|oldest| {
-                    ServeError::new(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "seq {from} predates the retained op log (oldest retained is \
+            let last_seq = log.last_seq();
+            let page = log.entries_from(from, REPLICATE_BATCH_LIMIT);
+            // The page is read after the guard drops: it holds its own
+            // handle, which a concurrent truncation does not invalidate.
+            drop(log);
+            let page = page.map_err(|oldest| {
+                ServeError::new(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "seq {from} predates the retained op log (oldest retained is \
                          {oldest}); restart the follower from a fresh snapshot"
-                        ),
-                    )
-                })?;
+                    ),
+                )
+            })?;
+            let lines = page.read_lines().map_err(|e| {
+                ServeError::new(
+                    ErrorCode::Internal,
+                    format!("reading the op log failed: {e}"),
+                )
+            })?;
             let _ = std::fmt::Write::write_fmt(
                 &mut out,
                 format_args!(
-                    ",\"op\":\"replicate\",\"from\":{from},\"last_seq\":{},\"count\":{},\
+                    ",\"op\":\"replicate\",\"from\":{from},\"last_seq\":{last_seq},\"count\":{},\
                      \"entries\":[",
-                    log.last_seq(),
-                    entries.len(),
+                    page.len(),
                 ),
             );
-            for (i, entry) in entries.iter().enumerate() {
+            // The lines are the bytes `LogEntry::to_line` wrote: splice
+            // them in verbatim.
+            for (i, line) in lines.lines().filter(|l| !l.is_empty()).enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&entry.to_line());
+                out.push_str(line);
             }
-            let next = entries.last().map_or(from, |e| e.seq + 1);
+            let next = from + page.len() as u64;
             let _ = std::fmt::Write::write_fmt(&mut out, format_args!("],\"next\":{next}}}"));
         }
         Request::Stats => {
@@ -801,9 +811,10 @@ fn write_replication_section(options: &ServeOptions, out: &mut String) {
         let _ = write!(
             out,
             ",\"replication\":{{\"role\":\"leader\",\"last_seq\":{},\"retained\":{},\
-             \"appends\":{},\"fsyncs\":{},\"sync\":\"{}\"}}",
+             \"retained_bytes\":{},\"appends\":{},\"fsyncs\":{},\"sync\":\"{}\"}}",
             log.last_seq(),
             log.len(),
+            log.retained_bytes(),
             log.appends(),
             log.fsyncs(),
             log.sync_policy().as_str(),

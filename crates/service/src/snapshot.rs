@@ -439,9 +439,10 @@ pub fn snapshot_backend(path: &Path) -> Result<&'static str> {
     backend_field(&doc, version)
 }
 
-/// Writes a snapshot atomically: the document lands in `<path>.tmp` first
-/// and is renamed over `path`, so a crash mid-write leaves any previous
-/// snapshot intact.
+/// Writes a snapshot atomically and durably: the document lands in
+/// `<path>.tmp` first, is fsynced and renamed over `path`, and the directory
+/// is fsynced, so a crash mid-write leaves any previous snapshot intact and
+/// a returned `Ok` survives a power cut.
 pub fn save_snapshot<B: CoverageBackend>(engine: &CoverageEngine<B>, path: &Path) -> Result<()> {
     save_snapshot_anchored(engine, path, 0)
 }
@@ -464,10 +465,23 @@ pub fn save_snapshot_anchored<B: CoverageBackend>(
         std::path::PathBuf::from(name)
     };
     let describe = |what: &str, e: std::io::Error| bad(format!("{what} {}: {e}", tmp.display()));
-    std::fs::write(&tmp, text.as_bytes()).map_err(|e| describe("cannot write", e))?;
+    // The snapshot must be durable before the caller truncates the op log
+    // through its anchor: fsync the file before the rename, and the
+    // directory after it.
+    let write = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        std::io::Write::write_all(&mut file, text.as_bytes())?;
+        file.sync_all()
+    };
+    write().map_err(|e| describe("cannot write", e))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| bad(format!("cannot move snapshot into {}: {e}", path.display())))?;
-    Ok(())
+    crate::oplog::sync_parent_dir(path).map_err(|e| {
+        bad(format!(
+            "cannot sync the directory of {}: {e}",
+            path.display()
+        ))
+    })
 }
 
 /// Loads a snapshot written by [`save_snapshot`].

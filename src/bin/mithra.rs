@@ -483,17 +483,31 @@ fn recover_oplog<O: mithra::index::CoverageBackend>(
     use std::sync::{Arc, Mutex};
     let log = coverage_service::OpLog::open_anchored(path, sync, anchor)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = log.entries_from(anchor + 1, usize::MAX).map_err(|oldest| {
-        format!(
-            "op log {} retains entries only from seq {oldest}, but the snapshot was anchored at \
-             seq {anchor}; the intervening entries are gone — restore a newer snapshot or delete \
-             both to re-audit from the CSV",
-            path.display()
-        )
-    })?;
-    let replayed = entries.len();
-    let applied = mithra::service::replay_entries(engine, entries, anchor)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    // Replay a page at a time, so recovery holds at most one page of
+    // parsed entries however long the tail is.
+    let mut applied = anchor;
+    let mut replayed = 0;
+    loop {
+        let page = log
+            .entries_from(applied + 1, coverage_service::oplog::REPLICATE_BATCH_LIMIT)
+            .map_err(|oldest| {
+                format!(
+                    "op log {} retains entries only from seq {oldest}, but the snapshot was \
+                     anchored at seq {anchor}; the intervening entries are gone — restore a newer \
+                     snapshot or delete both to re-audit from the CSV",
+                    path.display()
+                )
+            })?;
+        if page.is_empty() {
+            break;
+        }
+        let entries = page
+            .entries()
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        replayed += entries.len();
+        applied = mithra::service::replay_entries(engine, &entries, applied)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+    }
     if replayed > 0 {
         eprintln!(
             "replayed {replayed} op-log entries (seq {}..={applied}) from {}",
@@ -1380,6 +1394,59 @@ mod tests {
         // restore, so this is the only guard against serving the wrong data).
         let err = build(&args(&["sex", "age"], Threshold::Count(1))).unwrap_err();
         assert!(err.contains("covers attributes"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A restart replays a tail longer than two `replicate` pages a page at
+    /// a time and recovers the state of a node that never restarted.
+    #[test]
+    fn restart_replays_a_multi_page_tail_to_the_live_state() {
+        use mithra::service::{handle_line, ServeOptions};
+
+        let dir = std::env::temp_dir().join(format!("mithra-cli-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("people.csv");
+        std::fs::write(&csv, "sex,race\nm,white\nf,black\nm,asian\n").unwrap();
+        let log_path = dir.join("ops.log");
+        std::fs::remove_file(&log_path).ok();
+        let file = csv.to_string_lossy().into_owned();
+        let args = parse(&[
+            "serve",
+            &file,
+            "--attrs",
+            "sex,race",
+            "--tau",
+            "40",
+            "--oplog",
+            &log_path.to_string_lossy(),
+        ])
+        .unwrap();
+        let sync = coverage_service::SyncPolicy::Off;
+        let (mut live, anchor) = serve_engine::<CoverageOracle>(&args, &file, None).unwrap();
+        let log = recover_oplog(&mut live, &log_path, sync, anchor).unwrap();
+        let options = ServeOptions::new().with_oplog(Some(log));
+        let rows = [
+            ["m", "white"],
+            ["f", "black"],
+            ["m", "asian"],
+            ["f", "white"],
+        ];
+        let entries = 2 * coverage_service::oplog::REPLICATE_BATCH_LIMIT + 76;
+        for i in 0..entries {
+            let [sex, race] = rows[i % rows.len()];
+            let op = if i % 5 == 4 { "delete" } else { "insert" };
+            let request = format!(r#"{{"op":"{op}","row":["{sex}","{race}"]}}"#);
+            let answer = handle_line(&mut live, &options, &request);
+            assert!(answer.contains(r#""ok":true"#), "{answer}");
+        }
+        drop(options);
+
+        let (mut restarted, anchor) = serve_engine::<CoverageOracle>(&args, &file, None).unwrap();
+        let log = recover_oplog(&mut restarted, &log_path, sync, anchor).unwrap();
+        assert_eq!(log.lock().unwrap().last_seq(), entries as u64);
+        assert_eq!(restarted.dataset().len(), live.dataset().len());
+        assert_eq!(restarted.mups(), live.mups());
+        assert!(!live.mups().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

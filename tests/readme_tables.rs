@@ -125,9 +125,13 @@ fn oplog_readme_examples_parse_and_quote_the_current_version() {
     );
 }
 
-#[test]
-fn replicate_table_lists_exactly_the_answer_fields() {
-    let path = std::env::temp_dir().join(format!("mithra-readme-{}.oplog", std::process::id()));
+/// A leader with one logged insert, answering `request`.
+fn leader_answer(request: &str) -> Json {
+    let path = std::env::temp_dir().join(format!(
+        "mithra-readme-{}-{:?}.oplog",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     std::fs::remove_file(&path).ok();
     let log = OpLog::open(&path, SyncPolicy::Off).unwrap();
     let options =
@@ -144,7 +148,7 @@ fn replicate_table_lists_exactly_the_answer_fields() {
         &options,
         r#"{"op":"insert","row":["f","black"]}"#,
     );
-    let answer = handle_line(&mut engine, &options, r#"{"op":"replicate","from":0}"#);
+    let answer = handle_line(&mut engine, &options, request);
     std::fs::remove_file(&path).ok();
 
     let doc = Json::parse(&answer).unwrap();
@@ -153,6 +157,12 @@ fn replicate_table_lists_exactly_the_answer_fields() {
         Some(true),
         "{answer}"
     );
+    doc
+}
+
+#[test]
+fn replicate_table_lists_exactly_the_answer_fields() {
+    let doc = leader_answer(r#"{"op":"replicate","from":0}"#);
     let envelope = ["ok", "id", "code", "error"];
     let fields: BTreeSet<String> = keys(&doc)
         .into_iter()
@@ -161,7 +171,23 @@ fn replicate_table_lists_exactly_the_answer_fields() {
     let documented: BTreeSet<String> = table_keys(&readme(), "| Replicate field | Meaning |")
         .into_iter()
         .collect();
-    assert_eq!(documented, fields, "{answer}");
+    assert_eq!(documented, fields, "{doc:?}");
+}
+
+#[test]
+fn leader_replication_table_lists_exactly_the_stats_fields() {
+    let doc = leader_answer(r#"{"op":"stats"}"#);
+    let section = doc.get("replication").expect("a replication section");
+    assert_eq!(section.get("retained").and_then(Json::as_u64), Some(1));
+    assert!(section
+        .get("retained_bytes")
+        .and_then(Json::as_u64)
+        .is_some_and(|bytes| bytes > 0));
+    let documented: BTreeSet<String> =
+        table_keys(&readme(), "| Leader replication field | Meaning |")
+            .into_iter()
+            .collect();
+    assert_eq!(documented, keys(section), "{section:?}");
 }
 
 #[test]

@@ -511,3 +511,53 @@ fn replicate_pages_from_the_beginning_and_refuses_truncated_history() {
     std::fs::remove_file(&log_path).ok();
     std::fs::remove_file(&snap_path).ok();
 }
+
+/// The `replicate` answers for a fixed log, recorded when the leader built
+/// them by re-encoding parsed entries; splicing the lines read back from
+/// the file must serve the same bytes.
+const GOLDEN_REPLICATE: [&str; 3] = [
+    r#"{"ok":true,"op":"replicate","from":1,"last_seq":4,"count":4,"entries":[{"v":1,"seq":1,"op":"grow","attr":"race","value":"né \"x\"\\y"},{"v":1,"seq":2,"op":"insert","rows":[["f","né \"x\"\\y","old"],["m","black","young"]]},{"v":1,"seq":3,"op":"delete","rows":[["m","black","young"]]},{"v":1,"seq":4,"op":"insert","rows":[["f","white","old"]]}],"next":5}"#,
+    r#"{"ok":true,"id":7,"op":"replicate","from":3,"last_seq":4,"count":2,"entries":[{"v":1,"seq":3,"op":"delete","rows":[["m","black","young"]]},{"v":1,"seq":4,"op":"insert","rows":[["f","white","old"]]}],"next":5}"#,
+    r#"{"ok":true,"op":"replicate","from":5,"last_seq":5,"count":1,"entries":[{"v":1,"seq":5,"op":"insert","rows":[["m","white","old"]]}],"next":6}"#,
+];
+
+#[test]
+fn replicate_answers_are_byte_identical_to_the_golden_pages() {
+    let log_path = scratch_log("golden");
+    let snap_path = log_path.with_extension("golden-snap");
+    std::fs::remove_file(&log_path).ok();
+    let log = OpLog::open(&log_path, SyncPolicy::Off).unwrap();
+    let options = ServeOptions::new()
+        .with_oplog(Some(Arc::new(Mutex::new(log))))
+        .with_snapshot_path(Some(snap_path.clone()));
+    let mut leader = engine();
+    let script = concat!(
+        "{\"op\":\"grow\",\"attr\":\"race\",\"value\":\"n\u{e9} \\\"x\\\"\\\\y\"}\n",
+        "{\"op\":\"insert\",\"rows\":[[\"f\",\"n\u{e9} \\\"x\\\"\\\\y\",\"old\"],[\"m\",\"black\",\"young\"]]}\n",
+        "{\"op\":\"delete\",\"row\":[\"m\",\"black\",\"young\"]}\n",
+        "{\"op\":\"insert\",\"row\":[\"f\",\"white\",\"old\"]}\n",
+    );
+    serve_lines(&mut leader, &options, script.as_bytes(), &mut Vec::new()).unwrap();
+    let mut answers = vec![
+        handle_line(&mut leader, &options, r#"{"op":"replicate","from":0}"#),
+        handle_line(
+            &mut leader,
+            &options,
+            r#"{"id":7,"op":"replicate","from":3}"#,
+        ),
+    ];
+    handle_line(&mut leader, &options, r#"{"op":"snapshot"}"#);
+    handle_line(
+        &mut leader,
+        &options,
+        r#"{"op":"insert","row":["m","white","old"]}"#,
+    );
+    answers.push(handle_line(
+        &mut leader,
+        &options,
+        r#"{"op":"replicate","from":5}"#,
+    ));
+    assert_eq!(answers, GOLDEN_REPLICATE);
+    std::fs::remove_file(&log_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
