@@ -1,18 +1,26 @@
 //! Microbenchmarks for the Appendix A coverage oracle: exact coverage and
-//! the early-exit `covered` predicate at several pattern levels, and the
-//! coverage lattice a serving engine's oracle answers from.
+//! the early-exit `covered` predicate at several pattern levels, the
+//! coverage lattice a serving engine's oracle answers from, and the covered
+//! map a batch audit's oracle answers from.
 //!
 //! The lattice arm runs on the BlueNile-like catalog (380,160 pattern-graph
 //! nodes). Before timing it asserts that the lattice and the dense bit-vector
 //! path give identical answers on a fixed probe set, and that lattice point
 //! probes are at least 10× faster than dense ones.
+//!
+//! The covered-map arm runs DEEPDIVER on 100k Airbnb-like rows over 13
+//! binary attributes (3^13 nodes) at τ = 100 through each of the three
+//! oracles, asserts they find the same MUPs, and prints each oracle's build
+//! time, walk time and bytes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use coverage_core::mup::{DeepDiver, MupAlgorithm};
 use coverage_data::generators::{airbnb_like, bluenile_like, BLUENILE_ROWS};
-use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider, X};
+use coverage_data::Dataset;
+use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider, LatticeBudget, X};
 
 fn bench_oracle(c: &mut Criterion) {
     let ds = airbnb_like(100_000, 15, 7).expect("generator");
@@ -130,5 +138,71 @@ fn bench_lattice(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_oracle, bench_lattice);
+/// Builds an oracle over a dataset for a walk at a threshold.
+type BuildOracle = fn(&Dataset, u64) -> CoverageOracle;
+
+/// The three oracles DEEPDIVER can walk: the bit-vectors alone, with the
+/// lattice, and with the covered map at the walk's τ.
+const ORACLES: [(&str, BuildOracle); 3] = [
+    ("dense", |ds, _| CoverageOracle::from_dataset(ds)),
+    ("lattice", |ds, _| {
+        CoverageOracle::with_lattice(ds, LatticeBudget::default())
+    }),
+    ("map", CoverageOracle::for_threshold),
+];
+
+fn bench_covered_map(c: &mut Criterion) {
+    const TAU: u64 = 100;
+    let ds = airbnb_like(100_000, 13, 42).expect("generator");
+    let walk = |oracle: &CoverageOracle| {
+        let mut mups = DeepDiver::default()
+            .find_mups_with_oracle(oracle, TAU)
+            .expect("DeepDiver");
+        mups.sort();
+        mups
+    };
+    // Best of 5, the figure least disturbed by other load.
+    let best = |f: &mut dyn FnMut() -> Duration| (0..5).map(|_| f()).min().expect("ran");
+    let mut reference = None;
+    for (name, build) in ORACLES {
+        let build_time = best(&mut || {
+            let start = Instant::now();
+            black_box(build(&ds, TAU));
+            start.elapsed()
+        });
+        let oracle = build(&ds, TAU);
+        let walk_time = best(&mut || {
+            let start = Instant::now();
+            black_box(walk(&oracle));
+            start.elapsed()
+        });
+        let mups = walk(&oracle);
+        match &reference {
+            None => reference = Some(mups),
+            Some(dense) => assert_eq!(&mups, dense, "the {name} oracle finds other MUPs"),
+        }
+        println!(
+            "covered_map summary: {name:>7} oracle on 100k x 13 at τ = {TAU}: build {:.1} ms, \
+             walk {:.1} ms, {} bytes",
+            build_time.as_secs_f64() * 1e3,
+            walk_time.as_secs_f64() * 1e3,
+            oracle.memory_stats().bytes
+        );
+    }
+    println!(
+        "covered_map summary: {} MUPs, identical through every oracle",
+        reference.map_or(0, |m| m.len())
+    );
+
+    let mut group = c.benchmark_group("covered_map");
+    group.sample_size(10);
+    for (name, build) in ORACLES {
+        group.bench_function(BenchmarkId::new("build_and_walk", name), |b| {
+            b.iter(|| black_box(walk(&build(black_box(&ds), TAU)).len()));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_oracle, bench_lattice, bench_covered_map);
 criterion_main!(benches);

@@ -47,11 +47,13 @@ pub trait MupAlgorithm {
         tau: u64,
     ) -> Result<Vec<Pattern>>;
 
-    /// Convenience entry point: builds the canonical single-shard oracle,
-    /// resolves the threshold, and returns the MUPs sorted lexicographically.
+    /// Convenience entry point: resolves the threshold, builds the
+    /// canonical single-shard oracle with its covered map at that threshold
+    /// ([`CoverageOracle::for_threshold`]), and returns the MUPs sorted
+    /// lexicographically.
     fn find_mups(&self, dataset: &Dataset, threshold: Threshold) -> Result<Vec<Pattern>> {
-        let oracle = CoverageOracle::from_dataset(dataset);
         let tau = threshold.resolve(dataset.len() as u64)?;
+        let oracle = CoverageOracle::for_threshold(dataset, tau);
         let mut mups = self.find_mups_with_oracle(&oracle, tau)?;
         mups.sort();
         Ok(mups)

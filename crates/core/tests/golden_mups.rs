@@ -7,10 +7,13 @@
 //! rendering (one MUP per line) and their first entries; small ones are
 //! spelled out in full.
 //!
-//! Every set is found twice: by `find_mups`, which walks a dense oracle,
-//! and over the oracle a serving engine builds
+//! Every set is found through three oracles: the dense bit-vectors alone
+//! (`CoverageOracle::from_dataset`), the oracle a serving engine builds
 //! (`<CoverageOracle as CoverageBackend>::build`), which answers from its
-//! coverage lattice whenever the schema fits.
+//! coverage lattice whenever the schema fits, and the one `find_mups`
+//! builds (`CoverageOracle::for_threshold`), which answers the walk from its
+//! covered map. The d = 13 set, recorded before the covered map existed,
+//! has a schema whose map is built through the prefix split.
 
 use coverage_core::mup::{DeepDiver, MupAlgorithm};
 use coverage_core::pattern::Pattern;
@@ -19,14 +22,23 @@ use coverage_data::generators::{airbnb_like, bluenile_like, diagonal_dataset};
 use coverage_data::Dataset;
 use coverage_index::{CoverageBackend, CoverageOracle};
 
-/// The MUPs `alg` finds on `dataset`, the same through both oracles.
+/// The MUPs `alg` finds on `dataset`, the same through all three oracles.
 fn mups(alg: &DeepDiver, dataset: &Dataset, tau: u64) -> Vec<String> {
     let render = |mups: Vec<Pattern>| mups.iter().map(Pattern::to_string).collect::<Vec<_>>();
-    let dense = render(alg.find_mups(dataset, Threshold::Count(tau)).unwrap());
+    let walk = |oracle: &CoverageOracle| {
+        let mut found = alg.find_mups_with_oracle(oracle, tau).unwrap();
+        found.sort();
+        render(found)
+    };
+    let dense = walk(&CoverageOracle::from_dataset(dataset));
     let engine_oracle = <CoverageOracle as CoverageBackend>::build(dataset, 1);
-    let mut built = alg.find_mups_with_oracle(&engine_oracle, tau).unwrap();
-    built.sort();
-    assert_eq!(render(built), dense, "the engine's oracle finds other MUPs");
+    assert_eq!(
+        walk(&engine_oracle),
+        dense,
+        "the engine's lattice finds other MUPs"
+    );
+    let mapped = render(alg.find_mups(dataset, Threshold::Count(tau)).unwrap());
+    assert_eq!(mapped, dense, "the covered map finds other MUPs");
     dense
 }
 
@@ -62,6 +74,27 @@ fn airbnb_tau_20() {
             "000X000X1X",
             "000X001XXX",
             "000X00XXX0",
+        ],
+    );
+}
+
+#[test]
+fn airbnb_d13_tau_20() {
+    // 3^13 nodes: the covered map counts them through 27 prefix nodes.
+    let ds = airbnb_like(20_000, 13, 2019).unwrap();
+    assert_golden(
+        &mups(&DeepDiver::default(), &ds, 20),
+        14_893,
+        0x30d0_7aa6_735f_4727,
+        &[
+            "0000011XXXXXX",
+            "00000X1X0XXXX",
+            "00000X1XXXX01",
+            "0000100X1X1XX",
+            "0000100X1XX01",
+            "0000100XX100X",
+            "0000100XX11X1",
+            "0000101XXXXXX",
         ],
     );
 }

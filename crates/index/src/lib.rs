@@ -12,7 +12,9 @@
 //!   provider;
 //! * [`LatticeBudget`] — when a [`CoverageOracle`] built through
 //!   [`CoverageBackend::build`] also materializes every pattern's count, so
-//!   its provider probes are one array read;
+//!   its provider probes are one array read, and when one built by
+//!   [`CoverageOracle::for_threshold`] holds one bit per pattern instead,
+//!   telling whether it is covered at the walk's τ;
 //! * [`ShardedOracle`] — N row-disjoint oracles behind the same trait, with
 //!   parallel build/ingest/wide-probes for multi-core serving;
 //! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used

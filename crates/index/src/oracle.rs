@@ -10,7 +10,7 @@ use coverage_data::{Dataset, UniqueCombinations};
 
 use crate::bitvec::{intersection_weighted_sum, BitVec};
 use crate::kernels;
-use crate::lattice::{Lattice, LatticeBudget};
+use crate::lattice::{CoveredMap, Lattice, LatticeBudget, SUB_CUBE_CELLS};
 use crate::provider::Descent;
 
 /// Sentinel code for a non-deterministic (`X`) pattern element.
@@ -28,9 +28,20 @@ pub struct CoverageOracle {
     offsets: Vec<usize>,
     cardinalities: Vec<u8>,
     combos: UniqueCombinations,
-    /// Every pattern's count, materialized when the schema fits a
-    /// [`LatticeBudget`]; the provider trait answers probes from it.
-    lattice: Option<Lattice>,
+    /// What the provider trait answers probes from, when the schema fits a
+    /// [`LatticeBudget`].
+    materialized: Materialized,
+}
+
+/// What a [`CoverageOracle`] holds beside its bit-vectors.
+#[derive(Debug, Clone)]
+pub(crate) enum Materialized {
+    /// Nothing: every probe reads the bit-vectors.
+    None,
+    /// Every pattern's count, kept in step with mutations.
+    Counts(Lattice),
+    /// Whether each pattern is covered at one τ, dropped by any mutation.
+    CoveredAt(CoveredMap),
 }
 
 impl CoverageOracle {
@@ -60,7 +71,7 @@ impl CoverageOracle {
             offsets,
             cardinalities: cards,
             combos,
-            lattice: None,
+            materialized: Materialized::None,
         }
     }
 
@@ -71,17 +82,50 @@ impl CoverageOracle {
     /// always answer from the bit-vectors.
     pub fn with_lattice(dataset: &Dataset, budget: LatticeBudget) -> Self {
         let mut oracle = Self::from_dataset(dataset);
-        oracle.lattice = Lattice::build(&oracle.combos, budget);
+        if let Some(lattice) = Lattice::build(&oracle.combos, budget) {
+            oracle.materialized = Materialized::Counts(lattice);
+        }
+        oracle
+    }
+
+    /// Builds the oracle for one walk at threshold `tau`: beside the
+    /// bit-vectors it holds a covered map, one bit per pattern-graph node
+    /// telling whether `cov(P) ≥ tau`, when the schema and row count fit
+    /// [`LatticeBudget::default`]. [`crate::CoverageProvider::covered`] and
+    /// [`crate::CoverageProvider::descent`] at `tau` read the map; every
+    /// other probe reads the bit-vectors, and any mutation drops the map.
+    pub fn for_threshold(dataset: &Dataset, tau: u64) -> Self {
+        Self::for_threshold_in_sub_cubes(dataset, tau, SUB_CUBE_CELLS)
+    }
+
+    /// [`Self::for_threshold`], counting the map through sub-cubes of at
+    /// most `sub_cube_cells` cells. Only for the equivalence tests, which
+    /// set it small so that small schemas take the prefix split; not part
+    /// of the supported API.
+    #[doc(hidden)]
+    pub fn for_threshold_in_sub_cubes(dataset: &Dataset, tau: u64, sub_cube_cells: usize) -> Self {
+        let mut oracle = Self::from_dataset(dataset);
+        if let Some(map) = CoveredMap::build(&oracle.combos, tau, sub_cube_cells) {
+            oracle.materialized = Materialized::CoveredAt(map);
+        }
         oracle
     }
 
     /// Whether probes through [`crate::CoverageProvider`] read the lattice.
     pub fn has_lattice(&self) -> bool {
-        self.lattice.is_some()
+        matches!(self.materialized, Materialized::Counts(_))
     }
 
-    pub(crate) fn lattice(&self) -> Option<&Lattice> {
-        self.lattice.as_ref()
+    /// The threshold of the covered map, when one is held.
+    pub fn covered_map_threshold(&self) -> Option<u64> {
+        match &self.materialized {
+            Materialized::CoveredAt(map) => Some(map.tau()),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn materialized(&self) -> &Materialized {
+        &self.materialized
     }
 
     /// Incrementally ingests one row (streamed inserts): the aggregation
@@ -109,10 +153,12 @@ impl CoverageOracle {
                 }
             }
         }
-        if let Some(lattice) = &mut self.lattice {
-            if !lattice.add(row) {
-                self.lattice = None;
-            }
+        let kept = match &mut self.materialized {
+            Materialized::Counts(lattice) => lattice.add(row),
+            _ => false,
+        };
+        if !kept {
+            self.materialized = Materialized::None;
         }
         k
     }
@@ -143,8 +189,9 @@ impl CoverageOracle {
                 vector.swap_remove(k);
             }
         }
-        if let Some(lattice) = &mut self.lattice {
-            lattice.remove(row);
+        match &mut self.materialized {
+            Materialized::Counts(lattice) => lattice.remove(row),
+            _ => self.materialized = Materialized::None,
         }
         true
     }
@@ -176,9 +223,11 @@ impl CoverageOracle {
         }
         self.cardinalities[attribute] = code + 1;
         self.combos.grow_value(attribute);
-        if let Some(budget) = self.lattice.as_ref().map(Lattice::budget) {
-            self.lattice = Lattice::build(&self.combos, budget);
-        }
+        self.materialized = match &self.materialized {
+            Materialized::Counts(lattice) => Lattice::build(&self.combos, lattice.budget())
+                .map_or(Materialized::None, Materialized::Counts),
+            _ => Materialized::None,
+        };
         code
     }
 

@@ -10,8 +10,8 @@
 
 use coverage_data::Dataset;
 
-use crate::lattice::LatticeBudget;
-use crate::oracle::{CoverageOracle, DenseDescent};
+use crate::lattice::{CoveredMap, LatticeBudget};
+use crate::oracle::{CoverageOracle, DenseDescent, Materialized};
 
 /// Storage accounting for a coverage backend, surfaced through the `stats`
 /// op: total index bytes plus a histogram of compressed-container kinds
@@ -194,6 +194,15 @@ impl<P: CoverageProvider + ?Sized> Descent for ProbeEach<'_, P> {
     }
 }
 
+/// The [`Descent`] of an oracle holding a covered map at the walk's τ.
+struct ReadMap<'a>(&'a CoveredMap);
+
+impl Descent for ReadMap<'_> {
+    fn covered(&mut self, codes: &[u8], _expand: bool) -> bool {
+        self.0.get(codes)
+    }
+}
+
 impl CoverageProvider for CoverageOracle {
     fn arity(&self) -> usize {
         CoverageOracle::arity(self)
@@ -208,36 +217,38 @@ impl CoverageProvider for CoverageOracle {
     }
 
     fn coverage(&self, codes: &[u8]) -> u64 {
-        match self.lattice() {
-            Some(lattice) => lattice.get(codes),
-            None => CoverageOracle::coverage(self, codes),
+        match self.materialized() {
+            Materialized::Counts(lattice) => lattice.get(codes),
+            _ => CoverageOracle::coverage(self, codes),
         }
     }
 
     fn covered(&self, codes: &[u8], tau: u64) -> bool {
-        match self.lattice() {
-            Some(lattice) => lattice.get(codes) >= tau,
-            None => CoverageOracle::covered(self, codes, tau),
+        match self.materialized() {
+            Materialized::Counts(lattice) => lattice.get(codes) >= tau,
+            Materialized::CoveredAt(map) if map.tau() == tau => map.get(codes),
+            _ => CoverageOracle::covered(self, codes, tau),
         }
     }
 
     /// With a lattice, the exact count: it meets the capped contract.
     fn coverage_capped(&self, codes: &[u8], cap: u64) -> u64 {
-        match self.lattice() {
-            Some(lattice) => lattice.get(codes),
-            None => CoverageOracle::coverage_capped(self, codes, cap),
+        match self.materialized() {
+            Materialized::Counts(lattice) => lattice.get(codes),
+            _ => CoverageOracle::coverage_capped(self, codes, cap),
         }
     }
 
-    /// With a lattice every probe is one array read, so the walk needs no
-    /// per-level state.
+    /// With a lattice or a covered map at `tau` every probe is one array
+    /// read, so the walk needs no per-level state.
     fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
-        match self.lattice() {
-            Some(_) => Box::new(ProbeEach {
+        match self.materialized() {
+            Materialized::Counts(_) => Box::new(ProbeEach {
                 provider: self,
                 tau,
             }),
-            None => Box::new(DenseDescent::new(self, tau)),
+            Materialized::CoveredAt(map) if map.tau() == tau => Box::new(ReadMap(map)),
+            _ => Box::new(DenseDescent::new(self, tau)),
         }
     }
 
@@ -259,10 +270,16 @@ impl CoverageProvider for CoverageOracle {
         }
     }
 
-    /// The bit-vectors plus the lattice, when one is held.
+    /// The bit-vectors plus the lattice or the covered map, when one is
+    /// held.
     fn memory_stats(&self) -> BackendMemory {
+        let materialized = match self.materialized() {
+            Materialized::None => 0,
+            Materialized::Counts(lattice) => lattice.bytes(),
+            Materialized::CoveredAt(map) => map.bytes(),
+        };
         BackendMemory {
-            bytes: self.memory_bytes() + self.lattice().map_or(0, |l| l.bytes()),
+            bytes: self.memory_bytes() + materialized,
             ..BackendMemory::default()
         }
     }
@@ -358,5 +375,22 @@ mod tests {
         // The inherent figure stays dense-only; the stats add 3^3 u32 cells.
         assert_eq!(built.memory_bytes(), dense.memory_bytes());
         assert_eq!(built.memory_stats().bytes, built.memory_bytes() + 4 * 27);
+    }
+
+    #[test]
+    fn memory_stats_count_the_covered_map() {
+        let mapped = CoverageOracle::for_threshold(&example1(), 2);
+        let dense = CoverageOracle::from_dataset(&example1());
+        assert_eq!(mapped.covered_map_threshold(), Some(2));
+        assert_eq!(mapped.memory_bytes(), dense.memory_bytes());
+        // 3^3 bits round up to one u64 word.
+        assert_eq!(mapped.memory_stats().bytes, mapped.memory_bytes() + 8);
+        let wide = Dataset::new(coverage_data::Schema::binary(8).unwrap());
+        let wide_mapped = CoverageOracle::for_threshold(&wide, 1);
+        // 3^8 = 6,561 bits in 103 words.
+        assert_eq!(
+            wide_mapped.memory_stats().bytes,
+            wide_mapped.memory_bytes() + 8 * 103
+        );
     }
 }

@@ -6,8 +6,11 @@
 //! no answer.
 
 use coverage_data::{Dataset, Schema};
-use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider, LatticeBudget, X};
+use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider, LatticeBudget};
 use proptest::prelude::*;
+
+mod common;
+use common::all_patterns;
 
 /// The multiset of live rows and the current cardinalities: what a dense
 /// oracle is rebuilt from after every step.
@@ -26,24 +29,6 @@ impl Model {
     fn row(&self, raw: &[u8]) -> Vec<u8> {
         raw.iter().zip(&self.cards).map(|(&v, &c)| v % c).collect()
     }
-}
-
-/// Every pattern over `cards`, `X` included.
-fn all_patterns(cards: &[u8]) -> Vec<Vec<u8>> {
-    let mut patterns = vec![Vec::new()];
-    for &c in cards {
-        patterns = patterns
-            .into_iter()
-            .flat_map(|p| {
-                (0..c).chain([X]).map(move |v| {
-                    let mut p = p.clone();
-                    p.push(v);
-                    p
-                })
-            })
-            .collect();
-    }
-    patterns
 }
 
 /// Asserts `lattice` agrees with a dense rebuild of `model` on every
