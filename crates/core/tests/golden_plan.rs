@@ -1,7 +1,9 @@
 //! Golden plans: the exact combinations the greedy hitting set selects on
 //! fixed generated inputs. They were recorded before the solver's
 //! compaction and fused scoring went in, and pin that the rewrite walks the
-//! same search tree with the same tie-breaks.
+//! same search tree with the same tie-breaks. The d = 13 plan, pinned by
+//! its length, first picks and FNV-1a hash, was recorded before the solver
+//! gained its count phase, and its dense targets switch to that phase.
 
 use coverage_core::enhance::{CoverageEnhancer, GreedyHittingSet};
 use coverage_core::mup::{DeepDiver, MupAlgorithm};
@@ -16,8 +18,18 @@ const TAU: u64 = 50;
 /// Plans level `lambda` on `dataset` and returns the target count and the
 /// combinations as digit strings.
 fn plan(dataset: &Dataset, lambda: usize, validation: ValidationOracle) -> (usize, Vec<String>) {
+    plan_at(dataset, TAU, lambda, validation)
+}
+
+/// [`plan`] at threshold `tau`.
+fn plan_at(
+    dataset: &Dataset,
+    tau: u64,
+    lambda: usize,
+    validation: ValidationOracle,
+) -> (usize, Vec<String>) {
     let mups = DeepDiver::default()
-        .find_mups(dataset, Threshold::Count(TAU))
+        .find_mups(dataset, Threshold::Count(tau))
         .unwrap();
     let cards = dataset.schema().cardinalities();
     let plan = CoverageEnhancer::with_validation(validation)
@@ -160,4 +172,34 @@ fn bluenile_level_2_with_rules() {
             "6007003", "7004003", "8006003", "9003003",
         ],
     );
+}
+
+/// 64-bit FNV-1a over the combinations, each followed by a newline.
+fn fnv1a(combos: &[String]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in combos.iter().flat_map(|c| c.bytes().chain([b'\n'])) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn airbnb_d13_level_6_dense_targets() {
+    // The Fig 17 regime at a fifth of the rows: the targets fill most of
+    // level 6, so the solver finishes on per-combination hit counts.
+    let ds = airbnb_like(20_000, 13, 2019).unwrap();
+    let (targets, combos) = plan_at(&ds, 200, 6, ValidationOracle::accept_all());
+    assert_eq!(targets, 71_096, "target count");
+    assert_eq!(combos.len(), 185, "combination count");
+    assert_eq!(
+        &combos[..4],
+        [
+            "0001011100110",
+            "0010101110010",
+            "0011010110011",
+            "0101001010010"
+        ]
+    );
+    assert_eq!(fnv1a(&combos), 0xef09_92d0_1c3b_b24b, "hash of the plan");
 }

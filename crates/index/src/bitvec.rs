@@ -251,6 +251,12 @@ impl SparseWords {
         self.len = a.len;
     }
 
+    /// Number of nonzero words kept: the words [`Self::and_count`] and
+    /// [`Self::assign_and`] read from `self`.
+    pub fn nonzero_words(&self) -> usize {
+        self.words.len()
+    }
+
     /// Number of bits set in `self & other`, in one fused pass without
     /// materializing the intersection.
     ///
@@ -413,6 +419,8 @@ mod tests {
             dense.assign(&expected);
             assert_eq!(dst, dense, "len={len}");
             assert_eq!(dst.and_count(&BitVec::ones(len)), expected.count_ones());
+            let nonzero = expected.words().iter().filter(|&&w| w != 0).count();
+            assert_eq!(dst.nonzero_words(), nonzero, "len={len}");
         }
     }
 
