@@ -17,8 +17,6 @@ use std::time::{Duration, Instant};
 
 use coverage_core::Threshold;
 use coverage_data::generators::airbnb_like;
-use coverage_data::{Dataset, Schema};
-use coverage_index::{CompressedOracle, CoverageOracle, CoverageProvider};
 use coverage_service::protocol::Json;
 use coverage_service::{serve, CoverageEngine, OpLog, ServeOptions, SyncPolicy};
 
@@ -551,145 +549,6 @@ fn follower_catchup(entries: usize, attributes: usize, seed: u64) -> Result<(f64
     ))
 }
 
-/// The skewed high-cardinality synthetic dataset the backend comparison
-/// runs on: wide dictionaries (Σ cardinality = 368 over 5 attributes) with
-/// a min-of-two-uniforms skew, so a few values carry most rows while the
-/// long tail of rare values — where dense bitmaps waste a full-width
-/// vector per value — dominates the dictionary.
-pub fn skewed_dataset(rows: usize, seed: u64) -> Result<Dataset, String> {
-    const CARDS: [usize; 5] = [128, 96, 64, 64, 16];
-    let schema = Schema::with_cardinalities(&CARDS).map_err(|e| format!("schema: {e}"))?;
-    let mut rng = Mix64(seed);
-    let data: Vec<Vec<u8>> = (0..rows)
-        .map(|_| {
-            CARDS
-                .iter()
-                .map(|&c| rng.below(c as u64).min(rng.below(c as u64)) as u8)
-                .collect()
-        })
-        .collect();
-    Dataset::from_rows(schema, &data).map_err(|e| format!("dataset: {e}"))
-}
-
-/// One dense-vs-compressed measurement at a fixed row count: index bytes
-/// plus best-of-3 per-probe latency for point (fully specified), wide
-/// (single-attribute), and τ-capped wide probes.
-struct ProbeComparison {
-    rows: usize,
-    unique: u64,
-    dense_bytes: u64,
-    compressed_bytes: u64,
-    point_ns: (u64, u64),
-    wide_ns: (u64, u64),
-    capped_ns: (u64, u64),
-    containers: (u64, u64, u64),
-}
-
-/// Best-of-3 mean per-probe latency of `probe` over `patterns`.
-fn time_probes(patterns: &[Vec<u8>], mut probe: impl FnMut(&[u8]) -> u64) -> u64 {
-    let best = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            let mut acc = 0u64;
-            for p in patterns {
-                acc = acc.wrapping_add(probe(p));
-            }
-            std::hint::black_box(acc);
-            start.elapsed()
-        })
-        .min()
-        .unwrap_or_default();
-    best.as_nanos() as u64 / patterns.len().max(1) as u64
-}
-
-fn probe_comparison(rows: usize, seed: u64) -> Result<ProbeComparison, String> {
-    use coverage_index::X;
-    const TAU: u64 = 25;
-    let ds = skewed_dataset(rows, seed)?;
-    let dense = CoverageOracle::from_dataset(&ds);
-    let compressed = CompressedOracle::from_dataset(&ds);
-    let mut unique = 0u64;
-    dense.for_each_combination(&mut |_, _| unique += 1);
-
-    // Point probes re-probe existing rows (the MUP-maintenance access
-    // pattern); wide probes fix one attribute (the level-1 audit pattern);
-    // capped probes are the wide set again but through the τ-early-out
-    // path `covered` takes on the serving hot path.
-    let arity = ds.arity();
-    let stride = (rows / 64).max(1);
-    let points: Vec<Vec<u8>> = ds
-        .rows()
-        .step_by(stride)
-        .take(64)
-        .map(<[u8]>::to_vec)
-        .collect();
-    let mut rng = Mix64(seed ^ 0xD15E);
-    let cards = ds.schema().cardinalities();
-    let wides: Vec<Vec<u8>> = (0..32)
-        .map(|_| {
-            let attr = rng.below(arity as u64) as usize;
-            let c = cards[attr] as u64;
-            let mut p = vec![X; arity];
-            p[attr] = rng.below(c).min(rng.below(c)) as u8;
-            p
-        })
-        .collect();
-
-    Ok(ProbeComparison {
-        rows,
-        unique,
-        dense_bytes: dense.memory_bytes(),
-        compressed_bytes: compressed.memory().bytes,
-        point_ns: (
-            time_probes(&points, |p| dense.coverage(p)),
-            time_probes(&points, |p| compressed.coverage(p)),
-        ),
-        wide_ns: (
-            time_probes(&wides, |p| dense.coverage(p)),
-            time_probes(&wides, |p| compressed.coverage(p)),
-        ),
-        capped_ns: (
-            time_probes(&wides, |p| dense.coverage_capped(p, TAU)),
-            time_probes(&wides, |p| compressed.coverage_capped(p, TAU)),
-        ),
-        containers: {
-            let m = compressed.memory();
-            (m.array_containers, m.bitmap_containers, m.run_containers)
-        },
-    })
-}
-
-impl ProbeComparison {
-    fn to_json(&self) -> String {
-        let per_row = |bytes: u64| bytes as f64 / self.rows.max(1) as f64;
-        format!(
-            "{{\"rows\": {}, \"unique_combinations\": {}, \
-             \"dense\": {{\"bytes\": {}, \"bytes_per_row\": {:.2}, \
-             \"point_probe_ns\": {}, \"wide_probe_ns\": {}, \"capped_probe_ns\": {}}}, \
-             \"compressed\": {{\"bytes\": {}, \"bytes_per_row\": {:.2}, \
-             \"point_probe_ns\": {}, \"wide_probe_ns\": {}, \"capped_probe_ns\": {}, \
-             \"containers\": {{\"array\": {}, \"bitmap\": {}, \"runs\": {}}}}}, \
-             \"compression_ratio\": {:.2}}}",
-            self.rows,
-            self.unique,
-            self.dense_bytes,
-            per_row(self.dense_bytes),
-            self.point_ns.0,
-            self.wide_ns.0,
-            self.capped_ns.0,
-            self.compressed_bytes,
-            per_row(self.compressed_bytes),
-            self.point_ns.1,
-            self.wide_ns.1,
-            self.capped_ns.1,
-            self.containers.0,
-            self.containers.1,
-            self.containers.2,
-            self.dense_bytes as f64 / self.compressed_bytes.max(1) as f64,
-        )
-    }
-}
-
 /// Runs the in-tree conformance linter over this workspace and renders
 /// its per-rule summary as the report's `"lint"` section, so the
 /// committed benchmark document records the lint trajectory (findings
@@ -736,9 +595,8 @@ fn lint_section() -> Result<String, String> {
 
 /// `mithra bench-report`: measure the durability cost of the op log under
 /// an identical mixed insert/delete workload (event front end, with and
-/// without `--oplog`) plus follower catch-up replay throughput, the
-/// dense-vs-compressed backend comparison, and the conformance-lint
-/// summary, and emit the committed benchmark document (`BENCH_10.json`
+/// without `--oplog`) plus follower catch-up replay throughput and the
+/// conformance-lint summary, and emit the committed benchmark document (`BENCH_10.json`
 /// shape).
 pub fn bench_report(quick: bool) -> Result<String, String> {
     let base = LoadgenConfig {
@@ -756,18 +614,6 @@ pub fn bench_report(quick: bool) -> Result<String, String> {
     let catchup_entries = if quick { 10_000 } else { 50_000 };
     let (catchup_secs, catchup_ops) =
         follower_catchup(catchup_entries, base.attributes, base.seed)?;
-    // The backend comparison: dense vs compressed index bytes and probe
-    // latency on the skewed dataset, at a small and a large scale.
-    let probe_scales: [usize; 2] = if quick {
-        [5_000, 20_000]
-    } else {
-        [50_000, 500_000]
-    };
-    let probes = probe_scales
-        .iter()
-        .map(|&n| probe_comparison(n, base.seed).map(|c| format!("    {}", c.to_json())))
-        .collect::<Result<Vec<_>, _>>()?
-        .join(",\n");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let overhead_pct = if no_oplog.ops_per_sec > 0.0 {
         100.0 * (1.0 - with_oplog.ops_per_sec / no_oplog.ops_per_sec)
@@ -777,19 +623,17 @@ pub fn bench_report(quick: bool) -> Result<String, String> {
     let lint = lint_section()?;
     Ok(format!(
         "{{\n  \"bench\": \"BENCH_10\",\n  \"description\": \"op-log durability overhead \
-         (leader with vs without --oplog, batch fsync), follower catch-up replay, the \
-         dense-vs-compressed coverage-backend comparison, and the conformance-lint \
-         summary\",\n  \
+         (leader with vs without --oplog, batch fsync), follower catch-up replay, and \
+         the conformance-lint summary\",\n  \
          \"n\": {},\n  \"attributes\": {},\n  \"connections\": {},\n  \"secs\": {},\n  \
          \"mix_insert_coverage\": [{}, {}],\n  \"deletes_pct\": {},\n  \"host_cores\": {},\n  \
          \"no_oplog\": {},\n  \"oplog_batch\": {},\n  \"oplog_overhead_pct\": {:.1},\n  \
          \"catchup\": {{\"entries\": {}, \"secs\": {:.3}, \"ops_per_sec\": {:.1}}},\n  \
          \"speedups\": {{\"insert_delta_vs_recompute\": 40.0, \
-         \"delete_delta_vs_recompute\": 25.0, \"sharded_ingest_4_shards\": 2.0, \
-         \"note\": \"floors re-asserted by the incremental_vs_batch, delete_vs_batch, and \
-         sharded_ingest benches when run\"}},\n  \
-         \"lint\": {},\n  \
-         \"probe\": [\n{}\n  ]\n}}",
+         \"delete_delta_vs_recompute\": 25.0, \
+         \"note\": \"floors re-asserted by the incremental_vs_batch and delete_vs_batch \
+         benches when run\"}},\n  \
+         \"lint\": {}\n}}",
         base.rows,
         base.attributes,
         base.connections,
@@ -805,7 +649,6 @@ pub fn bench_report(quick: bool) -> Result<String, String> {
         catchup_secs,
         catchup_ops,
         lint,
-        probes,
     ))
 }
 
@@ -961,35 +804,13 @@ mod tests {
     }
 
     #[test]
-    fn skewed_probe_comparison_measures_both_backends() {
-        let c = probe_comparison(4_000, 7).expect("comparison runs");
-        assert!(c.unique > 0 && c.unique <= 4_000);
-        assert!(c.dense_bytes > 0 && c.compressed_bytes > 0);
-        assert!(
-            c.compressed_bytes < c.dense_bytes,
-            "skewed wide-dictionary data must compress: dense {} vs compressed {}",
-            c.dense_bytes,
-            c.compressed_bytes
-        );
-        let json = c.to_json();
-        for key in [
-            "\"compression_ratio\"",
-            "\"bytes_per_row\"",
-            "\"capped_probe_ns\"",
-            "\"containers\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
     fn report_comparison_gates_on_throughput_only() {
         let report = |ops: f64| -> String {
             format!(
                 "{{\"no_oplog\":{{\"ops_per_sec\":{ops}}},\
                  \"oplog_batch\":{{\"ops_per_sec\":{ops}}},\
                  \"catchup\":{{\"ops_per_sec\":{ops}}},\
-                 \"probe\":[{{\"compressed\":{{\"point_probe_ns\":999999}}}}]}}"
+                 \"probe\":[{{\"dense\":{{\"point_probe_ns\":999999}}}}]}}"
             )
         };
         // Within tolerance (even slightly down) passes and reports deltas.

@@ -58,8 +58,8 @@ impl MupAlgorithm for PatternCombiner {
         }
 
         // Bottom level: counts of every full value combination. Present
-        // combinations come from the provider's aggregation (a sharded
-        // backend may report one combination once per shard — summed here);
+        // combinations come from the provider's aggregation (a combination
+        // may be reported more than once — summed here);
         // absent ones count 0. Patterns are keyed by their raw code slices
         // (X = 0xFF) so the hot loops can probe the maps without allocating.
         let mut present: FxHashMap<Box<[u8]>, u64> = FxHashMap::default();

@@ -31,10 +31,10 @@ use crate::Threshold;
 /// Common interface of the MUP identification algorithms.
 ///
 /// Every algorithm probes the data exclusively through the
-/// [`CoverageProvider`] trait, so any backend — the canonical single-shard
-/// [`CoverageOracle`], a [`coverage_index::ShardedOracle`], or a future
-/// compressed/columnar/remote index — plugs in without touching algorithm
-/// code.
+/// [`CoverageProvider`] trait, so each compiles once and runs on any form
+/// of the paper's [`CoverageOracle`] — the dense inverted index, its
+/// coverage lattice, or its covered map — or on a wrapper that counts the
+/// probes.
 pub trait MupAlgorithm {
     /// Human-readable algorithm name (as used in the paper's figures).
     fn name(&self) -> &'static str;
@@ -48,7 +48,7 @@ pub trait MupAlgorithm {
     ) -> Result<Vec<Pattern>>;
 
     /// Convenience entry point: resolves the threshold, builds the
-    /// canonical single-shard oracle with its covered map at that threshold
+    /// paper's oracle with its covered map at that threshold
     /// ([`CoverageOracle::for_threshold`]), and returns the MUPs sorted
     /// lexicographically.
     fn find_mups(&self, dataset: &Dataset, threshold: Threshold) -> Result<Vec<Pattern>> {
@@ -88,7 +88,7 @@ pub(crate) mod test_support {
         .unwrap()
     }
 
-    /// The canonical single-shard provider over a dataset — the one place
+    /// The dense provider over a dataset — the one place
     /// the algorithm tests name a concrete backend.
     pub fn oracle_for(dataset: &Dataset) -> CoverageOracle {
         CoverageOracle::from_dataset(dataset)

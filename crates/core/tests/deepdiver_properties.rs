@@ -1,6 +1,6 @@
 //! Properties of DeepDiver on small random datasets: it finds exactly the
-//! MUPs of the naive enumeration, every backend's descent finds the same
-//! ones, and the ancestor check of Algorithm 3 — which the walk leaves out
+//! MUPs of the naive enumeration, the oracle's lattice and covered-map
+//! descents find the same ones as its dense descent, and the ancestor check of Algorithm 3 — which the walk leaves out
 //! — would never fire.
 
 use std::cell::Cell;
@@ -8,7 +8,7 @@ use std::cell::Cell;
 use coverage_core::mup::{DeepDiver, MupAlgorithm, NaiveMup, PatternBreaker};
 use coverage_core::pattern::{Pattern, X};
 use coverage_data::{Dataset, Schema};
-use coverage_index::{CompressedOracle, CoverageOracle, CoverageProvider, ShardedOracle};
+use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider};
 use proptest::prelude::*;
 
 /// Algorithm 3 as it stood with the ancestor check: a popped node that
@@ -83,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
-    fn deepdiver_finds_the_naive_mups_on_every_backend(case in instance()) {
+    fn deepdiver_finds_the_naive_mups_on_every_oracle_form(case in instance()) {
         let (dataset, tau, max_level) = case;
         let diver = DeepDiver { max_level };
         let dense = CoverageOracle::from_dataset(&dataset);
@@ -98,9 +98,10 @@ proptest! {
             .collect();
         prop_assert_eq!(&got, &sorted(naive));
 
-        let compressed = CompressedOracle::from_dataset(&dataset);
-        let sharded: ShardedOracle = ShardedOracle::from_dataset(&dataset, 2);
-        for other in [&compressed as &dyn CoverageProvider, &sharded] {
+        let lattice = <CoverageOracle as CoverageBackend>::build(&dataset, 1);
+        prop_assert!(lattice.has_lattice());
+        let mapped = CoverageOracle::for_threshold(&dataset, tau);
+        for other in [&lattice as &dyn CoverageProvider, &mapped] {
             prop_assert_eq!(&sorted(diver.find_mups_with_oracle(other, tau).unwrap()), &got);
         }
 

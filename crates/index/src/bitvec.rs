@@ -6,8 +6,8 @@
 //! narrows its search filters in.
 //!
 //! The heavy loops live in [`crate::kernels`] — explicit 4×`u64`-lane
-//! unrolled word kernels shared with the compressed backend's bitmap
-//! containers; this module only adds the length/weight contracts on top.
+//! unrolled word kernels; this module only adds the length/weight
+//! contracts on top.
 
 use crate::kernels;
 
@@ -297,11 +297,7 @@ pub fn intersection_weighted_sum(vectors: &[&BitVec], weights: &[u64]) -> u64 {
 /// the exact sum when it is below `cap`, otherwise the first running total
 /// that reached `cap` — the early exit behind every covered/uncovered
 /// decision (`cov(P) ≥ τ`), which in covered regions terminates after a
-/// handful of words instead of scanning the dataset. Returning the capped
-/// count instead of a bool lets a caller summing over several disjoint
-/// partitions (a sharded oracle) keep the early exit *within* each
-/// partition while the cross-partition total stays exact until the
-/// threshold is met.
+/// handful of words instead of scanning the dataset.
 ///
 /// An empty `vectors` slice denotes the universe.
 pub fn intersection_weight_capped(vectors: &[&BitVec], weights: &[u64], cap: u64) -> u64 {

@@ -1,8 +1,7 @@
 //! Shared word-level intersection kernels.
 //!
-//! Every coverage probe — the dense oracle's multi-vector AND, the
-//! compressed backend's bitmap-container intersections — bottoms out in the
-//! loops here. They are written as explicit 4×`u64`-lane unrolled loops with
+//! Every dense coverage probe — the oracle's multi-vector AND — bottoms
+//! out in the loops here. They are written as explicit 4×`u64`-lane unrolled loops with
 //! a scalar tail: four independent accumulators per iteration give the
 //! backend four in-flight dependency chains, which is what lets a scalar
 //! core keep its popcount/AND units saturated (and what an auto-vectorizer
@@ -109,28 +108,6 @@ pub(crate) fn weighted_sum_words(words: &[u64], weights: &[u64]) -> u64 {
     while wi < n {
         total += weighted_bits(words[wi], weights, wi * WORD_BITS);
         wi += 1;
-    }
-    total
-}
-
-/// Like [`weighted_sum_words`] but stops at the first running total that
-/// reaches `cap` (exact below it). The per-bit early exit is what makes
-/// covered-region probes O(τ) instead of O(words).
-pub(crate) fn weighted_sum_words_capped(words: &[u64], weights: &[u64], cap: u64) -> u64 {
-    if cap == 0 {
-        return 0;
-    }
-    let mut total = 0u64;
-    for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            total = total.saturating_add(weights[wi * WORD_BITS + bit]);
-            if total >= cap {
-                return total;
-            }
-            w &= w - 1;
-        }
     }
     total
 }
@@ -389,11 +366,6 @@ mod tests {
             weighted_sum_words(&a, &weights),
             intersect_weighted_sum(&[&a], &weights)
         );
-        assert_eq!(
-            weighted_sum_words_capped(&a, &weights, u64::MAX),
-            weighted_sum_words(&a, &weights)
-        );
-        assert_eq!(weighted_sum_words_capped(&a, &weights, 0), 0);
     }
 
     #[test]

@@ -8,15 +8,12 @@
 //!   surface the algorithms and the serving layer are generic over;
 //! * [`CoverageOracle`] — the inverted-index coverage oracle of Appendix A
 //!   (`cov(P)` as an AND over per-(attribute, value) vectors followed by a
-//!   dot product with the multiplicity vector) — the canonical single-shard
-//!   provider;
+//!   dot product with the multiplicity vector) — the one provider;
 //! * [`LatticeBudget`] — when a [`CoverageOracle`] built through
 //!   [`CoverageBackend::build`] also materializes every pattern's count, so
 //!   its provider probes are one array read, and when one built by
 //!   [`CoverageOracle::for_threshold`] holds one bit per pattern instead,
 //!   telling whether it is covered at the walk's τ;
-//! * [`ShardedOracle`] — N row-disjoint oracles behind the same trait, with
-//!   parallel build/ingest/wide-probes for multi-core serving;
 //! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used
 //!   by DEEPDIVER to prune the descendants of discovered MUPs;
 //! * [`Descent`] — the probe session of a depth-first Rule-1 walk, which the
@@ -29,21 +26,15 @@
 #![warn(missing_docs)]
 
 mod bitvec;
-mod compressed;
-mod container;
 mod dominance;
 mod kernels;
 mod lattice;
 mod oracle;
 mod provider;
-mod sharded;
 
 pub use bitvec::{intersection_weighted_sum, BitVec, SparseWords};
-pub use compressed::CompressedOracle;
-pub use container::{Container, ARRAY_MAX, BITMAP_WORDS, CHUNK_SIZE};
 pub use dominance::MupDominanceIndex;
 pub use kernels::kernel_features;
 pub use lattice::{LatticeBudget, LATTICE_CELL_BUDGET};
 pub use oracle::{CoverageOracle, X};
 pub use provider::{BackendMemory, CoverageBackend, CoverageProvider, Descent};
-pub use sharded::ShardedOracle;

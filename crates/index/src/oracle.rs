@@ -291,9 +291,7 @@ impl CoverageOracle {
 
     /// `cov(P)` computed only up to `cap`: the exact count when it is below
     /// `cap`, otherwise the first running count that reached `cap` (same
-    /// early exit as [`Self::covered`]). A sharded backend sums these across
-    /// its shards, keeping the early exit within each shard while the
-    /// cross-shard total stays exact until the threshold is met.
+    /// early exit as [`Self::covered`]).
     pub fn coverage_capped(&self, codes: &[u8], cap: u64) -> u64 {
         assert_eq!(codes.len(), self.arity(), "pattern arity mismatch");
         let mut selected: Vec<&BitVec> = Vec::with_capacity(codes.len());
@@ -306,8 +304,7 @@ impl CoverageOracle {
     }
 
     /// Logical index bytes: every `(attribute, value)` vector stores one bit
-    /// per unique combination, packed into words — the dense memory model
-    /// the compressed backend exists to beat.
+    /// per unique combination, packed into words.
     pub fn memory_bytes(&self) -> u64 {
         self.vectors
             .iter()

@@ -2,11 +2,9 @@
 //! the enhancement planner, and the serving layer actually need from a
 //! coverage backend — decoupled from any particular index layout.
 //!
-//! [`CoverageOracle`] is the canonical single-shard implementation;
-//! [`crate::ShardedOracle`] distributes rows over several of them for
-//! multi-core ingest. Future backends (compressed bitmaps, columnar stores,
-//! remote shards) plug in behind the same two traits without touching a
-//! single algorithm.
+//! [`CoverageOracle`] is the one implementation. The traits stay so that
+//! the algorithms compile once against `&dyn CoverageProvider`, and so that
+//! a wrapper (a probe-counting tracer, say) can stand in for the oracle.
 
 use coverage_data::Dataset;
 
@@ -14,33 +12,11 @@ use crate::lattice::{CoveredMap, LatticeBudget};
 use crate::oracle::{CoverageOracle, DenseDescent, Materialized};
 
 /// Storage accounting for a coverage backend, surfaced through the `stats`
-/// op: total index bytes plus a histogram of compressed-container kinds
-/// (all zero for backends without containers).
+/// op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendMemory {
     /// Logical index bytes (posting storage; excludes the aggregation).
     pub bytes: u64,
-    /// Sorted-array containers in use.
-    pub array_containers: u64,
-    /// Dense-bitmap containers in use.
-    pub bitmap_containers: u64,
-    /// Run-length containers in use.
-    pub run_containers: u64,
-}
-
-impl BackendMemory {
-    /// Total containers across all kinds.
-    pub fn containers(&self) -> u64 {
-        self.array_containers + self.bitmap_containers + self.run_containers
-    }
-
-    /// Accumulates another backend's accounting (shard-wise merge).
-    pub fn merge(&mut self, other: &BackendMemory) {
-        self.bytes += other.bytes;
-        self.array_containers += other.array_containers;
-        self.bitmap_containers += other.bitmap_containers;
-        self.run_containers += other.run_containers;
-    }
 }
 
 /// Read/write probe interface over a coverage index.
@@ -75,9 +51,9 @@ pub trait CoverageProvider {
 
     /// `cov(P)` computed only up to `cap`: exact when the count is below
     /// `cap`, otherwise any running count that reached `cap` (callers only
-    /// compare against `cap` or keep summing shard-wise). An exact count
-    /// satisfies the contract, so the default delegates to
-    /// [`Self::coverage`]; backends with an early-exit path should override.
+    /// compare against `cap`). An exact count satisfies the contract, so
+    /// the default delegates to [`Self::coverage`]; backends with an
+    /// early-exit path should override.
     fn coverage_capped(&self, codes: &[u8], cap: u64) -> u64 {
         if cap == 0 {
             return 0;
@@ -97,9 +73,8 @@ pub trait CoverageProvider {
         })
     }
 
-    /// `cov` for a batch of patterns at once — the wide-probe entry point a
-    /// multi-shard backend answers in parallel. The default is a sequential
-    /// loop over [`Self::coverage`].
+    /// `cov` for a batch of patterns at once. The default is a loop over
+    /// [`Self::coverage`].
     fn coverage_batch(&self, patterns: &[&[u8]]) -> Vec<u64> {
         patterns.iter().map(|p| self.coverage(p)).collect()
     }
@@ -113,9 +88,8 @@ pub trait CoverageProvider {
     /// validate against the schema first, as with [`CoverageOracle::add_row`]).
     fn add_row(&mut self, row: &[u8]);
 
-    /// Ingests a batch of rows — the entry point a multi-shard backend
-    /// parallelizes over shard-local sub-batches. The default is a
-    /// sequential loop over [`Self::add_row`].
+    /// Ingests a batch of rows. The default is a loop over
+    /// [`Self::add_row`].
     fn add_rows(&mut self, rows: &[&[u8]]) {
         for row in rows {
             self.add_row(row);
@@ -133,8 +107,7 @@ pub trait CoverageProvider {
     /// Grows attribute `attribute`'s value dictionary by one, returning the
     /// new value's code (always the old cardinality). Answers for existing
     /// patterns must be unchanged; patterns carrying the new code answer 0
-    /// until matching rows arrive. A sharded backend grows every shard so
-    /// the per-shard cardinalities stay in lock-step.
+    /// until matching rows arrive.
     ///
     /// # Panics
     ///
@@ -143,20 +116,19 @@ pub trait CoverageProvider {
     /// schema's [`coverage_data::MAX_CARDINALITY`] bound first).
     fn grow_value(&mut self, attribute: usize) -> u8;
 
-    /// Visits every distinct `(combination, multiplicity)` pair. A sharded
-    /// backend may visit the same combination once per shard holding copies
-    /// of it — consumers must sum multiplicities, never assume distinctness.
+    /// Visits every `(combination, multiplicity)` pair. A combination may be
+    /// visited more than once, so consumers sum multiplicities rather than
+    /// assume distinctness.
     fn for_each_combination(&self, visit: &mut dyn FnMut(&[u8], u64));
 
-    /// Rows held per shard — `[total()]` for single-shard backends. Serving
-    /// stats surface this so operators can see skew.
+    /// `[total()]`. Nothing reads it: it stays only because the repository
+    /// benchmark's tracing wrapper implements it, and the benchmark edits
+    /// of ROADMAP items 5 and 9 remove it.
     fn shard_totals(&self) -> Vec<u64> {
         vec![self.total()]
     }
 
-    /// Stable backend family name, as accepted by `serve --backend` and
-    /// recorded in v5 snapshots. Composite backends report their inner
-    /// family (a sharded-over-compressed index is still "compressed").
+    /// Backend family name, reported by the `stats` op.
     fn backend_name(&self) -> &'static str {
         "dense"
     }
@@ -280,22 +252,23 @@ impl CoverageProvider for CoverageOracle {
         };
         BackendMemory {
             bytes: self.memory_bytes() + materialized,
-            ..BackendMemory::default()
         }
     }
 }
 
 /// A provider a long-lived engine can own: constructible from a dataset
-/// (with a shard-layout hint) and rebuildable after faults.
-///
-/// `shards` is a *hint*: single-shard backends ignore it, sharded backends
-/// clamp it to at least 1. The bounds (`Clone + Send + Sync + 'static`) are
-/// what the serving layer needs to share an engine across worker threads
-/// (and what lets a sharded wrapper fan probes out over scoped threads).
+/// and rebuildable after faults. The bounds (`Clone + Send + Sync +
+/// 'static`) are what the serving layer needs to share an engine across
+/// threads.
 pub trait CoverageBackend:
     CoverageProvider + Clone + Send + Sync + std::fmt::Debug + 'static
 {
-    /// Builds the backend over a dataset, honoring the shard-layout hint.
+    /// Builds the backend over a dataset.
+    ///
+    /// `shards` is ignored: the backend is one index. The argument stays
+    /// only because the repository benchmark's tracing wrapper implements
+    /// this signature; the benchmark edits of ROADMAP items 5 and 9 remove
+    /// it.
     fn build(dataset: &Dataset, shards: usize) -> Self;
 }
 

@@ -52,8 +52,7 @@ pub(crate) fn coverage_cached(
 
 /// Coverage of a batch of patterns through the memo cache: misses are
 /// gathered and answered with **one** [`CoverageProvider::coverage_batch`]
-/// call — the wide probe a sharded backend fans out across its shards in
-/// parallel — then fed back into the cache.
+/// call, then fed back into the cache.
 pub(crate) fn coverage_cached_batch(
     oracle: &dyn CoverageProvider,
     cache: &mut CoverageCache,
@@ -119,8 +118,7 @@ pub(crate) fn apply_insert_delta<R: AsRef<[u8]>>(
     if affected.is_empty() {
         return DeltaOutcome::default();
     }
-    // One wide probe for every touched MUP — a sharded backend answers the
-    // whole batch with parallel shard-local scans.
+    // One batch probe for every touched MUP.
     let counts = coverage_cached_batch(oracle, cache, &affected);
     let retired: HashSet<Pattern> = affected
         .into_iter()

@@ -1,11 +1,11 @@
 //! The long-lived [`CoverageEngine`]: a mutable dataset + coverage backend
 //! whose MUP set is maintained incrementally as tuples stream in — and out.
 //!
-//! The engine is generic over [`CoverageBackend`]: the canonical
-//! single-shard [`CoverageOracle`] is the default, and
-//! [`coverage_index::ShardedOracle`] (what `mithra serve --shards N` runs)
-//! spreads ingest and wide probes over several cores. All maintenance logic
-//! is backend-agnostic — it only speaks [`CoverageProvider`].
+//! The engine is generic over [`CoverageBackend`] so that a wrapper (a
+//! probe-counting tracer, say) can stand in for the backend; `mithra serve`
+//! runs the default, the paper's [`CoverageOracle`] with its coverage
+//! lattice. All maintenance logic only speaks
+//! [`coverage_index::CoverageProvider`].
 //!
 //! * Fixed (count) thresholds take the pure delta path: an insert re-probes
 //!   only the MUPs matching it (retired ones are replaced by a bounded
@@ -56,15 +56,11 @@ pub struct EngineStats {
 }
 
 /// A long-lived coverage engine over a mutable dataset, generic over the
-/// coverage backend (`B`). The default backend is the single-shard
-/// [`CoverageOracle`].
+/// coverage backend (`B`). The default backend is [`CoverageOracle`].
 #[derive(Debug, Clone)]
 pub struct CoverageEngine<B: CoverageBackend = CoverageOracle> {
     dataset: Dataset,
     oracle: B,
-    /// Shard-layout hint passed to [`CoverageBackend::build`] on every
-    /// (re)build; single-shard backends ignore it.
-    shards: usize,
     threshold: Threshold,
     tau: u64,
     mups: Vec<Pattern>,
@@ -77,8 +73,7 @@ pub struct CoverageEngine<B: CoverageBackend = CoverageOracle> {
 }
 
 impl CoverageEngine {
-    /// Builds a single-shard engine over `dataset`, running one initial
-    /// DEEPDIVER audit.
+    /// Builds an engine over `dataset`, running one initial DEEPDIVER audit.
     pub fn new(dataset: Dataset, threshold: Threshold) -> Result<Self> {
         Self::with_cache_capacity(dataset, threshold, DEFAULT_CACHE_CAPACITY)
     }
@@ -95,23 +90,19 @@ impl CoverageEngine {
 }
 
 impl<B: CoverageBackend> CoverageEngine<B> {
-    /// Builds an engine whose backend is laid out over `shards` row shards
-    /// (a hint — single-shard backends ignore it, sharded backends clamp it
-    /// to at least 1), running one initial DEEPDIVER audit.
-    pub fn with_shards(dataset: Dataset, threshold: Threshold, shards: usize) -> Result<Self> {
-        Self::with_config(dataset, threshold, shards, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Fully explicit constructor: shard-layout hint plus memo-cache bound
-    /// (0 disables the cache).
+    /// Builds an engine over backend `B` with a memo-cache bound (0 disables
+    /// the cache), running one initial DEEPDIVER audit.
+    ///
+    /// `_shards` is ignored: the backend is one index. The argument stays
+    /// only because the repository benchmark calls this signature; the
+    /// benchmark edits of ROADMAP items 5 and 9 remove it.
     pub fn with_config(
         dataset: Dataset,
         threshold: Threshold,
-        shards: usize,
+        _shards: usize,
         cache_capacity: usize,
     ) -> Result<Self> {
-        let shards = shards.max(1);
-        let oracle = B::build(&dataset, shards);
+        let oracle = B::build(&dataset, 1);
         let tau = threshold.resolve(dataset.len() as u64)?;
         let mut mups = DeepDiver::default().find_mups_with_oracle(&oracle, tau)?;
         mups.sort();
@@ -119,7 +110,6 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         Ok(Self {
             dataset,
             oracle,
-            shards,
             threshold,
             tau,
             mups,
@@ -181,13 +171,10 @@ impl<B: CoverageBackend> CoverageEngine<B> {
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
         }
         if let [row] = rows {
-            // Streaming hot path: a single row needs no routing scaffolding
-            // — the borrowed row goes straight down, allocation-free.
+            // Streaming hot path: the borrowed row goes straight down,
+            // allocation-free.
             self.oracle.add_row(row.as_ref());
         } else {
-            // One batch hand-off to the backend: a sharded oracle splits
-            // this into shard-local sub-batches and ingests them in
-            // parallel.
             let refs: Vec<&[u8]> = rows.iter().map(AsRef::as_ref).collect();
             self.oracle.add_rows(&refs);
         }
@@ -334,7 +321,7 @@ impl<B: CoverageBackend> CoverageEngine<B> {
     /// handler panics while holding the engine, whose derived state may have
     /// been torn mid-update; counted as a full recompute in [`Self::stats`].
     pub fn rebuild(&mut self) -> Result<()> {
-        self.oracle = B::build(&self.dataset, self.shards);
+        self.oracle = B::build(&self.dataset, 1);
         self.tau = self.threshold.resolve(self.dataset.len() as u64)?;
         self.mups = DeepDiver::default().find_mups_with_oracle(&self.oracle, self.tau)?;
         self.mups.sort();
@@ -343,19 +330,10 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         Ok(())
     }
 
-    /// Re-lays the backend out over `shards` row shards. Coverage answers
-    /// are layout-independent, so the MUP set and τ stay valid — only the
-    /// index is rebuilt (and the memo cache stays warm: cached counts are
-    /// sums over all shards either way).
-    pub fn reshard(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-        self.oracle = B::build(&self.dataset, self.shards);
-    }
-
     /// Reassembles an engine from snapshot parts **without re-running
     /// discovery** — the caller (the snapshot loader) vouches that `mups` is
     /// exactly the MUP set of `dataset` under `threshold`. The backend is
-    /// rebuilt from the dataset over `shards` shards; stats and the
+    /// rebuilt from the dataset; stats and the
     /// per-attribute dictionary-growth counters (`grown`, zeros for pre-v3
     /// snapshots) carry over; the memo cache starts cold.
     pub fn from_snapshot_parts(
@@ -363,7 +341,6 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         threshold: Threshold,
         mut mups: Vec<Pattern>,
         stats: EngineStats,
-        shards: usize,
         grown: Vec<u64>,
     ) -> Result<Self> {
         if grown.len() != dataset.arity() {
@@ -373,14 +350,12 @@ impl<B: CoverageBackend> CoverageEngine<B> {
                 dataset.arity()
             )));
         }
-        let shards = shards.max(1);
-        let oracle = B::build(&dataset, shards);
+        let oracle = B::build(&dataset, 1);
         let tau = threshold.resolve(dataset.len() as u64)?;
         mups.sort();
         Ok(Self {
             dataset,
             oracle,
-            shards,
             threshold,
             tau,
             mups,
@@ -469,17 +444,6 @@ impl<B: CoverageBackend> CoverageEngine<B> {
     /// The incrementally maintained coverage backend.
     pub fn oracle(&self) -> &B {
         &self.oracle
-    }
-
-    /// The shard-layout hint the backend was built with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Rows held per backend shard (`[rows]` for single-shard backends) —
-    /// the skew signal the `stats` protocol op surfaces to operators.
-    pub fn shard_layout(&self) -> Vec<u64> {
-        self.oracle.shard_totals()
     }
 
     /// Maintenance counters.
@@ -791,55 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_tracks_the_single_shard_engine() {
-        use coverage_index::ShardedOracle;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
-        let stream: Vec<Vec<u8>> = (0..60)
-            .map(|_| (0..3).map(|_| rng.random_range(0..2u8)).collect())
-            .collect();
-        let mut single = CoverageEngine::new(example1(), Threshold::Count(2)).unwrap();
-        let mut sharded =
-            CoverageEngine::<ShardedOracle>::with_shards(example1(), Threshold::Count(2), 3)
-                .unwrap();
-        assert_eq!(sharded.mups(), single.mups());
-        for (i, chunk) in stream.chunks(7).enumerate() {
-            single.insert_batch(chunk).unwrap();
-            sharded.insert_batch(chunk).unwrap();
-            assert_eq!(sharded.mups(), single.mups(), "after batch {i}");
-            assert_eq!(
-                sharded.shard_layout().iter().sum::<u64>(),
-                single.dataset().len() as u64
-            );
-        }
-        for row in stream.iter().rev().take(30) {
-            single.remove(row).unwrap();
-            sharded.remove(row).unwrap();
-            assert_eq!(sharded.mups(), single.mups(), "after delete {row:?}");
-        }
-        assert_eq!(sharded.shards(), 3);
-        assert_eq!(sharded.shard_layout().len(), 3);
-    }
-
-    #[test]
-    fn reshard_preserves_answers_and_mups() {
-        use coverage_index::ShardedOracle;
-        let ds = coverage_data::generators::airbnb_like(400, 4, 31).unwrap();
-        let mut engine =
-            CoverageEngine::<ShardedOracle>::with_shards(ds, Threshold::Count(5), 1).unwrap();
-        let mups_before = engine.mups().to_vec();
-        let cov_before = engine.coverage(&[1, X, X, X]).unwrap();
-        engine.reshard(4);
-        assert_eq!(engine.shards(), 4);
-        assert_eq!(engine.shard_layout().len(), 4);
-        assert_eq!(engine.mups(), mups_before.as_slice());
-        assert_eq!(engine.coverage(&[1, X, X, X]).unwrap(), cov_before);
-        // The resharded engine keeps maintaining correctly.
-        engine.insert(&[0, 0, 0, 0]).unwrap();
-        let expected = batch_mups(&engine.dataset().clone(), Threshold::Count(5));
-        assert_eq!(engine.mups(), expected.as_slice());
-    }
-
-    #[test]
     fn grow_value_mints_the_level1_mup_and_tracks_batch() {
         let mut engine = CoverageEngine::new(example1(), Threshold::Count(1)).unwrap();
         let before = engine.mups().len();
@@ -897,28 +812,6 @@ mod tests {
         assert_eq!(engine.dataset().schema().cardinality(0), 3);
         assert_eq!(engine.dictionary_growth(), &[1, 0, 0]);
         assert_eq!(engine.mups().len(), mups_before.len() + 1);
-    }
-
-    #[test]
-    fn grow_value_on_sharded_backend_tracks_single_shard() {
-        use coverage_index::ShardedOracle;
-        let mut single = CoverageEngine::new(example1(), Threshold::Count(2)).unwrap();
-        let mut sharded =
-            CoverageEngine::<ShardedOracle>::with_shards(example1(), Threshold::Count(2), 3)
-                .unwrap();
-        for engine_code in [
-            single.grow_value(2, "new").unwrap(),
-            sharded.grow_value(2, "new").unwrap(),
-        ] {
-            assert_eq!(engine_code, 2);
-        }
-        assert_eq!(sharded.mups(), single.mups());
-        for row in [[0u8, 0, 2], [1, 1, 2], [0, 0, 2], [1, 1, 2]] {
-            single.insert(&row).unwrap();
-            sharded.insert(&row).unwrap();
-            assert_eq!(sharded.mups(), single.mups(), "after {row:?}");
-        }
-        assert_eq!(sharded.dictionary_growth(), single.dictionary_growth());
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! tuples stream in, and a newline-delimited JSON protocol exposes it over
 //! stdin/stdout or TCP (`mithra serve`).
 //!
-//! The engine is generic over [`coverage_index::CoverageBackend`]: the
-//! default is the single-shard [`coverage_index::CoverageOracle`], while
-//! `mithra serve --shards N` runs a [`ShardedCoverageEngine`] whose
-//! [`coverage_index::ShardedOracle`] ingests batches and answers wide
-//! probes with one thread per row shard.
+//! `mithra serve` runs the engine over the paper's inverted-index oracle,
+//! [`coverage_index::CoverageOracle`], holding its coverage lattice. The
+//! engine stays generic over [`coverage_index::CoverageBackend`] only so
+//! that a wrapper, such as a probe-counting tracer, can stand in for it.
 //!
 //! Modules:
 //!
@@ -98,23 +97,12 @@ pub mod tenant;
 pub use cache::CoverageCache;
 pub use delta::DeltaOutcome;
 pub use engine::{CoverageEngine, EngineStats, DEFAULT_CACHE_CAPACITY};
-
-/// The multi-core serving engine behind `mithra serve --shards N`: a
-/// [`CoverageEngine`] over a row-sharded oracle.
-pub type ShardedCoverageEngine = CoverageEngine<coverage_index::ShardedOracle>;
-
-/// The compressed serving engine behind `mithra serve --backend compressed`:
-/// a [`CoverageEngine`] over row shards of Roaring-style
-/// [`coverage_index::CompressedOracle`] posting lists.
-pub type CompressedCoverageEngine =
-    CoverageEngine<coverage_index::ShardedOracle<coverage_index::CompressedOracle>>;
 pub use metrics::ServeMetrics;
 pub use oplog::{LogEntry, LoggedOp, OpLog, SyncPolicy, OPLOG_VERSION};
 pub use replica::{apply_entry, replay_entries, run_follower, ReplicaSource, ReplicationStatus};
 pub use server::{handle_line, serve, serve_lines, ServeOptions, DEFAULT_MAX_PENDING};
 pub use snapshot::{
-    load_snapshot, load_snapshot_anchored, load_snapshot_with_layout, save_snapshot,
-    save_snapshot_anchored, snapshot_backend, SNAPSHOT_VERSION,
+    load_snapshot, load_snapshot_anchored, save_snapshot, save_snapshot_anchored, SNAPSHOT_VERSION,
 };
 pub use tenant::{serve_tenants, DatasetCounters, TenantSpec};
 

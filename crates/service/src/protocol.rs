@@ -387,8 +387,6 @@ pub enum ErrorCode {
     BadPattern,
     /// A `delete` names more copies of a row than the dataset holds.
     RowNotFound,
-    /// An `enhance` plan cannot hit every remaining pattern.
-    Unhittable,
     /// `snapshot`/`restore` was requested but no path is configured.
     NoSnapshot,
     /// A snapshot could not be written, read, or understood.
@@ -409,7 +407,7 @@ impl ErrorCode {
     /// it to exactly the variants up to the last one, `Internal`, and a
     /// test-side `match` without a wildcard arm produces each one from a
     /// real request.
-    pub const ALL: [ErrorCode; 17] = [
+    pub const ALL: [ErrorCode; 16] = [
         ErrorCode::Parse,
         ErrorCode::LineTooLong,
         ErrorCode::UnknownOp,
@@ -420,7 +418,6 @@ impl ErrorCode {
         ErrorCode::DuplicateValue,
         ErrorCode::BadPattern,
         ErrorCode::RowNotFound,
-        ErrorCode::Unhittable,
         ErrorCode::NoSnapshot,
         ErrorCode::SnapshotIo,
         ErrorCode::ThresholdMismatch,
@@ -442,7 +439,6 @@ impl ErrorCode {
             ErrorCode::DuplicateValue => "duplicate_value",
             ErrorCode::BadPattern => "bad_pattern",
             ErrorCode::RowNotFound => "row_not_found",
-            ErrorCode::Unhittable => "unhittable",
             ErrorCode::NoSnapshot => "no_snapshot",
             ErrorCode::SnapshotIo => "snapshot_io",
             ErrorCode::ThresholdMismatch => "threshold_mismatch",
@@ -505,7 +501,11 @@ impl ServeError {
             ServiceError::Snapshot(_) => ErrorCode::SnapshotIo,
             ServiceError::Core(core) => match core {
                 CoverageError::ArityMismatch { .. } => ErrorCode::ArityMismatch,
-                CoverageError::Unhittable { .. } => ErrorCode::Unhittable,
+                // Every served attribute has at least one value and every
+                // served MUP is in range, and the served enhancer plans
+                // without validation rules, so every target is hittable:
+                // this verdict means the engine broke an invariant.
+                CoverageError::Unhittable { .. } => ErrorCode::Internal,
                 CoverageError::Data(d) => return ServeError::from_data_ref(d, e.to_string()),
                 _ => ErrorCode::BadRequest,
             },

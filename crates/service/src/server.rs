@@ -513,14 +513,10 @@ pub(crate) fn dispatch<B: CoverageBackend>(
                      followers); restart the server to recover from the snapshot + log",
                 ));
             }
-            // The op restores *data*, not deployment config: the serving
-            // process keeps its current shard layout (which already
-            // reflects any CLI --shards override) rather than silently
-            // adopting whatever layout the snapshot was taken under.
-            let restored = crate::snapshot::load_snapshot_with_layout(path, Some(engine.shards()))
-                .map_err(ServeError::from_service)?;
-            // Same reasoning for the threshold: clients mid-conversation
-            // have been quoting τ from the serving config; a snapshot
+            let restored =
+                crate::snapshot::load_snapshot(path).map_err(ServeError::from_service)?;
+            // The op restores *data*, not deployment config: clients
+            // mid-conversation have been quoting τ from the serving config; a snapshot
             // carrying a different threshold must be an explicit restart,
             // not a silent semantic change.
             if restored.threshold() != engine.threshold() {
@@ -675,7 +671,6 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             let report = engine.report();
             let stats = engine.stats();
             let (cache_len, cache_cap, hits, misses, invalidated) = engine.cache_stats();
-            let shard_layout = engine.shard_layout();
             let _ = std::fmt::Write::write_fmt(
                 &mut out,
                 format_args!(
@@ -729,20 +724,8 @@ pub(crate) fn dispatch<B: CoverageBackend>(
                     ),
                 );
             }
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!("],\"shards\":{{\"count\":{},\"rows\":[", shard_layout.len()),
-            );
-            // Per-shard row counts, so operators can see routing skew.
-            for (i, rows) in shard_layout.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{rows}"));
-            }
-            out.push_str("]}");
-            // Per-backend memory: index bytes, bytes/row, and the
-            // compressed-container histogram (all-zero for dense), plus the
+            out.push(']');
+            // Backend memory: index bytes and bytes/row, plus the
             // intersection-kernel code path the host runs.
             let memory = engine.oracle().memory_stats();
             let rows = engine.dataset().len();
@@ -756,15 +739,11 @@ pub(crate) fn dispatch<B: CoverageBackend>(
                 format_args!(
                     concat!(
                         ",\"backend\":{{\"name\":\"{}\",\"bytes\":{},",
-                        "\"bytes_per_row\":{:.3},\"containers\":{{\"array\":{},",
-                        "\"bitmap\":{},\"runs\":{}}},\"kernels\":"
+                        "\"bytes_per_row\":{:.3},\"kernels\":"
                     ),
                     engine.oracle().backend_name(),
                     memory.bytes,
                     bytes_per_row,
-                    memory.array_containers,
-                    memory.bitmap_containers,
-                    memory.run_containers,
                 ),
             );
             write_json_string(&mut out, coverage_index::kernel_features());
@@ -1126,16 +1105,6 @@ mod tests {
                 default(),
                 vec![r#"{"op":"delete","rows":[["f","white"],["f","white"]]}"#],
             ),
-            // No request reaches this code: the serving enhancer plans
-            // without a validation oracle, so every target is hittable.
-            // It is the wire form of the core solver's verdict.
-            ErrorCode::Unhittable => {
-                let verdict = coverage_core::CoverageError::Unhittable {
-                    patterns: vec!["1X".into()],
-                };
-                let error = ServeError::from_service(crate::ServiceError::Core(verdict));
-                return vec![error_response(None, &error)];
-            }
             ErrorCode::NoSnapshot => (default(), vec![r#"{"op":"snapshot"}"#]),
             ErrorCode::SnapshotIo => (
                 snapshot_at(scratch.join("no-such-dir").join("engine.snapshot")),
@@ -1251,50 +1220,31 @@ mod tests {
             doc.get("cache").unwrap().get("invalidated").is_some(),
             "invalidation churn must be visible to operators"
         );
-        let shards = doc.get("shards").expect("stats must report shard layout");
-        assert_eq!(shards.get("count").and_then(Json::as_u64), Some(1));
-        let rows: Vec<u64> = shards
-            .get("rows")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_u64().unwrap())
-            .collect();
-        assert_eq!(rows, vec![5]);
         // `handle_line` and stdin have no I/O metrics; the section appears
         // only over TCP.
         assert!(doc.get("io").is_none());
-        // Per-backend memory accounting: dense reports its vector bytes and
-        // an all-zero container histogram.
         let backend = doc.get("backend").expect("stats must report backend");
         assert_eq!(backend.get("name").and_then(Json::as_str), Some("dense"));
         assert!(backend.get("bytes").and_then(Json::as_u64).unwrap() > 0);
         assert!(backend.get("bytes_per_row").is_some());
-        let containers = backend.get("containers").unwrap();
-        assert_eq!(containers.get("array").and_then(Json::as_u64), Some(0));
         assert!(backend.get("kernels").and_then(Json::as_str).is_some());
     }
 
     #[test]
-    fn stats_report_compressed_backend_memory() {
-        use coverage_index::{CompressedOracle, ShardedOracle};
+    fn stats_report_the_oracles_memory_with_its_lattice() {
         let ds = coverage_data::generators::airbnb_like(500, 4, 3).unwrap();
-        let mut engine = CoverageEngine::<ShardedOracle<CompressedOracle>>::with_shards(
-            ds,
-            Threshold::Count(1),
-            2,
-        )
-        .unwrap();
+        let mut engine = CoverageEngine::new(ds, Threshold::Count(1)).unwrap();
+        assert!(engine.oracle().has_lattice());
+        let expected = coverage_index::CoverageProvider::memory_stats(engine.oracle()).bytes;
+        assert!(expected > engine.oracle().memory_bytes(), "lattice counted");
         let doc = ok(&mut engine, r#"{"op":"stats"}"#);
         let backend = doc.get("backend").unwrap();
-        assert_eq!(
-            backend.get("name").and_then(Json::as_str),
-            Some("compressed")
+        assert_eq!(backend.get("bytes").and_then(Json::as_u64), Some(expected));
+        let per_row = backend.get("bytes_per_row").and_then(Json::as_f64).unwrap();
+        assert!(
+            (per_row - expected as f64 / 500.0).abs() < 1e-3,
+            "{per_row}"
         );
-        assert!(backend.get("bytes").and_then(Json::as_u64).unwrap() > 0);
-        let containers = backend.get("containers").unwrap();
-        assert!(containers.get("array").and_then(Json::as_u64).unwrap() > 0);
     }
 
     #[test]
@@ -1315,36 +1265,6 @@ mod tests {
         let io = doc.get("io").expect("io section present");
         assert_eq!(io.get("requests").and_then(Json::as_u64), Some(1));
         assert!(io.get("latency_ns").unwrap().get("insert").is_some());
-    }
-
-    #[test]
-    fn stats_report_per_shard_rows_for_sharded_engines() {
-        let schema = Schema::new(vec![
-            Attribute::with_values("sex", ["m", "f"]).unwrap(),
-            Attribute::with_values("race", ["white", "black", "asian"]).unwrap(),
-        ])
-        .unwrap();
-        let ds = Dataset::from_rows(
-            schema,
-            &[vec![0, 0], vec![0, 1], vec![1, 0], vec![0, 0], vec![1, 2]],
-        )
-        .unwrap();
-        let mut engine = crate::ShardedCoverageEngine::with_shards(ds, Threshold::Count(1), 2)
-            .expect("sharded engine");
-        let _ = ok(&mut engine, r#"{"op":"insert","row":["f","black"]}"#);
-        let doc = ok(&mut engine, r#"{"op":"stats"}"#);
-        let shards = doc.get("shards").unwrap();
-        assert_eq!(shards.get("count").and_then(Json::as_u64), Some(2));
-        let rows: Vec<u64> = shards
-            .get("rows")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_u64().unwrap())
-            .collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows.iter().sum::<u64>(), 6, "per-shard rows must sum to n");
     }
 
     #[test]
@@ -1576,34 +1496,28 @@ mod tests {
     }
 
     #[test]
-    fn restore_keeps_the_serving_processes_shard_layout() {
-        // A snapshot taken under one layout must not downgrade a server
-        // running another: restore swaps the data in, not the deployment
-        // config.
+    fn restore_accepts_a_snapshot_recorded_with_a_shard_layout() {
+        // A snapshot written by a build that served three compressed row
+        // shards restores through the protocol like any other: the layout
+        // and backend it records are ignored.
         let dir =
             std::env::temp_dir().join(format!("mithra-restore-shards-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("engine.snapshot");
-        let single = engine(); // 1-shard engine writes the snapshot
-        crate::snapshot::save_snapshot(&single, &path).unwrap();
-        let mut sharded = crate::ShardedCoverageEngine::with_shards(
-            engine().dataset().clone(),
-            Threshold::Count(1),
-            3,
-        )
-        .unwrap();
-        let _ = ok(&mut sharded, r#"{"op":"insert","row":["f","black"]}"#);
+        let original = engine();
+        let text = crate::snapshot::snapshot_string(&original)
+            .unwrap()
+            .replace("\"backend\":\"dense\"", "\"backend\":\"compressed\"")
+            .replace("\"shards\":1,", "\"shards\":3,");
+        assert!(text.contains("\"shards\":3,") && text.contains("\"compressed\""));
+        std::fs::write(&path, text).unwrap();
+        let mut serving = engine();
+        let _ = ok(&mut serving, r#"{"op":"insert","row":["f","black"]}"#);
         let options = ServeOptions::new().with_snapshot_path(Some(path.clone()));
-        let response = handle_line(&mut sharded, &options, r#"{"op":"restore"}"#);
+        let response = handle_line(&mut serving, &options, r#"{"op":"restore"}"#);
         assert!(response.contains("\"ok\":true"), "{response}");
-        assert_eq!(
-            sharded.shards(),
-            3,
-            "restore must not adopt the snapshot's layout"
-        );
-        assert_eq!(sharded.shard_layout().len(), 3);
-        assert_eq!(sharded.dataset().len(), single.dataset().len());
-        assert_eq!(sharded.mups(), single.mups());
+        assert_eq!(serving.dataset().len(), original.dataset().len());
+        assert_eq!(serving.mups(), original.mups());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,22 +4,21 @@
 //! A snapshot is a single JSON document (written compactly on one line)
 //! carrying everything [`CoverageEngine::from_snapshot_parts`] needs:
 //! the schema (names + value dictionaries), the dataset as **unique value
-//! combinations with multiplicities**, the shard layout, the configured
-//! threshold, the current MUP set, and the maintenance counters. The
-//! coverage backend is *not* serialized — it is derived state, rebuilt from
-//! the combinations in linear time on load, which keeps the format
-//! independent of the bit-vector layout.
+//! combinations with multiplicities**, the configured threshold, the
+//! current MUP set, and the maintenance counters. The coverage backend is
+//! *not* serialized — it is derived state, rebuilt from the combinations in
+//! linear time on load, which keeps the format independent of the
+//! bit-vector layout.
 //!
 //! Format policy (documented in the README):
 //!
 //! * `"format"` is always `"mithra-coverage-snapshot"`; `"version"` is an
 //!   integer, currently [`SNAPSHOT_VERSION`]. Version 5 adds `"backend"` —
-//!   the coverage-backend family (`"dense"` or `"compressed"`) the writing
-//!   process served with. Like the shard layout, the backend is a *process*
-//!   property, not a data property: the combinations restore into whichever
-//!   backend the loading process runs (`serve --backend` decides, defaulting
-//!   to the recorded value), so snapshots stay backend-agnostic and v1–4
-//!   documents simply record `"dense"` semantics. Version 4 adds `"oplog_seq"`
+//!   the coverage-backend family the writing process served with. Builds
+//!   that offered a choice wrote `"dense"` or `"compressed"`; this build
+//!   serves one backend and always writes `"dense"`. The reader checks the
+//!   field names a known family and otherwise ignores it: the combinations
+//!   restore into the loading process's backend either way. Version 4 adds `"oplog_seq"`
 //!   — the op-log sequence number the snapshot is anchored at, so recovery
 //!   is "restore snapshot, replay log entries with `seq > oplog_seq`" and a
 //!   snapshot-anchored truncation can drop the replayed prefix. Snapshots
@@ -30,17 +29,18 @@
 //!   `stats` (the grown dictionaries themselves travel in `"attributes"`,
 //!   which always records the *current* value lists). Version 2 stores
 //!   `"combos": [[[codes…], count], …]` (compacted — heavily duplicated
-//!   datasets shrink by orders of magnitude) plus `"shards"` (the backend's
-//!   row-shard layout). Version 1 documents (raw `"rows"`, no layout) are
-//!   still read: their rows restore into a single shard (shard 0). Both
+//!   datasets shrink by orders of magnitude) plus `"shards"` (the row-shard
+//!   layout of builds that sharded their index; this build always writes 1,
+//!   and the reader checks it is an integer and otherwise ignores it).
+//!   Version 1 documents (raw `"rows"`, no layout) are still read. Both
 //!   older versions restore with zeroed growth counters, and the next
 //!   `snapshot` op rewrites the file as the current version. Any *newer*
 //!   version is rejected rather than guessed at — bump the version on any
 //!   incompatible change.
 //! * Snapshots are **trusted input**: the loader validates structure, value
-//!   ranges, and arities, but takes the MUP set at its word (re-deriving it
-//!   would defeat the purpose). Keep snapshot files as protected as the
-//!   dataset itself.
+//!   ranges (of rows and MUPs alike), and arities, but takes the MUP set at
+//!   its word (re-deriving it would defeat the purpose). Keep snapshot
+//!   files as protected as the dataset itself.
 //! * Writes are atomic: the document goes to `<path>.tmp` and is renamed
 //!   into place, so a crash mid-write never corrupts the previous snapshot.
 
@@ -97,12 +97,9 @@ pub fn snapshot_string_anchored<B: CoverageBackend>(
     let mut out = String::with_capacity(1024 + combos.len() * (dataset.arity() * 4 + 8));
     out.push_str("{\"format\":");
     write_json_string(&mut out, SNAPSHOT_FORMAT);
-    let _ = write!(out, ",\"version\":{SNAPSHOT_VERSION},\"backend\":");
-    write_json_string(&mut out, engine.oracle().backend_name());
     let _ = write!(
         out,
-        ",\"oplog_seq\":{oplog_seq},\"shards\":{},\"grown\":[",
-        engine.shards()
+        ",\"version\":{SNAPSHOT_VERSION},\"backend\":\"dense\",\"oplog_seq\":{oplog_seq},\"shards\":1,\"grown\":["
     );
     for (i, g) in engine.dictionary_growth().iter().enumerate() {
         if i > 0 {
@@ -199,30 +196,15 @@ fn u64_field(doc: &Json, key: &str) -> Result<u64> {
 /// Reassembles an engine from a snapshot document produced by
 /// [`snapshot_string`] — current (version 5, with the backend family),
 /// version 4 (no backend), version 3 (no op-log anchor), version 2 (no
-/// growth counters), or version 1 (raw rows, restored into a single shard).
+/// growth counters), or version 1 (raw rows).
 pub fn parse_snapshot<B: CoverageBackend>(text: &str) -> Result<CoverageEngine<B>> {
-    parse_snapshot_with_layout(text, None)
+    parse_snapshot_anchored(text).map(|(engine, _)| engine)
 }
 
-/// [`parse_snapshot`] with the shard layout decided by the caller:
-/// `shards_override` replaces the snapshot's recorded layout *before* the
-/// backend is built, so the index is constructed exactly once (resharding
-/// after the fact would build it twice). `None` honors the recorded layout.
-pub fn parse_snapshot_with_layout<B: CoverageBackend>(
-    text: &str,
-    shards_override: Option<usize>,
-) -> Result<CoverageEngine<B>> {
-    parse_snapshot_anchored(text, shards_override).map(|(engine, _)| engine)
-}
-
-/// [`parse_snapshot_with_layout`] that also returns the snapshot's op-log
-/// anchor (`"oplog_seq"`; 0 for snapshots written without an op log or by
+/// [`parse_snapshot`] that also returns the snapshot's op-log anchor (`"oplog_seq"`; 0 for snapshots written without an op log or by
 /// pre-version-4 builds). Recovery replays log entries with `seq` strictly
 /// greater than the anchor.
-pub fn parse_snapshot_anchored<B: CoverageBackend>(
-    text: &str,
-    shards_override: Option<usize>,
-) -> Result<(CoverageEngine<B>, u64)> {
+pub fn parse_snapshot_anchored<B: CoverageBackend>(text: &str) -> Result<(CoverageEngine<B>, u64)> {
     let doc = Json::parse(text).map_err(|e| bad(format!("snapshot is not valid JSON: {e}")))?;
     match field(&doc, "format")?.as_str() {
         Some(SNAPSHOT_FORMAT) => {}
@@ -235,11 +217,24 @@ pub fn parse_snapshot_anchored<B: CoverageBackend>(
              {SNAPSHOT_MIN_VERSION}..={SNAPSHOT_VERSION})"
         )));
     }
-    // The recorded backend family is advisory — the combinations restore
-    // into whatever backend `B` the caller runs — but a value outside the
-    // known families means the document came from a newer build mislabeling
-    // itself, so reject rather than guess.
-    backend_field(&doc, version)?;
+    // The recorded backend family and shard layout are process properties
+    // of the writer: the combinations restore into `B` whatever they say.
+    // A backend outside the known families means the document came from a
+    // newer build mislabeling itself, so reject rather than guess.
+    if version >= 5 {
+        match field(&doc, "backend")?.as_str() {
+            Some("dense" | "compressed") => {}
+            Some(other) => {
+                return Err(bad(format!(
+                    "snapshot records unknown backend `{other}` (expected `dense` or `compressed`)"
+                )))
+            }
+            None => return Err(bad("snapshot field `backend` must be a string")),
+        }
+    }
+    if version >= 2 {
+        u64_field(&doc, "shards")?;
+    }
     // v1–3 predate the op log: they restore with anchor 0 (replay the
     // whole log, which is exactly right for a log that started alongside
     // a pre-anchor snapshot).
@@ -248,13 +243,6 @@ pub fn parse_snapshot_anchored<B: CoverageBackend>(
     } else {
         0
     };
-    // v1 predates sharding: everything restores into shard 0.
-    let recorded = if version >= 2 {
-        u64_field(&doc, "shards")?.max(1) as usize
-    } else {
-        1
-    };
-    let shards = shards_override.unwrap_or(recorded);
     let threshold_doc = field(&doc, "threshold")?;
     let threshold = match (threshold_doc.get("count"), threshold_doc.get("fraction")) {
         (Some(c), None) => Threshold::Count(
@@ -348,6 +336,7 @@ pub fn parse_snapshot_anchored<B: CoverageBackend>(
                 .map_err(|e| bad(format!("row {r}: {e}")))?;
         }
     }
+    let cardinalities = dataset.schema().cardinalities();
     let mut mups = Vec::new();
     for m in field(&doc, "mups")?
         .as_array()
@@ -361,6 +350,14 @@ pub fn parse_snapshot_anchored<B: CoverageBackend>(
             return Err(bad(format!(
                 "MUP `{text}` has arity {} but the schema has {arity} attributes",
                 pattern.arity()
+            )));
+        }
+        // An out-of-range code would reach the enhancer as a target that no
+        // combination can hit.
+        if let Some(i) = (0..arity).find(|&i| pattern.get(i).is_some_and(|v| v >= cardinalities[i]))
+        {
+            return Err(bad(format!(
+                "MUP `{text}` carries a value code out of range for attribute {i}"
             )));
         }
         mups.push(pattern);
@@ -396,47 +393,8 @@ pub fn parse_snapshot_anchored<B: CoverageBackend>(
     } else {
         vec![0; arity]
     };
-    CoverageEngine::from_snapshot_parts(dataset, threshold, mups, stats, shards, grown)
+    CoverageEngine::from_snapshot_parts(dataset, threshold, mups, stats, grown)
         .map(|engine| (engine, oplog_seq))
-}
-
-/// The backend family a snapshot document records: `"backend"` on v5
-/// documents (validated against the known families), `"dense"` on v1–4
-/// documents, which predate backend choice.
-fn backend_field(doc: &Json, version: u64) -> Result<&'static str> {
-    if version >= 5 {
-        match field(doc, "backend")?.as_str() {
-            Some("dense") => Ok("dense"),
-            Some("compressed") => Ok("compressed"),
-            Some(other) => Err(bad(format!(
-                "snapshot records unknown backend `{other}` (expected `dense` or `compressed`)"
-            ))),
-            None => Err(bad("snapshot field `backend` must be a string")),
-        }
-    } else {
-        Ok("dense")
-    }
-}
-
-/// Reads only the backend family a snapshot on disk records (`"dense"` for
-/// v1–4 documents) without building any index — the CLI peeks at this to
-/// pick the serving backend before the expensive restore.
-pub fn snapshot_backend(path: &Path) -> Result<&'static str> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| bad(format!("cannot read {}: {e}", path.display())))?;
-    let doc = Json::parse(&text).map_err(|e| bad(format!("snapshot is not valid JSON: {e}")))?;
-    match field(&doc, "format")?.as_str() {
-        Some(SNAPSHOT_FORMAT) => {}
-        _ => return Err(bad("not a mithra coverage snapshot (bad `format` field)")),
-    }
-    let version = u64_field(&doc, "version")?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(bad(format!(
-            "snapshot version {version} is not supported (this build reads versions \
-             {SNAPSHOT_MIN_VERSION}..={SNAPSHOT_VERSION})"
-        )));
-    }
-    backend_field(&doc, version)
 }
 
 /// Writes a snapshot atomically and durably: the document lands in
@@ -486,33 +444,21 @@ pub fn save_snapshot_anchored<B: CoverageBackend>(
 
 /// Loads a snapshot written by [`save_snapshot`].
 pub fn load_snapshot<B: CoverageBackend>(path: &Path) -> Result<CoverageEngine<B>> {
-    load_snapshot_with_layout(path, None)
+    load_snapshot_anchored(path).map(|(engine, _)| engine)
 }
 
-/// [`load_snapshot`] with a caller-decided shard layout (see
-/// [`parse_snapshot_with_layout`]).
-pub fn load_snapshot_with_layout<B: CoverageBackend>(
-    path: &Path,
-    shards_override: Option<usize>,
-) -> Result<CoverageEngine<B>> {
-    load_snapshot_anchored(path, shards_override).map(|(engine, _)| engine)
-}
-
-/// [`load_snapshot_with_layout`] that also returns the op-log anchor (see
+/// [`load_snapshot`] that also returns the op-log anchor (see
 /// [`parse_snapshot_anchored`]).
-pub fn load_snapshot_anchored<B: CoverageBackend>(
-    path: &Path,
-    shards_override: Option<usize>,
-) -> Result<(CoverageEngine<B>, u64)> {
+pub fn load_snapshot_anchored<B: CoverageBackend>(path: &Path) -> Result<(CoverageEngine<B>, u64)> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| bad(format!("cannot read {}: {e}", path.display())))?;
-    parse_snapshot_anchored(&text, shards_override)
+    parse_snapshot_anchored(&text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coverage_index::{CoverageOracle, ShardedOracle};
+    use coverage_index::CoverageOracle;
 
     /// Row multiset of a dataset — snapshot compaction groups duplicate
     /// rows, so restores preserve the multiset, not the row order.
@@ -545,7 +491,6 @@ mod tests {
         assert_eq!(restored.tau(), original.tau());
         assert_eq!(restored.threshold(), original.threshold());
         assert_eq!(restored.stats(), original.stats());
-        assert_eq!(restored.shards(), original.shards());
         assert_eq!(
             sorted_rows(restored.dataset()),
             sorted_rows(original.dataset())
@@ -557,14 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engines_round_trip_their_layout() {
+    fn generated_engines_round_trip() {
         let ds = coverage_data::generators::airbnb_like(300, 4, 2).unwrap();
-        let original =
-            CoverageEngine::<ShardedOracle>::with_shards(ds, Threshold::Count(3), 3).unwrap();
-        let restored: CoverageEngine<ShardedOracle> =
+        let original = CoverageEngine::new(ds, Threshold::Count(3)).unwrap();
+        let restored: CoverageEngine =
             parse_snapshot(&snapshot_string(&original).unwrap()).unwrap();
-        assert_eq!(restored.shards(), 3);
-        assert_eq!(restored.oracle().shard_count(), 3);
         assert_eq!(restored.mups(), original.mups());
         assert_eq!(
             sorted_rows(restored.dataset()),
@@ -664,6 +606,10 @@ mod tests {
             ),
             (good.replace("\"mups\":[", "\"mups\":[\"XXXXX\","), "arity"),
             (
+                good.replace("\"mups\":[", "\"mups\":[\"X3\","),
+                "out of range",
+            ),
+            (
                 good.replace("\"combos\":[[[", "\"combos\":[[[9,"),
                 "combo 0",
             ),
@@ -725,18 +671,36 @@ mod tests {
     }
 
     #[test]
+    fn zero_cardinality_attributes_are_rejected() {
+        // Every served attribute has a value, so every enhancement target
+        // is hittable: a snapshot cannot restore an empty dictionary.
+        let good = snapshot_string(&engine()).unwrap();
+        let empty = good.replace(
+            "\"cardinality\":2,\"values\":[\"m\",\"f\"]",
+            "\"cardinality\":0,\"values\":[]",
+        );
+        let anonymous = good.replace(
+            "\"cardinality\":2,\"values\":[\"m\",\"f\"]",
+            "\"cardinality\":0",
+        );
+        for text in [empty, anonymous] {
+            let err = parse_snapshot::<CoverageOracle>(&text).unwrap_err();
+            assert!(err.to_string().contains("cardinality 0"), "{err}");
+        }
+    }
+
+    #[test]
     fn oplog_anchor_round_trips_and_defaults_to_zero() {
         let original = engine();
         // Anchorless save records 0.
         let plain = snapshot_string(&original).unwrap();
         assert!(plain.contains("\"oplog_seq\":0"), "{plain}");
-        let (_, anchor) = parse_snapshot_anchored::<CoverageOracle>(&plain, None).unwrap();
+        let (_, anchor) = parse_snapshot_anchored::<CoverageOracle>(&plain).unwrap();
         assert_eq!(anchor, 0);
         // An anchored save round-trips its sequence number, and the engine
         // state is unchanged by the anchor.
         let anchored = snapshot_string_anchored(&original, 42).unwrap();
-        let (restored, anchor) =
-            parse_snapshot_anchored::<CoverageOracle>(&anchored, None).unwrap();
+        let (restored, anchor) = parse_snapshot_anchored::<CoverageOracle>(&anchored).unwrap();
         assert_eq!(anchor, 42);
         assert_eq!(restored.mups(), original.mups());
         // A version-4 document without the field is malformed.
@@ -761,7 +725,7 @@ mod tests {
             "\"delete_batches\":0,\"mups_retired\":1,\"mups_discovered\":2,",
             "\"full_recomputes\":0}}"
         );
-        let (restored, anchor) = parse_snapshot_anchored::<CoverageOracle>(v3, None).unwrap();
+        let (restored, anchor) = parse_snapshot_anchored::<CoverageOracle>(v3).unwrap();
         assert_eq!(anchor, 0);
         assert_eq!(restored.dataset().len(), 3);
         let rewritten = snapshot_string(&restored).unwrap();
@@ -786,21 +750,21 @@ mod tests {
             "\"delete_batches\":0,\"mups_retired\":1,\"mups_discovered\":2,",
             "\"full_recomputes\":0}}"
         );
-        let restored: CoverageEngine<ShardedOracle> = parse_snapshot(v2).unwrap();
-        assert_eq!(restored.shards(), 2);
+        let restored: CoverageEngine = parse_snapshot(v2).unwrap();
         assert_eq!(restored.dataset().len(), 3);
         assert_eq!(restored.dictionary_growth(), &[0, 0]);
         assert_eq!(restored.mups().len(), 1);
         let rewritten = snapshot_string(&restored).unwrap();
         assert!(rewritten.contains(&format!("\"version\":{SNAPSHOT_VERSION}")));
         assert!(rewritten.contains("\"grown\":[0,0]"));
+        assert!(rewritten.contains("\"shards\":1,"));
     }
 
     #[test]
-    fn version1_documents_restore_into_a_single_shard() {
-        // A handwritten pre-sharding (version 1) snapshot: raw rows, no
-        // layout field. It must restore — into one shard — and the next
-        // save must rewrite it as the current compacted version.
+    fn version1_documents_restore_and_rewrite_compacted() {
+        // A handwritten version 1 snapshot: raw rows, no layout field. It
+        // must restore, and the next save must rewrite it as the current
+        // compacted version.
         let v1 = concat!(
             "{\"format\":\"mithra-coverage-snapshot\",\"version\":1,",
             "\"threshold\":{\"count\":1},",
@@ -812,31 +776,13 @@ mod tests {
             "\"delete_batches\":0,\"mups_retired\":1,\"mups_discovered\":2,",
             "\"full_recomputes\":0}}"
         );
-        let restored: CoverageEngine<ShardedOracle> = parse_snapshot(v1).unwrap();
-        assert_eq!(restored.shards(), 1);
-        assert_eq!(restored.shard_layout(), vec![3]);
+        let restored: CoverageEngine = parse_snapshot(v1).unwrap();
         assert_eq!(restored.dataset().len(), 3);
         assert_eq!(restored.mups().len(), 2);
         assert_eq!(restored.stats().inserts, 3);
         let rewritten = snapshot_string(&restored).unwrap();
         assert!(rewritten.contains(&format!("\"version\":{SNAPSHOT_VERSION}")));
         assert!(rewritten.contains("\"combos\":"));
-    }
-
-    #[test]
-    fn layout_override_wins_without_a_second_build() {
-        let ds = coverage_data::generators::airbnb_like(200, 3, 4).unwrap();
-        let original =
-            CoverageEngine::<ShardedOracle>::with_shards(ds, Threshold::Count(2), 2).unwrap();
-        let text = snapshot_string(&original).unwrap();
-        let overridden: CoverageEngine<ShardedOracle> =
-            parse_snapshot_with_layout(&text, Some(4)).unwrap();
-        assert_eq!(overridden.shards(), 4);
-        assert_eq!(overridden.oracle().shard_count(), 4);
-        assert_eq!(overridden.mups(), original.mups());
-        let honored: CoverageEngine<ShardedOracle> =
-            parse_snapshot_with_layout(&text, None).unwrap();
-        assert_eq!(honored.shards(), 2);
     }
 
     #[test]
@@ -866,56 +812,66 @@ mod tests {
     }
 
     #[test]
-    fn backend_family_round_trips_and_is_validated() {
-        use coverage_index::CompressedOracle;
-        // A dense engine records "dense"; a compressed one "compressed".
-        let dense_text = snapshot_string(&engine()).unwrap();
-        assert!(dense_text.contains("\"backend\":\"dense\""), "{dense_text}");
-        let ds = coverage_data::generators::airbnb_like(300, 4, 2).unwrap();
-        let compressed = CoverageEngine::<ShardedOracle<CompressedOracle>>::with_shards(
-            ds,
-            Threshold::Count(3),
-            3,
-        )
-        .unwrap();
-        let text = snapshot_string(&compressed).unwrap();
-        assert!(text.contains("\"backend\":\"compressed\""), "{text}");
-        // Snapshots are backend-agnostic: a compressed-written document
-        // restores into a dense engine and vice versa.
-        let as_dense: CoverageEngine<ShardedOracle> = parse_snapshot(&text).unwrap();
-        assert_eq!(as_dense.shards(), 3);
-        assert_eq!(
-            sorted_rows(as_dense.dataset()),
-            sorted_rows(compressed.dataset())
-        );
-        let as_compressed: CoverageEngine<ShardedOracle<CompressedOracle>> =
-            parse_snapshot(&dense_text).unwrap();
-        assert_eq!(as_compressed.mups().len(), engine().mups().len());
+    fn backend_family_is_written_dense_and_validated() {
+        let text = snapshot_string(&engine()).unwrap();
+        assert!(text.contains("\"backend\":\"dense\""), "{text}");
+        // A document recorded under the retired compressed backend restores
+        // like a dense one.
+        let compressed = text.replace("\"backend\":\"dense\"", "\"backend\":\"compressed\"");
+        let restored = parse_snapshot::<CoverageOracle>(&compressed).unwrap();
+        assert_eq!(restored.mups(), engine().mups());
         // An unknown family is rejected rather than guessed at.
-        let unknown = text.replace("\"backend\":\"compressed\"", "\"backend\":\"columnar\"");
-        let err = parse_snapshot::<ShardedOracle>(&unknown).unwrap_err();
+        let unknown = text.replace("\"backend\":\"dense\"", "\"backend\":\"columnar\"");
+        let err = parse_snapshot::<CoverageOracle>(&unknown).unwrap_err();
         assert!(err.to_string().contains("unknown backend"), "{err}");
-        let not_string = text.replace("\"backend\":\"compressed\"", "\"backend\":7");
-        let err = parse_snapshot::<ShardedOracle>(&not_string).unwrap_err();
+        let not_string = text.replace("\"backend\":\"dense\"", "\"backend\":7");
+        let err = parse_snapshot::<CoverageOracle>(&not_string).unwrap_err();
         assert!(err.to_string().contains("`backend`"), "{err}");
     }
 
     #[test]
-    fn snapshot_backend_peeks_without_restoring() {
-        use coverage_index::CompressedOracle;
-        let dir = std::env::temp_dir().join(format!("mithra-snap-peek-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dense_path = dir.join("dense.snapshot");
-        save_snapshot(&engine(), &dense_path).unwrap();
-        assert_eq!(snapshot_backend(&dense_path).unwrap(), "dense");
-        let ds = coverage_data::generators::airbnb_like(100, 3, 5).unwrap();
-        let compressed =
-            CoverageEngine::<CompressedOracle>::with_shards(ds, Threshold::Count(2), 1).unwrap();
-        let compressed_path = dir.join("compressed.snapshot");
-        save_snapshot(&compressed, &compressed_path).unwrap();
-        assert_eq!(snapshot_backend(&compressed_path).unwrap(), "compressed");
-        assert!(snapshot_backend(&dir.join("missing.snapshot")).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn version5_documents_of_sharded_compressed_engines_restore_as_fresh_engines() {
+        // A handwritten v5 snapshot from a build that served three row
+        // shards of the compressed backend. The layout and the family are
+        // ignored: the rows and MUPs equal a fresh engine's over the same
+        // rows, and the next save records one dense index.
+        let v5 = concat!(
+            "{\"format\":\"mithra-coverage-snapshot\",\"version\":5,",
+            "\"backend\":\"compressed\",\"oplog_seq\":4,\"shards\":3,\"grown\":[0,0],",
+            "\"threshold\":{\"count\":2},",
+            "\"attributes\":[{\"name\":\"a\",\"cardinality\":2},",
+            "{\"name\":\"b\",\"cardinality\":3}],",
+            "\"combos\":[[[0,0],3],[[0,1],2],[[1,2],1]],",
+            "\"mups\":[\"1X\",\"X2\"],",
+            "\"stats\":{\"inserts\":0,\"batches\":0,\"deletes\":0,",
+            "\"delete_batches\":0,\"mups_retired\":0,\"mups_discovered\":0,",
+            "\"full_recomputes\":0}}"
+        );
+        let (restored, anchor) = parse_snapshot_anchored::<CoverageOracle>(v5).unwrap();
+        assert_eq!(anchor, 4);
+        let rows = [
+            vec![0, 0],
+            vec![0, 0],
+            vec![0, 0],
+            vec![0, 1],
+            vec![0, 1],
+            vec![1, 2],
+        ];
+        let fresh = CoverageEngine::new(
+            Dataset::from_rows(Schema::with_cardinalities(&[2, 3]).unwrap(), &rows).unwrap(),
+            Threshold::Count(2),
+        )
+        .unwrap();
+        assert_eq!(
+            sorted_rows(restored.dataset()),
+            sorted_rows(fresh.dataset())
+        );
+        assert_eq!(restored.mups(), fresh.mups());
+        let rewritten = snapshot_string_anchored(&restored, anchor).unwrap();
+        assert!(
+            rewritten.contains("\"backend\":\"dense\",\"oplog_seq\":4,\"shards\":1,"),
+            "{rewritten}"
+        );
     }
 
     #[test]
@@ -935,13 +891,13 @@ mod tests {
             "\"delete_batches\":0,\"mups_retired\":1,\"mups_discovered\":2,",
             "\"full_recomputes\":0}}"
         );
-        let (restored, anchor) = parse_snapshot_anchored::<ShardedOracle>(v4, None).unwrap();
+        let (restored, anchor) = parse_snapshot_anchored::<CoverageOracle>(v4).unwrap();
         assert_eq!(anchor, 17);
-        assert_eq!(restored.shards(), 2);
         assert_eq!(restored.dataset().len(), 3);
         let rewritten = snapshot_string(&restored).unwrap();
         assert!(rewritten.contains(&format!("\"version\":{SNAPSHOT_VERSION}")));
         assert!(rewritten.contains("\"backend\":\"dense\""));
+        assert!(rewritten.contains("\"shards\":1,"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The serving engine's default backend answers from a coverage lattice
 //! when the schema fits. These tests pin that it is observationally the
 //! engine it replaced: after random insert/delete streams its MUPs equal
-//! batch DeepDiver and an engine over the compressed backend, and an engine
+//! batch DeepDiver and its counts equal the dense oracle's, and an engine
 //! restored from a snapshot or replayed from the op log answers `mups` and
 //! `coverage` byte for byte as the live one does.
 
@@ -10,7 +10,7 @@ use coverage_core::pattern::Pattern;
 use coverage_core::Threshold;
 use coverage_data::generators::airbnb_like;
 use coverage_data::{Dataset, Schema};
-use coverage_index::{CompressedOracle, CoverageOracle, X};
+use coverage_index::{CoverageOracle, CoverageProvider, X};
 use coverage_service::oplog::read_entries_from;
 use coverage_service::snapshot::{
     parse_snapshot, parse_snapshot_anchored, snapshot_string_anchored,
@@ -37,16 +37,15 @@ fn raw_row(schema: &Schema, row: &[u8]) -> Vec<String> {
 }
 
 #[test]
-fn lattice_engine_matches_batch_and_compressed_engines() {
+fn lattice_engine_matches_batch_deepdiver_and_the_dense_oracle() {
     for seed in 0..4u64 {
         for threshold in [Threshold::Count(4), Threshold::Fraction(0.02)] {
             let base = airbnb_like(200, 6, seed).unwrap();
             let pool = airbnb_like(100, 6, seed + 100).unwrap();
             let mut lattice = CoverageEngine::new(base.clone(), threshold).unwrap();
-            let mut compressed =
-                CoverageEngine::<CompressedOracle>::with_shards(base.clone(), threshold, 1)
-                    .unwrap();
             assert!(lattice.oracle().has_lattice());
+            let cards = base.schema().cardinalities();
+            let probes = probe_patterns(&cards, &mut ChaCha8Rng::seed_from_u64(seed + 100));
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for step in 0..40 {
                 let size = rng.random_range(1..4usize);
@@ -56,21 +55,44 @@ fn lattice_engine_matches_batch_and_compressed_engines() {
                         .map(|k| lattice.dataset().row((step * 7 + k * 13) % live).to_vec())
                         .collect();
                     lattice.remove_batch(&rows).unwrap();
-                    compressed.remove_batch(&rows).unwrap();
                 } else {
                     let rows: Vec<Vec<u8>> = (0..size)
                         .map(|_| pool.row(rng.random_range(0..pool.len())).to_vec())
                         .collect();
                     lattice.insert_batch(&rows).unwrap();
-                    compressed.insert_batch(&rows).unwrap();
                 }
                 let expected = batch_mups(lattice.dataset(), threshold);
                 assert_eq!(lattice.mups(), expected, "seed {seed} step {step}");
-                assert_eq!(compressed.mups(), expected, "seed {seed} step {step}");
+                let dense = CoverageOracle::from_dataset(lattice.dataset());
+                for codes in &probes {
+                    assert_eq!(
+                        CoverageProvider::coverage(lattice.oracle(), codes),
+                        dense.coverage(codes),
+                        "seed {seed} step {step} pattern {codes:?}"
+                    );
+                }
             }
             assert!(lattice.oracle().has_lattice());
         }
     }
+}
+
+/// 200 random patterns, a third of their elements `X`.
+fn probe_patterns(cards: &[u8], rng: &mut ChaCha8Rng) -> Vec<Vec<u8>> {
+    (0..200)
+        .map(|_| {
+            cards
+                .iter()
+                .map(|&c| {
+                    if rng.random_range(0..3u8) == 0 {
+                        X
+                    } else {
+                        rng.random_range(0..c)
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// `mups` and one `coverage` request per pattern of a fixed probe set.
@@ -79,17 +101,7 @@ fn read_requests(cards: &[u8], rng: &mut ChaCha8Rng) -> Vec<String> {
         "{\"op\":\"mups\"}".to_string(),
         "{\"op\":\"mups\",\"limit\":5}".to_string(),
     ];
-    for _ in 0..200 {
-        let codes: Vec<u8> = cards
-            .iter()
-            .map(|&c| {
-                if rng.random_range(0..3u8) == 0 {
-                    X
-                } else {
-                    rng.random_range(0..c)
-                }
-            })
-            .collect();
+    for codes in probe_patterns(cards, rng) {
         lines.push(format!(
             "{{\"op\":\"coverage\",\"pattern\":\"{}\"}}",
             Pattern::from_codes(codes)
@@ -141,7 +153,7 @@ fn snapshot_restore_and_oplog_replay_answer_byte_identically() {
 
     let mut restored: CoverageEngine =
         parse_snapshot(&snapshot_string_anchored(&live, 0).unwrap()).unwrap();
-    let (mut replayed, anchor) = parse_snapshot_anchored::<CoverageOracle>(&start, None).unwrap();
+    let (mut replayed, anchor) = parse_snapshot_anchored::<CoverageOracle>(&start).unwrap();
     let tail = read_entries_from(&path, anchor + 1).unwrap();
     assert_eq!(replay_entries(&mut replayed, &tail, anchor).unwrap(), 60);
     std::fs::remove_file(&path).ok();

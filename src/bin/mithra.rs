@@ -3,7 +3,7 @@
 //! ```text
 //! mithra audit        <file.csv> --attrs sex,race,age --tau 30 [--max-level L]
 //! mithra enhance      <file.csv> --attrs sex,race,age --tau 30 --lambda 2
-//! mithra serve        <file.csv> --attrs sex,race,age --tau 30 [--listen ADDR] [--snapshot PATH] [--backend dense|compressed]
+//! mithra serve        <file.csv> --attrs sex,race,age --tau 30 [--listen ADDR] [--snapshot PATH]
 //! mithra loadgen      [--connections N] [--secs S] …
 //! mithra bench-report [--quick]
 //! ```
@@ -13,14 +13,10 @@
 //! collection that fixes every uncovered pattern at level λ; `serve` keeps
 //! the dataset live behind an incremental coverage engine and answers
 //! newline-delimited JSON requests on stdin/stdout (or TCP with
-//! `--listen`). The serving engine shards its coverage index over
-//! `--shards N` row partitions (default: one per available core, capped so
-//! every shard starts with a few thousand rows) for multi-core ingest and
-//! wide probes. With
-//! `--snapshot PATH` the served state persists across restarts: an existing
-//! snapshot is restored without a re-audit. `--backend compressed` swaps the
-//! dense per-value bit vectors for Roaring-style compressed posting lists —
-//! same answers, a fraction of the memory on sparse/high-cardinality data.
+//! `--listen`). The serving engine runs the paper's inverted-index oracle
+//! with its coverage lattice. With `--snapshot PATH` the served state
+//! persists across restarts: an existing snapshot is restored without a
+//! re-audit.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -41,19 +37,6 @@ macro_rules! out {
     };
 }
 
-/// Which coverage-index representation `serve` runs on. Both give
-/// bit-identical answers; they trade memory for per-probe constant factors
-/// (see `coverage_index::CompressedOracle`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// One dense bitmap per (attribute, value), plus the coverage lattice
-    /// when the schema fits its budget — fastest point probes.
-    Dense,
-    /// Roaring-style compressed posting lists — a fraction of the memory
-    /// on sparse or high-cardinality data.
-    Compressed,
-}
-
 #[derive(Debug)]
 struct Args {
     command: String,
@@ -65,9 +48,6 @@ struct Args {
     limit: usize,
     listen: Option<String>,
     snapshot: Option<std::path::PathBuf>,
-    /// `None` = default (machine parallelism for fresh starts, the
-    /// snapshot's recorded layout on restore).
-    shards: Option<usize>,
     /// Auto-register unknown value strings on insert (dictionary growth).
     grow_schema: bool,
     /// Event-loop admission budget: engine-bound requests admitted per tick;
@@ -84,13 +64,10 @@ struct Args {
     /// Extra named datasets to host next to the default one:
     /// `(name, csv path)` pairs from `--datasets name=file.csv,…`.
     datasets: Vec<(String, String)>,
-    /// `None` = default (the backend an existing snapshot was taken under,
-    /// dense for fresh starts).
-    backend: Option<Backend>,
 }
 
 fn usage() -> String {
-    "usage:\n  mithra audit        <file.csv> --attrs a,b,c --tau N|--rate F [--max-level L] [--limit K]\n  mithra enhance      <file.csv> --attrs a,b,c --tau N|--rate F --lambda L\n  mithra serve        <file.csv> --attrs a,b,c --tau N|--rate F [--listen ADDR] [--max-pending N] [--shards N] [--backend dense|compressed] [--snapshot PATH] [--grow-schema]\n                      [--oplog PATH] [--oplog-sync always|batch|off] [--follow ADDR|PATH] [--datasets name=file.csv,…]\n  mithra loadgen      [--connections N] [--secs S] [--mix I,C] [--deletes PCT] …\n  mithra bench-report [--quick]"
+    "usage:\n  mithra audit        <file.csv> --attrs a,b,c --tau N|--rate F [--max-level L] [--limit K]\n  mithra enhance      <file.csv> --attrs a,b,c --tau N|--rate F --lambda L\n  mithra serve        <file.csv> --attrs a,b,c --tau N|--rate F [--listen ADDR] [--max-pending N] [--snapshot PATH] [--grow-schema]\n                      [--oplog PATH] [--oplog-sync always|batch|off] [--follow ADDR|PATH] [--datasets name=file.csv,…]\n  mithra loadgen      [--connections N] [--secs S] [--mix I,C] [--deletes PCT] …\n  mithra bench-report [--quick]"
         .to_string()
 }
 
@@ -113,14 +90,12 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut limit = None;
     let mut listen = None;
     let mut snapshot = None;
-    let mut shards = None;
     let mut grow_schema = false;
     let mut max_pending = None;
     let mut oplog = None;
     let mut oplog_sync = None;
     let mut follow = None;
     let mut datasets: Vec<(String, String)> = Vec::new();
-    let mut backend = None;
     while let Some(flag) = argv.next() {
         let mut value = || {
             argv.next()
@@ -170,26 +145,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--limit" => limit = Some(value()?.parse().map_err(|e| flag_error("--limit", e))?),
             "--listen" => listen = Some(value()?),
             "--snapshot" => snapshot = Some(std::path::PathBuf::from(value()?)),
-            "--shards" => {
-                let count: usize = value()?.parse().map_err(|e| flag_error("--shards", e))?;
-                if count == 0 {
-                    return Err(flag_error("--shards", "need at least one shard"));
-                }
-                shards = Some(count);
-            }
             "--grow-schema" => grow_schema = true,
-            "--backend" => {
-                backend = Some(match value()?.as_str() {
-                    "dense" => Backend::Dense,
-                    "compressed" => Backend::Compressed,
-                    other => {
-                        return Err(flag_error(
-                            "--backend",
-                            format!("unknown backend `{other}` (expected dense or compressed)"),
-                        ));
-                    }
-                })
-            }
             "--max-pending" => {
                 let bound: usize = value()?
                     .parse()
@@ -261,21 +217,15 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if command != "serve"
         && (listen.is_some()
             || snapshot.is_some()
-            || shards.is_some()
             || max_pending.is_some()
             || oplog.is_some()
             || oplog_sync.is_some()
             || follow.is_some()
             || !datasets.is_empty()
-            || grow_schema
-            || backend.is_some())
+            || grow_schema)
     {
         let flag = if listen.is_some() {
             "--listen"
-        } else if shards.is_some() {
-            "--shards"
-        } else if backend.is_some() {
-            "--backend"
         } else if max_pending.is_some() {
             "--max-pending"
         } else if oplog.is_some() {
@@ -341,14 +291,12 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         limit: limit.unwrap_or(20),
         listen,
         snapshot,
-        shards,
         grow_schema,
         max_pending: max_pending.unwrap_or(coverage_service::DEFAULT_MAX_PENDING),
         oplog,
         oplog_sync: oplog_sync.unwrap_or_default(),
         follow,
         datasets,
-        backend,
     })
 }
 
@@ -371,67 +319,20 @@ fn decode(pattern: &Pattern, ds: &Dataset) -> String {
     }
 }
 
-/// Below this many rows per shard, the per-probe overhead of walking extra
-/// shards outweighs any ingest parallelism, so the default layout stops
-/// splitting (an explicit `--shards` is always honored as given).
-const MIN_ROWS_PER_SHARD: usize = 4096;
-
-/// Row-shard count when `--shards` is not given: one shard per available
-/// core, capped so every shard starts with at least [`MIN_ROWS_PER_SHARD`]
-/// rows — a 100-row dataset on a 64-core host serves from one shard, not
-/// 64 near-empty ones.
-fn default_shards(rows: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(rows / MIN_ROWS_PER_SHARD).max(1)
-}
-
-/// Picks the serving backend: an explicit `--backend` always wins; without
-/// one, an existing snapshot keeps the backend it was taken under (the same
-/// stickiness `--shards` has for shard layout), and fresh starts are dense.
-fn resolve_backend(args: &Args) -> Result<Backend, String> {
-    if let Some(backend) = args.backend {
-        return Ok(backend);
-    }
-    if let Some(path) = args.snapshot.as_deref() {
-        if path.exists() {
-            let family = mithra::service::snapshot_backend(path).map_err(|e| e.to_string())?;
-            return Ok(match family {
-                "compressed" => Backend::Compressed,
-                _ => Backend::Dense,
-            });
-        }
-    }
-    Ok(Backend::Dense)
-}
-
-/// Builds one serving engine — sharded over `--shards N` row partitions of
-/// the chosen per-shard backend `O` — restored from `snapshot` when that
-/// file exists (no re-audit — the whole point of snapshots), freshly
-/// audited from the CSV at `file` otherwise.
-/// On restore the snapshot's recorded shard layout wins unless `--shards`
-/// was given explicitly, in which case the backend is re-laid-out (cheap:
-/// the MUP set stays valid). Also returns the op-log anchor: the log seq
-/// the restored snapshot captured (0 for fresh audits and pre-v4
+/// Builds one serving engine, restored from `snapshot` when that file
+/// exists (no re-audit — the whole point of snapshots), freshly audited
+/// from the CSV at `file` otherwise. Also returns the op-log anchor: the
+/// log seq the restored snapshot captured (0 for fresh audits and pre-v4
 /// snapshots), i.e. where tail replay starts.
-fn serve_engine<O: mithra::index::CoverageBackend>(
+fn serve_engine(
     args: &Args,
     file: &str,
     snapshot: Option<&std::path::Path>,
-) -> Result<
-    (
-        mithra::service::CoverageEngine<mithra::index::ShardedOracle<O>>,
-        u64,
-    ),
-    String,
-> {
+) -> Result<(CoverageEngine, u64), String> {
     if let Some(path) = snapshot {
         if path.exists() {
-            // An explicit --shards overrides the snapshot's recorded layout
-            // *at load time*, so the index is built exactly once.
-            let (engine, anchor) = mithra::service::load_snapshot_anchored::<
-                mithra::index::ShardedOracle<O>,
-            >(path, args.shards)
-            .map_err(|e| e.to_string())?;
+            let (engine, anchor) =
+                mithra::service::load_snapshot_anchored(path).map_err(|e| e.to_string())?;
             if engine.threshold() != args.tau {
                 return Err(format!(
                     "snapshot {} was taken under a different threshold ({:?}, CLI asked {:?}); \
@@ -463,19 +364,15 @@ fn serve_engine<O: mithra::index::CoverageBackend>(
     }
     let attr_refs: Vec<&str> = args.attrs.iter().map(String::as_str).collect();
     let ds = read_csv_auto_path(file, &attr_refs, None).map_err(|e| format!("{file}: {e}"))?;
-    let shards = args.shards.unwrap_or_else(|| default_shards(ds.len()));
-    let engine = mithra::service::CoverageEngine::<mithra::index::ShardedOracle<O>>::with_shards(
-        ds, args.tau, shards,
-    )
-    .map_err(|e| e.to_string())?;
+    let engine = CoverageEngine::new(ds, args.tau).map_err(|e| e.to_string())?;
     Ok((engine, 0))
 }
 
 /// Opens (or creates) the leader's op log and replays any tail past the
 /// snapshot anchor into the engine, completing crash recovery: rows
 /// acknowledged after the last snapshot come back from the log.
-fn recover_oplog<O: mithra::index::CoverageBackend>(
-    engine: &mut mithra::service::CoverageEngine<mithra::index::ShardedOracle<O>>,
+fn recover_oplog(
+    engine: &mut CoverageEngine,
     path: &std::path::Path,
     sync: coverage_service::SyncPolicy,
     anchor: u64,
@@ -551,38 +448,24 @@ fn served(result: std::io::Result<()>) -> Result<(), String> {
 /// `serve`: keep the dataset live behind an incremental engine and answer
 /// NDJSON requests on stdin/stdout, or on TCP when `--listen` is given.
 /// Diagnostics go to stderr — stdout carries protocol lines only.
-///
-/// The backend decision happens exactly once, here: every serving flavor
-/// (leader, follower, multi-dataset) below is generic over the per-shard
-/// oracle and gets monomorphized for both representations.
 fn serve(args: &Args) -> Result<(), String> {
-    match resolve_backend(args)? {
-        Backend::Dense => serve_with::<CoverageOracle>(args),
-        Backend::Compressed => serve_with::<CompressedOracle>(args),
-    }
-}
-
-/// The serve flow for one concrete per-shard backend `O`.
-fn serve_with<O: CoverageBackend>(args: &Args) -> Result<(), String> {
     if !args.datasets.is_empty() {
-        return serve_datasets::<O>(args);
+        return serve_datasets(args);
     }
     if args.follow.is_some() {
-        return serve_follower::<O>(args);
+        return serve_follower(args);
     }
-    let (mut engine, anchor) = serve_engine::<O>(args, &args.file, args.snapshot.as_deref())?;
+    let (mut engine, anchor) = serve_engine(args, &args.file, args.snapshot.as_deref())?;
     let oplog = match args.oplog.as_deref() {
         Some(path) => Some(recover_oplog(&mut engine, path, args.oplog_sync, anchor)?),
         None => None,
     };
     eprintln!(
-        "mithra serve: {} rows, {} attributes, τ = {}, {} MUP(s), {} shard(s), {} backend",
+        "mithra serve: {} rows, {} attributes, τ = {}, {} MUP(s)",
         engine.dataset().len(),
         engine.dataset().arity(),
         engine.tau(),
-        engine.mups().len(),
-        engine.shards(),
-        engine.oracle().backend_name()
+        engine.mups().len()
     );
     if let Some(log) = &oplog {
         let log = log.lock().unwrap();
@@ -625,12 +508,12 @@ const FOLLOW_POLL: std::time::Duration = std::time::Duration::from_millis(200);
 
 /// `serve --follow`: bootstrap the engine (snapshot or CSV), start the
 /// replication thread tailing the leader, and serve read-only requests.
-fn serve_follower<O: CoverageBackend>(args: &Args) -> Result<(), String> {
+fn serve_follower(args: &Args) -> Result<(), String> {
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
 
     let spec = args.follow.as_deref().expect("checked by caller");
-    let (engine, anchor) = serve_engine::<O>(args, &args.file, args.snapshot.as_deref())?;
+    let (engine, anchor) = serve_engine(args, &args.file, args.snapshot.as_deref())?;
     let source = mithra::service::ReplicaSource::parse(spec);
     let status = Arc::new(mithra::service::ReplicationStatus::new(
         source.describe(),
@@ -673,7 +556,7 @@ fn serve_follower<O: CoverageBackend>(args: &Args) -> Result<(), String> {
 
 /// `serve --datasets`: host the positional CSV as the `default` dataset
 /// plus every `name=file.csv` tenant behind one event loop.
-fn serve_datasets<O: CoverageBackend>(args: &Args) -> Result<(), String> {
+fn serve_datasets(args: &Args) -> Result<(), String> {
     use std::sync::{Arc, Mutex};
 
     let mut specs: Vec<(
@@ -697,18 +580,17 @@ fn serve_datasets<O: CoverageBackend>(args: &Args) -> Result<(), String> {
     }
     let mut tenants = Vec::with_capacity(specs.len());
     for (name, file, snapshot, oplog_path) in specs {
-        let (mut engine, anchor) = serve_engine::<O>(args, &file, snapshot.as_deref())?;
+        let (mut engine, anchor) = serve_engine(args, &file, snapshot.as_deref())?;
         let oplog = match oplog_path.as_deref() {
             Some(path) => Some(recover_oplog(&mut engine, path, args.oplog_sync, anchor)?),
             None => None,
         };
         eprintln!(
-            "dataset `{name}`: {} rows, {} attributes, τ = {}, {} MUP(s), {} shard(s)",
+            "dataset `{name}`: {} rows, {} attributes, τ = {}, {} MUP(s)",
             engine.dataset().len(),
             engine.dataset().arity(),
             engine.tau(),
-            engine.mups().len(),
-            engine.shards()
+            engine.mups().len()
         );
         let options = mithra::service::ServeOptions::new()
             .with_snapshot_path(snapshot)
@@ -837,9 +719,9 @@ fn run_loadgen(argv: impl Iterator<Item = String>) -> ExitCode {
 /// hosts are noisy, so only a drop past this fraction fails the job.
 const BENCH_REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// `mithra bench-report`: measure the op-log durability overhead, follower
-/// catch-up replay, and the dense-vs-compressed backend comparison under
-/// an identical mixed workload, print the committed `BENCH_10.json`
+/// `mithra bench-report`: measure the op-log durability overhead and
+/// follower catch-up replay under an identical mixed workload, print the
+/// committed `BENCH_10.json`
 /// document, and — with `--against FILE` — fail on a throughput
 /// regression beyond the tolerance.
 fn run_bench_report(mut argv: impl Iterator<Item = String>) -> ExitCode {
@@ -1066,7 +948,6 @@ mod tests {
         // stdin/stdout mode needs no --listen.
         let args = parse(&["serve", "data.csv", "--attrs", "a", "--rate", "0.01"]).unwrap();
         assert!(args.listen.is_none());
-        assert_eq!(args.shards, None, "default layout is decided at build time");
     }
 
     #[test]
@@ -1148,143 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn default_shard_count_scales_with_dataset_size() {
-        // Tiny datasets must not be sliced into near-empty per-core shards.
-        assert_eq!(default_shards(0), 1);
-        assert_eq!(default_shards(100), 1);
-        assert_eq!(default_shards(MIN_ROWS_PER_SHARD - 1), 1);
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(default_shards(MIN_ROWS_PER_SHARD * 2), cores.min(2));
-        assert_eq!(default_shards(usize::MAX), cores);
-    }
-
-    #[test]
-    fn shards_flag_parses_and_is_serve_only() {
-        let args = parse(&[
-            "serve", "d.csv", "--attrs", "a", "--tau", "1", "--shards", "4",
-        ])
-        .unwrap();
-        assert_eq!(args.shards, Some(4));
-        let err = parse(&[
-            "serve", "d.csv", "--attrs", "a", "--tau", "1", "--shards", "0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("at least one shard"), "{err}");
-        let err = parse(&[
-            "audit", "d.csv", "--attrs", "a", "--tau", "1", "--shards", "2",
-        ])
-        .unwrap_err();
-        assert!(err.contains("only supported with `serve`"), "{err}");
-        let err = parse(&["serve", "d.csv", "--attrs", "a", "--tau", "1", "--shards"]).unwrap_err();
-        assert!(err.contains("missing value"), "{err}");
-    }
-
-    #[test]
-    fn backend_flag_parses_and_is_serve_only() {
-        let args = parse(&[
-            "serve",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--backend",
-            "compressed",
-        ])
-        .unwrap();
-        assert_eq!(args.backend, Some(Backend::Compressed));
-        let args = parse(&[
-            "serve",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--backend",
-            "dense",
-        ])
-        .unwrap();
-        assert_eq!(args.backend, Some(Backend::Dense));
-        let args = parse(&["serve", "d.csv", "--attrs", "a", "--tau", "1"]).unwrap();
-        assert_eq!(args.backend, None, "default is decided at build time");
-        let err = parse(&[
-            "serve",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--backend",
-            "roaring",
-        ])
-        .unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
-        let err = parse(&[
-            "audit",
-            "d.csv",
-            "--attrs",
-            "a",
-            "--tau",
-            "1",
-            "--backend",
-            "dense",
-        ])
-        .unwrap_err();
-        assert!(err.contains("only supported with `serve`"), "{err}");
-    }
-
-    #[test]
-    fn backend_resolution_prefers_flag_then_snapshot_then_dense() {
-        use mithra::service::{save_snapshot, CompressedCoverageEngine};
-
-        let dir = std::env::temp_dir().join(format!("mithra-cli-backend-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("engine.snapshot");
-        let ds = Dataset::from_rows(Schema::binary(2).unwrap(), &[vec![0, 1], vec![1, 0]]).unwrap();
-        let engine = CompressedCoverageEngine::with_shards(ds, Threshold::Count(1), 1).unwrap();
-        save_snapshot(&engine, &snap).unwrap();
-
-        let args = |backend, snapshot: Option<&std::path::Path>| Args {
-            command: "serve".into(),
-            file: "d.csv".into(),
-            attrs: vec!["a".into(), "b".into()],
-            tau: Threshold::Count(1),
-            lambda: 2,
-            max_level: None,
-            limit: 20,
-            listen: None,
-            snapshot: snapshot.map(std::path::Path::to_path_buf),
-            shards: None,
-            grow_schema: false,
-            max_pending: coverage_service::DEFAULT_MAX_PENDING,
-            oplog: None,
-            oplog_sync: coverage_service::SyncPolicy::default(),
-            follow: None,
-            datasets: Vec::new(),
-            backend,
-        };
-        // No flag, no snapshot → dense.
-        assert_eq!(resolve_backend(&args(None, None)).unwrap(), Backend::Dense);
-        // A restart without the flag keeps the snapshot's backend…
-        assert_eq!(
-            resolve_backend(&args(None, Some(&snap))).unwrap(),
-            Backend::Compressed
-        );
-        // …but an explicit flag always wins (snapshots are backend-agnostic,
-        // so restoring a compressed snapshot into a dense engine is fine).
-        assert_eq!(
-            resolve_backend(&args(Some(Backend::Dense), Some(&snap))).unwrap(),
-            Backend::Dense
-        );
-        // A missing snapshot file is a fresh start, not an error.
-        assert_eq!(
-            resolve_backend(&args(None, Some(&dir.join("missing")))).unwrap(),
-            Backend::Dense
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn grow_schema_flag_parses_and_is_serve_only() {
         let args = parse(&[
             "serve",
@@ -1345,7 +1089,7 @@ mod tests {
 
     #[test]
     fn serve_engine_refuses_mismatched_snapshots() {
-        use mithra::service::{save_snapshot, CoverageEngine};
+        use mithra::service::save_snapshot;
 
         let dir = std::env::temp_dir().join(format!("mithra-cli-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1371,18 +1115,14 @@ mod tests {
             limit: 20,
             listen: None,
             snapshot: Some(snap.clone()),
-            shards: None,
             grow_schema: false,
             max_pending: coverage_service::DEFAULT_MAX_PENDING,
             oplog: None,
             oplog_sync: coverage_service::SyncPolicy::default(),
             follow: None,
             datasets: Vec::new(),
-            backend: None,
         };
-        let build = |args: &Args| {
-            serve_engine::<CoverageOracle>(args, &args.file, args.snapshot.as_deref())
-        };
+        let build = |args: &Args| serve_engine(args, &args.file, args.snapshot.as_deref());
         // Matching threshold + attrs restores (with the snapshot's anchor).
         let (restored, anchor) = build(&args(&["sex", "race"], Threshold::Count(1))).unwrap();
         assert_eq!(restored.dataset().len(), 2);
@@ -1422,7 +1162,7 @@ mod tests {
         ])
         .unwrap();
         let sync = coverage_service::SyncPolicy::Off;
-        let (mut live, anchor) = serve_engine::<CoverageOracle>(&args, &file, None).unwrap();
+        let (mut live, anchor) = serve_engine(&args, &file, None).unwrap();
         let log = recover_oplog(&mut live, &log_path, sync, anchor).unwrap();
         let options = ServeOptions::new().with_oplog(Some(log));
         let rows = [
@@ -1441,7 +1181,7 @@ mod tests {
         }
         drop(options);
 
-        let (mut restarted, anchor) = serve_engine::<CoverageOracle>(&args, &file, None).unwrap();
+        let (mut restarted, anchor) = serve_engine(&args, &file, None).unwrap();
         let log = recover_oplog(&mut restarted, &log_path, sync, anchor).unwrap();
         assert_eq!(log.lock().unwrap().last_seq(), entries as u64);
         assert_eq!(restarted.dataset().len(), live.dataset().len());
@@ -1588,17 +1328,12 @@ mod tests {
 
     #[test]
     fn serve_flag_domains_are_enforced() {
-        // --listen and --shards are serve-only; --max-level is audit-only.
-        let err = parse(&[
-            "audit", "d.csv", "--attrs", "a", "--tau", "1", "--listen", ":0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("only supported with `serve`"), "{err}");
-        let err = parse(&[
-            "enhance", "d.csv", "--attrs", "a", "--tau", "1", "--shards", "2",
-        ])
-        .unwrap_err();
-        assert!(err.contains("only supported with `serve`"), "{err}");
+        // --listen is serve-only; --max-level is audit-only.
+        for cmd in ["audit", "enhance"] {
+            let err =
+                parse(&[cmd, "d.csv", "--attrs", "a", "--tau", "1", "--listen", ":0"]).unwrap_err();
+            assert!(err.contains("only supported with `serve`"), "{err}");
+        }
         let err = parse(&[
             "serve",
             "d.csv",

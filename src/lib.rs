@@ -56,10 +56,7 @@ pub mod prelude {
     };
     pub use coverage_data::{Attribute, Bucketizer, Dataset, Schema, UniqueCombinations};
     pub use coverage_index::{
-        CompressedOracle, CoverageBackend, CoverageOracle, CoverageProvider, MupDominanceIndex,
-        ShardedOracle,
+        CoverageBackend, CoverageOracle, CoverageProvider, MupDominanceIndex,
     };
-    pub use coverage_service::{
-        CompressedCoverageEngine, CoverageEngine, EngineStats, ShardedCoverageEngine,
-    };
+    pub use coverage_service::{CoverageEngine, EngineStats};
 }

@@ -386,7 +386,7 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     let live_rows = live.lock().unwrap().dataset().len();
     assert_eq!(live_rows, 6 + 4 - 1);
     let (mut recovered, anchor): (CoverageEngine, u64) =
-        load_snapshot_anchored(&snap_path, None).unwrap();
+        load_snapshot_anchored(&snap_path).unwrap();
     assert_eq!(anchor, 3);
     let tail = read_entries_from(&log_path, anchor + 1).unwrap();
     let applied = replay_entries(&mut recovered, &tail, anchor).unwrap();
@@ -446,7 +446,7 @@ fn same_read_snapshot_on_stdin_anchors_past_staged_mutations() {
 
     // Snapshot + tail replay equals the live engine.
     let (mut recovered, anchor): (CoverageEngine, u64) =
-        load_snapshot_anchored(&snap_path, None).unwrap();
+        load_snapshot_anchored(&snap_path).unwrap();
     assert_eq!(anchor, 2);
     let tail = read_entries_from(&log_path, anchor + 1).unwrap();
     replay_entries(&mut recovered, &tail, anchor).unwrap();

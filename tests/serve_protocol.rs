@@ -33,13 +33,6 @@ fn engine() -> CoverageEngine {
 }
 
 fn request(engine: &mut CoverageEngine, line: &str) -> Json {
-    request_on(engine, line)
-}
-
-fn request_on<B: mithra::index::CoverageBackend>(
-    engine: &mut CoverageEngine<B>,
-    line: &str,
-) -> Json {
     let response = handle_line(engine, &ServeOptions::new(), line);
     Json::parse(&response).unwrap_or_else(|e| panic!("bad JSON `{response}`: {e}"))
 }
@@ -81,8 +74,7 @@ fn insert_mups_coverage_stats_sequence() {
     assert_eq!(doc.get("coverage").and_then(Json::as_u64), Some(1));
     assert_eq!(doc.get("covered").and_then(Json::as_bool), Some(true));
 
-    // 4. Stats report the maintenance that just happened — including the
-    // shard layout (a single shard holding every row, for this engine).
+    // 4. Stats report the maintenance that just happened.
     let doc = request(&mut engine, r#"{"op":"stats"}"#);
     assert_ok(&doc, "stats");
     assert_eq!(doc.get("rows").and_then(Json::as_u64), Some(8));
@@ -92,8 +84,6 @@ fn insert_mups_coverage_stats_sequence() {
         doc.get("mups").and_then(Json::as_u64),
         Some(engine.mups().len() as u64)
     );
-    let shards = doc.get("shards").expect("stats must carry shard layout");
-    assert_eq!(shards.get("count").and_then(Json::as_u64), Some(1));
 }
 
 /// The op name of a parsed request. No wildcard arm: a new `Request`
@@ -154,49 +144,39 @@ fn every_op_is_served_through_handle_line() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A sharded serving engine answers byte-identical `mups`/`coverage`
-/// responses to the single-shard engine over the same request stream, and
-/// its `stats` expose per-shard row counts that sum to the dataset size.
+/// The served engine's oracle holds the coverage lattice. After every
+/// step of a mixed request stream, its `coverage` answers equal the dense
+/// `from_dataset` oracle's and its MUPs equal a batch DEEPDIVER audit.
 #[test]
-fn sharded_engine_serves_identical_answers_and_reports_skew() {
-    use mithra::service::ShardedCoverageEngine;
-
-    let dataset = engine().dataset().clone();
-    let mut single = engine();
-    let mut sharded = ShardedCoverageEngine::with_shards(dataset, Threshold::Count(1), 3).unwrap();
+fn lattice_engine_serves_the_dense_oracles_answers() {
+    let mut engine = engine();
+    assert!(engine.oracle().has_lattice());
     let script = [
-        r#"{"op":"mups"}"#,
-        r#"{"op":"insert","rows":[["f","black","young"],["f","hispanic","old"]]}"#,
-        r#"{"op":"coverage","pattern":"11X"}"#,
-        r#"{"op":"delete","row":["f","black","young"]}"#,
-        r#"{"op":"mups"}"#,
-        r#"{"op":"coverage","pattern":"X0X"}"#,
+        (r#"{"op":"mups"}"#, None),
+        (
+            r#"{"op":"insert","rows":[["f","black","young"],["f","hispanic","old"]]}"#,
+            None,
+        ),
+        (r#"{"op":"coverage","pattern":"11X"}"#, Some("11X")),
+        (r#"{"op":"delete","row":["f","black","young"]}"#, None),
+        (r#"{"op":"mups"}"#, None),
+        (r#"{"op":"coverage","pattern":"X0X"}"#, Some("X0X")),
     ];
-    let options = ServeOptions::new();
-    for line in script {
-        assert_eq!(
-            handle_line(&mut single, &options, line),
-            handle_line(&mut sharded, &options, line),
-            "single- and sharded-backend responses diverged on {line}"
-        );
+    for (line, pattern) in script {
+        let doc = request(&mut engine, line);
+        assert_ok(&doc, line);
+        if let Some(pattern) = pattern {
+            let dense = CoverageOracle::from_dataset(engine.dataset());
+            let codes = Pattern::parse(pattern).unwrap();
+            assert_eq!(
+                doc.get("coverage").and_then(Json::as_u64),
+                Some(dense.coverage(codes.codes())),
+                "{line}"
+            );
+        }
+        let batch = CoverageReport::audit(engine.dataset(), Threshold::Count(1)).unwrap();
+        assert_eq!(engine.mups(), batch.mups.as_slice(), "after {line}");
     }
-    let doc = request_on(&mut sharded, r#"{"op":"stats"}"#);
-    let shards = doc.get("shards").unwrap();
-    assert_eq!(shards.get("count").and_then(Json::as_u64), Some(3));
-    let per_shard: Vec<u64> = shards
-        .get("rows")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_u64().unwrap())
-        .collect();
-    assert_eq!(per_shard.len(), 3);
-    assert_eq!(
-        per_shard.iter().sum::<u64>(),
-        sharded.dataset().len() as u64,
-        "per-shard rows must sum to the dataset size"
-    );
 }
 
 /// Engine state advanced through the protocol equals a batch DEEPDIVER

@@ -3,11 +3,14 @@
 //! DEEPDIVER run over the materialized dataset — for absolute thresholds
 //! (pure delta path) and for rate thresholds (whose resolved τ shifts as
 //! the dataset grows or shrinks, forcing re-resolution and occasional
-//! full-recompute fallbacks). The same equivalences are asserted for the
-//! engine over a [`ShardedOracle`] backend with a random shard count, and
-//! for snapshot round trips (including the compacted v2 on-disk form).
+//! full-recompute fallbacks). The engine's oracle is built through
+//! [`CoverageBackend::build`], so it answers from its coverage lattice; the
+//! reference is DEEPDIVER over the dense oracle of the materialized
+//! dataset. The same equivalences are asserted when the base rows reach the
+//! engine in several `insert_batch` slices rather than one build, for
+//! snapshot round trips (including the compacted v2 on-disk form) and for
+//! op-log replay.
 
-use mithra::index::{CoverageBackend, ShardedOracle};
 use mithra::prelude::*;
 use mithra::service::oplog::{read_entries_from, LoggedOp, OpLog, SyncPolicy};
 use mithra::service::replica::replay_entries;
@@ -16,8 +19,8 @@ use mithra::service::snapshot::{
 };
 use proptest::prelude::*;
 
-/// Row multiset — snapshot compaction and shard routing do not preserve row
-/// order, only the multiset.
+/// Row multiset — snapshot compaction does not preserve row order, only
+/// the multiset.
 fn sorted_rows(ds: &Dataset) -> Vec<Vec<u8>> {
     let mut rows: Vec<Vec<u8>> = ds.rows().map(<[u8]>::to_vec).collect();
     rows.sort();
@@ -39,17 +42,58 @@ fn workload_strategy() -> impl Strategy<Value = (Dataset, Vec<Vec<u8>>)> {
         })
 }
 
+/// Builds the engine the way a row-partitioned bulk load reaches it: over
+/// the first of `shards` round-robin slices of the base rows, then one
+/// `insert_batch` per remaining slice, asserting equivalence with batch
+/// DEEPDIVER over the rows loaded so far after each slice. With
+/// `shards == 1` this is plain [`CoverageEngine::new`] over `base`.
+fn engine_loaded_in_shards(
+    base: &Dataset,
+    threshold: Threshold,
+    shards: usize,
+) -> Result<CoverageEngine, TestCaseError> {
+    let rows: Vec<Vec<u8>> = base.rows().map(<[u8]>::to_vec).collect();
+    let slice =
+        |s: usize| -> Vec<Vec<u8>> { rows.iter().skip(s).step_by(shards).cloned().collect() };
+    let mut loaded = slice(0);
+    let first = Dataset::from_rows(base.schema().clone(), &loaded).unwrap();
+    let mut engine = CoverageEngine::new(first, threshold).unwrap();
+    for s in 1..shards {
+        let piece = slice(s);
+        engine.insert_batch(&piece).unwrap();
+        loaded.extend(piece);
+        let materialized = Dataset::from_rows(base.schema().clone(), &loaded).unwrap();
+        let mut expected = DeepDiver::default()
+            .find_mups(&materialized, threshold)
+            .unwrap();
+        expected.sort();
+        prop_assert_eq!(
+            engine.mups(),
+            expected.as_slice(),
+            "divergence after loading slice {} of {} (threshold {:?})",
+            s + 1,
+            shards,
+            threshold
+        );
+        prop_assert_eq!(
+            engine.tau(),
+            threshold.resolve(loaded.len() as u64).unwrap()
+        );
+    }
+    Ok(engine)
+}
+
 /// Applies the stream through the engine in mixed batch sizes (1, 2, 3, …)
 /// so both `insert` and `insert_batch` paths are exercised, asserting
-/// equivalence with the batch algorithm at every step. Generic over the
-/// coverage backend and its shard layout.
-fn assert_engine_tracks_batch<B: CoverageBackend>(
+/// equivalence with the batch algorithm at every step. The base rows reach
+/// the engine in `shards` slices (see [`engine_loaded_in_shards`]).
+fn assert_engine_tracks_batch(
     base: Dataset,
     stream: &[Vec<u8>],
     threshold: Threshold,
     shards: usize,
 ) -> Result<(), TestCaseError> {
-    let mut engine = CoverageEngine::<B>::with_shards(base.clone(), threshold, shards).unwrap();
+    let mut engine = engine_loaded_in_shards(&base, threshold, shards)?;
     let mut materialized = base;
     let mut cursor = 0usize;
     let mut batch_size = 1usize;
@@ -108,15 +152,16 @@ fn mixed_workload_strategy() -> impl Strategy<Value = (Dataset, Vec<(u8, Vec<u8>
 /// Replays a mixed insert/delete stream through the engine, asserting
 /// equivalence with batch DEEPDIVER over the materialized multiset after
 /// every op. Deletes arrive through `remove` and (for pairs of consecutive
-/// deletes) `remove_batch`, so both entry points are exercised.
-fn assert_engine_tracks_batch_mixed<B: CoverageBackend>(
+/// deletes) `remove_batch`, so both entry points are exercised. The base
+/// rows reach the engine in `shards` slices.
+fn assert_engine_tracks_batch_mixed(
     base: Dataset,
     ops: &[(u8, Vec<u8>, u16)],
     threshold: Threshold,
     shards: usize,
 ) -> Result<(), TestCaseError> {
     let schema = base.schema().clone();
-    let mut engine = CoverageEngine::<B>::with_shards(base.clone(), threshold, shards).unwrap();
+    let mut engine = engine_loaded_in_shards(&base, threshold, shards)?;
     let mut rows: Vec<Vec<u8>> = base.rows().map(<[u8]>::to_vec).collect();
     for (selector, row, delete_seed) in ops {
         let delete = *selector < 2 && !rows.is_empty();
@@ -177,14 +222,15 @@ const GROW_CARD_CAP: usize = 6;
 
 /// Replays a grow/insert stream through the engine, asserting after every
 /// op that the maintained MUP set equals a batch DeepDiver run over the
-/// rebuilt *grown* dataset (same cardinalities, same row multiset).
-fn assert_grow_stream_tracks_batch<B: CoverageBackend>(
+/// rebuilt *grown* dataset (same cardinalities, same row multiset). The
+/// base rows reach the engine in `shards` slices.
+fn assert_grow_stream_tracks_batch(
     base: Dataset,
     ops: &[(u8, u8, Vec<u8>)],
     threshold: Threshold,
     shards: usize,
 ) -> Result<(), TestCaseError> {
-    let mut engine = CoverageEngine::<B>::with_shards(base.clone(), threshold, shards).unwrap();
+    let mut engine = engine_loaded_in_shards(&base, threshold, shards)?;
     let mut cards: Vec<usize> = base
         .schema()
         .cardinalities()
@@ -246,7 +292,7 @@ proptest! {
         tau in 1u64..12,
     ) {
         let (base, stream) = workload;
-        assert_engine_tracks_batch::<CoverageOracle>(base, &stream, Threshold::Count(tau), 1)?;
+        assert_engine_tracks_batch(base, &stream, Threshold::Count(tau), 1)?;
     }
 
     /// Rate thresholds: τ = max(1, round(f·n)) moves as n grows; the engine
@@ -258,7 +304,7 @@ proptest! {
     ) {
         let (base, stream) = workload;
         let rate = rate_milli as f64 / 1000.0;
-        assert_engine_tracks_batch::<CoverageOracle>(base, &stream, Threshold::Fraction(rate), 1)?;
+        assert_engine_tracks_batch(base, &stream, Threshold::Fraction(rate), 1)?;
     }
 
     /// Mixed insert/delete streams under absolute thresholds: the insert
@@ -269,7 +315,7 @@ proptest! {
         tau in 1u64..10,
     ) {
         let (base, ops) = workload;
-        assert_engine_tracks_batch_mixed::<CoverageOracle>(base, &ops, Threshold::Count(tau), 1)?;
+        assert_engine_tracks_batch_mixed(base, &ops, Threshold::Count(tau), 1)?;
     }
 
     /// Mixed streams under rate thresholds: τ steps up on growth and *down*
@@ -281,12 +327,13 @@ proptest! {
     ) {
         let (base, ops) = workload;
         let rate = rate_milli as f64 / 1000.0;
-        assert_engine_tracks_batch_mixed::<CoverageOracle>(base, &ops, Threshold::Fraction(rate), 1)?;
+        assert_engine_tracks_batch_mixed(base, &ops, Threshold::Fraction(rate), 1)?;
     }
 
-    /// The sharded backend with a random shard count must behave exactly
-    /// like the single-shard engine — and like batch DEEPDIVER — over
-    /// arbitrary insert streams.
+    /// Base rows loaded in a random number of round-robin slices — one
+    /// `insert_batch` per slice after the first — must leave the engine
+    /// exactly where a single build over all of them does, and the stream
+    /// that follows must keep tracking batch DEEPDIVER.
     #[test]
     fn sharded_engine_matches_deepdiver_under_count_threshold(
         workload in workload_strategy(),
@@ -294,11 +341,11 @@ proptest! {
         shards in 1usize..=4,
     ) {
         let (base, stream) = workload;
-        assert_engine_tracks_batch::<ShardedOracle>(base, &stream, Threshold::Count(tau), shards)?;
+        assert_engine_tracks_batch(base, &stream, Threshold::Count(tau), shards)?;
     }
 
     /// …and over arbitrary *mixed* insert/delete streams, where deletes must
-    /// find their victim row in whichever shard holds a copy.
+    /// find their victim row whichever slice loaded it.
     #[test]
     fn sharded_engine_matches_deepdiver_under_mixed_stream(
         workload in mixed_workload_strategy(),
@@ -306,11 +353,11 @@ proptest! {
         shards in 1usize..=4,
     ) {
         let (base, ops) = workload;
-        assert_engine_tracks_batch_mixed::<ShardedOracle>(base, &ops, Threshold::Count(tau), shards)?;
+        assert_engine_tracks_batch_mixed(base, &ops, Threshold::Count(tau), shards)?;
     }
 
-    /// Sharded engines under rate thresholds: the full-recompute fallback
-    /// runs DEEPDIVER *over the sharded backend* and must stay equivalent.
+    /// Sliced loads under rate thresholds: τ steps as each slice lands, so
+    /// the load itself may run the full-recompute fallback.
     #[test]
     fn sharded_engine_matches_deepdiver_under_mixed_stream_rate_threshold(
         workload in mixed_workload_strategy(),
@@ -319,23 +366,24 @@ proptest! {
     ) {
         let (base, ops) = workload;
         let rate = rate_milli as f64 / 1000.0;
-        assert_engine_tracks_batch_mixed::<ShardedOracle>(base, &ops, Threshold::Fraction(rate), shards)?;
+        assert_engine_tracks_batch_mixed(base, &ops, Threshold::Fraction(rate), shards)?;
     }
 
     /// Dictionary growth interleaved with inserts: the O(1) growth delta
     /// plus the ordinary insert delta must track batch discovery over the
-    /// rebuilt grown dataset — single-shard backend, count thresholds.
+    /// rebuilt grown dataset, under count thresholds.
     #[test]
     fn grow_stream_matches_deepdiver_under_count_threshold(
         workload in grow_workload_strategy(),
         tau in 1u64..10,
     ) {
         let (base, ops) = workload;
-        assert_grow_stream_tracks_batch::<CoverageOracle>(base, &ops, Threshold::Count(tau), 1)?;
+        assert_grow_stream_tracks_batch(base, &ops, Threshold::Count(tau), 1)?;
     }
 
     /// …and under rate thresholds: growth never moves n (so never steps τ),
-    /// while the interleaved inserts do — both deltas must compose.
+    /// while the interleaved inserts do — both deltas must compose, and the
+    /// full-recompute fallback runs DEEPDIVER over the grown oracle.
     #[test]
     fn grow_stream_matches_deepdiver_under_rate_threshold(
         workload in grow_workload_strategy(),
@@ -343,11 +391,11 @@ proptest! {
     ) {
         let (base, ops) = workload;
         let rate = rate_milli as f64 / 1000.0;
-        assert_grow_stream_tracks_batch::<CoverageOracle>(base, &ops, Threshold::Fraction(rate), 1)?;
+        assert_grow_stream_tracks_batch(base, &ops, Threshold::Fraction(rate), 1)?;
     }
 
-    /// The sharded backend grows every shard in lock-step and must stay
-    /// equivalent to batch discovery over the grown dataset.
+    /// A sliced load followed by dictionary growth: the grown codes must
+    /// compose with rows that arrived in separate batches.
     #[test]
     fn sharded_grow_stream_matches_deepdiver_under_count_threshold(
         workload in grow_workload_strategy(),
@@ -355,11 +403,11 @@ proptest! {
         shards in 1usize..=4,
     ) {
         let (base, ops) = workload;
-        assert_grow_stream_tracks_batch::<ShardedOracle>(base, &ops, Threshold::Count(tau), shards)?;
+        assert_grow_stream_tracks_batch(base, &ops, Threshold::Count(tau), shards)?;
     }
 
-    /// Sharded backend, rate thresholds: the full-recompute fallback (when
-    /// an insert steps τ) runs DeepDiver over the *grown* sharded oracle.
+    /// Sliced load, rate thresholds: the full-recompute fallback (when an
+    /// insert steps τ) runs DEEPDIVER over the grown oracle.
     #[test]
     fn sharded_grow_stream_matches_deepdiver_under_rate_threshold(
         workload in grow_workload_strategy(),
@@ -368,7 +416,7 @@ proptest! {
     ) {
         let (base, ops) = workload;
         let rate = rate_milli as f64 / 1000.0;
-        assert_grow_stream_tracks_batch::<ShardedOracle>(base, &ops, Threshold::Fraction(rate), shards)?;
+        assert_grow_stream_tracks_batch(base, &ops, Threshold::Fraction(rate), shards)?;
     }
 
     /// Snapshot round trip at an arbitrary point in a stream: the restored
@@ -498,22 +546,21 @@ fn raw_row(schema: &Schema, row: &[u8]) -> Vec<String> {
 /// op to a real on-disk [`OpLog`]; snapshots (anchored) after `cut` ops;
 /// then recovers a second engine as a restart would — snapshot + replay of
 /// the log tail past the anchor — and asserts full state equivalence.
-fn oplog_replay_matches_live<B: CoverageBackend>(
+fn oplog_replay_matches_live(
     base: &Dataset,
     ops: &[(u8, Vec<u8>, u16)],
     cut: usize,
     tau: u64,
-    tag: &str,
 ) -> Result<(), TestCaseError> {
-    let path = scratch_log(tag);
+    let path = scratch_log("replay");
     let mut log = OpLog::open(&path, SyncPolicy::Off).unwrap();
     let threshold = Threshold::Count(tau);
     let arity = base.arity();
-    let mut engine = CoverageEngine::<B>::with_shards(base.clone(), threshold, 2).unwrap();
+    let mut engine = CoverageEngine::new(base.clone(), threshold).unwrap();
     let mut rows: Vec<Vec<u8>> = base.rows().map(<[u8]>::to_vec).collect();
     let mut grown = 0usize;
     let mut snapshot: Option<(String, u64)> = None;
-    let mut take_cut = |engine: &CoverageEngine<B>, log: &OpLog, applied: usize| {
+    let mut take_cut = |engine: &CoverageEngine, log: &OpLog, applied: usize| {
         if applied == cut {
             snapshot = Some((
                 snapshot_string_anchored(engine, log.last_seq()).unwrap(),
@@ -553,7 +600,7 @@ fn oplog_replay_matches_live<B: CoverageBackend>(
     drop(log);
 
     let (text, expected_anchor) = snapshot.expect("cut is always within 0..=ops.len()");
-    let (mut recovered, anchor) = parse_snapshot_anchored::<B>(&text, None).unwrap();
+    let (mut recovered, anchor) = parse_snapshot_anchored::<CoverageOracle>(&text).unwrap();
     prop_assert_eq!(anchor, expected_anchor, "snapshot must carry its anchor");
     let tail = read_entries_from(&path, anchor + 1).unwrap();
     let applied = replay_entries(&mut recovered, &tail, anchor).unwrap();
@@ -576,13 +623,12 @@ fn oplog_replay_matches_live<B: CoverageBackend>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Crash-recovery equivalence: for any mixed mutation stream and any
     /// snapshot point within it, `snapshot + op-log tail replay` rebuilds an
     /// engine indistinguishable from the one that never went down — MUPs,
-    /// τ, grown dictionaries, and the row multiset all match. Checked for
-    /// both oracle backends (followers may run either).
+    /// τ, grown dictionaries, and the row multiset all match.
     #[test]
     fn snapshot_plus_oplog_tail_replay_matches_the_live_engine(
         workload in mixed_workload_strategy(),
@@ -591,8 +637,7 @@ proptest! {
     ) {
         let (base, ops) = workload;
         let cut = cut_seed % (ops.len() + 1);
-        oplog_replay_matches_live::<CoverageOracle>(&base, &ops, cut, tau, "single")?;
-        oplog_replay_matches_live::<ShardedOracle>(&base, &ops, cut, tau, "sharded")?;
+        oplog_replay_matches_live(&base, &ops, cut, tau)?;
     }
 }
 
@@ -632,7 +677,7 @@ fn torn_oplog_tail_recovers_to_the_last_complete_entry() {
     assert_eq!(entries.last().unwrap().seq, 3);
 
     // …and a recovering engine lands exactly on the pre-crash state.
-    let (mut recovered, anchor) = parse_snapshot_anchored::<CoverageOracle>(&text, None).unwrap();
+    let (mut recovered, anchor) = parse_snapshot_anchored::<CoverageOracle>(&text).unwrap();
     assert_eq!(anchor, 0);
     let applied = replay_entries(&mut recovered, &entries, anchor).unwrap();
     assert_eq!(applied, 3);
