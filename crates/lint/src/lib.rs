@@ -6,19 +6,15 @@
 //! could be added for):
 //!
 //! * `panic-freedom` — serving hot paths must not contain panicking calls;
-//! * `unsafe-audit` — every `unsafe` carries an adjacent `// SAFETY:`;
-//! * `lock-across-blocking` — no Mutex/RwLock guard in a serving hot path
-//!   is held across blocking I/O (directly or through a call chain);
-//! * `lock-order` — the lock-acquisition graph stays acyclic.
+//! * `unsafe-audit` — every `unsafe` carries an adjacent `// SAFETY:`.
 //!
 //! Facts the compiler already knows — the protocol's error codes and ops,
 //! the op-log and snapshot versions — are kept in step with the README by
 //! ordinary tests over compile-time tables, not by this crate.
 //!
 //! The rules work on a token stream from a small hand-rolled lexer
-//! ([`lexer`]), a lightweight item/block parse on top of it ([`parser`]),
-//! and a cross-file symbol table ([`symbols`]) — enough Rust to never
-//! mistake string/comment content for code, and no more. Findings can be
+//! ([`lexer`]) — enough Rust to never mistake string/comment content for
+//! code, and no more. Findings can be
 //! suppressed with a `// LINT-ALLOW(rule): reason` comment on the
 //! offending line or the line above; allows are counted in the report,
 //! and a malformed or unused allow is itself a finding (rule
@@ -29,9 +25,7 @@
 
 pub mod analysis;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod symbols;
 
 use analysis::SourceFile;
 use rules::Finding;
@@ -125,11 +119,9 @@ pub type RuleFn = fn(&Workspace) -> Vec<Finding>;
 
 /// The runnable rules, in [`rules::RULE_NAMES`] order (the trailing
 /// `lint-allow` entry is the driver's own audit, not a rule function).
-pub const RULES: [(&str, RuleFn); 4] = [
+pub const RULES: [(&str, RuleFn); 2] = [
     (rules::panic_free::RULE, rules::panic_free::run),
     (rules::unsafe_audit::RULE, rules::unsafe_audit::run),
-    (rules::lock_blocking::RULE, rules::lock_blocking::run),
-    (rules::lock_order::RULE, rules::lock_order::run),
 ];
 
 /// Loads the workspace at `root` and runs every rule, applying

@@ -5,9 +5,6 @@
 //! driver in [`crate::check_workspace`] applies suppression centrally so
 //! every rule gets the escape hatch (and its accounting) for free.
 
-pub mod lock_blocking;
-pub mod lock_order;
-pub mod locks;
 pub mod panic_free;
 pub mod unsafe_audit;
 
@@ -28,10 +25,4 @@ pub struct Finding {
 /// Rule names, in reporting order. `lint-allow` is the internal rule that
 /// covers the escape-hatch mechanism itself (malformed or unused allows)
 /// and must stay last.
-pub const RULE_NAMES: [&str; 5] = [
-    panic_free::RULE,
-    unsafe_audit::RULE,
-    lock_blocking::RULE,
-    lock_order::RULE,
-    "lint-allow",
-];
+pub const RULE_NAMES: [&str; 3] = [panic_free::RULE, unsafe_audit::RULE, "lint-allow"];

@@ -292,243 +292,6 @@ fn cli_exits_zero_on_clean_and_one_on_violations() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
-// ---- multi-pass fixtures: concurrency rules ----
-
-/// A hot-path file where a mutex guard is live across an fsync: the
-/// canonical `lock-across-blocking` violation.
-const LOCK_ACROSS_FSYNC: &str = r#"
-use std::sync::Mutex;
-pub struct Shared { state: Mutex<u8> }
-pub fn tick(shared: &Shared, file: &mut std::fs::File) {
-    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = file.sync_all();
-    let _ = *guard;
-}
-"#;
-
-#[test]
-fn lock_blocking_fires_on_guard_across_fsync() {
-    let fixture = conforming().file("crates/service/src/event.rs", LOCK_ACROSS_FSYNC);
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-across-blocking");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(findings[0].line, 6);
-    assert!(findings[0]
-        .message
-        .contains("guard `guard` of lock `state`"));
-    assert!(findings[0].message.contains("`.sync_all()`"));
-}
-
-/// Positioned reads and writes (`FileExt::read_exact_at` and friends) are
-/// file I/O like any other: a page read under the op-log guard blocks it.
-#[test]
-fn lock_blocking_fires_on_positioned_io() {
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::os::unix::fs::FileExt;
-use std::sync::Mutex;
-pub struct Shared { oplog: Mutex<std::fs::File> }
-pub fn page(shared: &Shared, buf: &mut [u8]) {
-    let log = shared.oplog.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = log.read_exact_at(buf, 0);
-    let _ = log.write_all_at(buf, 0);
-}
-"#,
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-across-blocking");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert_eq!([findings[0].line, findings[1].line], [7, 8]);
-    assert!(findings[0].message.contains("`.read_exact_at()`"));
-    assert!(findings[1].message.contains("`.write_all_at()`"));
-}
-
-#[test]
-fn lock_blocking_fires_transitively_via_the_symbol_table() {
-    // The blocking call is one hop away: the guard scope calls a
-    // workspace fn whose body fsyncs.
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { state: Mutex<u8> }
-fn persist(file: &mut std::fs::File) {
-    let _ = file.sync_all();
-}
-pub fn tick(shared: &Shared, file: &mut std::fs::File) {
-    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    persist(file);
-    let _ = *guard;
-}
-"#,
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-across-blocking");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("`persist()`"));
-    assert!(findings[0].message.contains("blocks via"));
-}
-
-/// `impl Trait` in a signature does not hide a fn from the symbol table:
-/// a guard held across a call into a fn that takes an `impl Trait`
-/// parameter and fsyncs is flagged, from a holder with such a parameter
-/// too.
-#[test]
-fn lock_blocking_sees_fns_with_impl_trait_parameters() {
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { state: Mutex<u8> }
-fn persist(file: &mut std::fs::File, note: impl Fn() -> u8) -> u8 {
-    let _ = file.sync_all();
-    note()
-}
-pub fn tick(shared: &Shared, file: &mut std::fs::File, next: impl FnOnce() -> u8) -> u8 {
-    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    let n = persist(file, || 1);
-    *guard + n + next()
-}
-"#,
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-across-blocking");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(findings[0].line, 10);
-    assert!(findings[0].message.contains("`persist()`"));
-}
-
-#[test]
-fn lock_blocking_fires_inside_the_engine_wrapper() {
-    // `with_engine_contained(…)`'s argument span is an implicit live
-    // `engine`-lock scope.
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-pub fn apply(file: &mut std::fs::File) -> u8 {
-    with_engine_contained(|engine| {
-        let _ = file.sync_all();
-        engine
-    })
-}
-"#,
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-across-blocking");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert!(findings[0].message.contains("with_engine_contained"));
-}
-
-#[test]
-fn lock_blocking_quiet_after_early_drop_and_in_cold_files() {
-    // `drop(guard)` ends the live range before the fsync.
-    let dropped = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { state: Mutex<u8> }
-pub fn tick(shared: &Shared, file: &mut std::fs::File) -> u8 {
-    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    let value = *guard;
-    drop(guard);
-    let _ = file.sync_all();
-    value
-}
-"#,
-    );
-    let report = dropped.check();
-    assert!(report.clean(), "{:?}", report.findings);
-
-    // The same guard-across-fsync shape in a non-hot-path file is fine.
-    let cold = conforming().file("crates/core/src/persist.rs", LOCK_ACROSS_FSYNC);
-    let report = cold.check();
-    assert!(report.clean(), "{:?}", report.findings);
-}
-
-#[test]
-fn lock_blocking_allow_suppresses_and_is_counted() {
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { state: Mutex<u8> }
-pub fn tick(shared: &Shared, file: &mut std::fs::File) {
-    let guard = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    // LINT-ALLOW(lock-across-blocking): fixture-justified
-    let _ = file.sync_all();
-    let _ = *guard;
-}
-"#,
-    );
-    let report = fixture.check();
-    assert!(report.clean(), "{:?}", report.findings);
-    let summary = report
-        .rules
-        .iter()
-        .find(|r| r.rule == "lock-across-blocking")
-        .expect("summary row");
-    assert_eq!(summary.allows, 1);
-}
-
-#[test]
-fn lock_order_fires_on_cycle_and_self_edge() {
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { alpha: Mutex<u8>, beta: Mutex<u8> }
-pub fn forward(shared: &Shared) {
-    let a = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let b = shared.beta.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = (*a, *b);
-}
-pub fn backward(shared: &Shared) {
-    let b = shared.beta.lock().unwrap_or_else(|e| e.into_inner());
-    let a = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = (*a, *b);
-}
-pub fn reenter(shared: &Shared) {
-    let a = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let again = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = (*a, *again);
-}
-"#,
-    );
-    let report = fixture.check();
-    let findings = rule_findings(&report, "lock-order");
-    assert_eq!(findings.len(), 2, "{:?}", report.findings);
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("self-deadlock") && f.message.contains("`alpha`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("cycle") && f.message.contains("alpha → beta → alpha")));
-}
-
-#[test]
-fn lock_order_quiet_on_consistent_order() {
-    let fixture = conforming().file(
-        "crates/service/src/event.rs",
-        r#"
-use std::sync::Mutex;
-pub struct Shared { alpha: Mutex<u8>, beta: Mutex<u8> }
-pub fn first(shared: &Shared) {
-    let a = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let b = shared.beta.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = (*a, *b);
-}
-pub fn second(shared: &Shared) {
-    let a = shared.alpha.lock().unwrap_or_else(|e| e.into_inner());
-    let b = shared.beta.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = (*a, *b);
-}
-"#,
-    );
-    let report = fixture.check();
-    assert!(report.clean(), "{:?}", report.findings);
-}
-
 // ---- CLI: --rule and --format ----
 
 #[test]
@@ -554,7 +317,7 @@ fn cli_rule_filter_restricts_the_run() {
 
     // …while filtering to an unrelated rule exits clean on the same tree.
     let out = Command::new(env!("CARGO_BIN_EXE_mithra-lint"))
-        .args(["check", "--rule", "lock-order", "--root"])
+        .args(["check", "--rule", "unsafe-audit", "--root"])
         .arg(&dirty.root)
         .output()
         .expect("run filtered check");

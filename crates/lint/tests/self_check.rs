@@ -49,28 +49,3 @@ fn real_workspace_rules_all_ran() {
         );
     }
 }
-
-#[test]
-fn real_workspace_lock_allows_are_counted() {
-    // The service deliberately holds the oplog lock across its own
-    // appends (that lock is what serializes the log) — each such site
-    // carries a counted allow marker, so the guard-scope analysis must
-    // both see the blocking call and see it suppressed. Zero allows
-    // would mean the rule went blind, not that the code got cleaner.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let report = check_workspace(root).expect("load workspace");
-    let row = report
-        .rules
-        .iter()
-        .find(|r| r.rule == "lock-across-blocking")
-        .expect("lock-across-blocking summary row");
-    assert_eq!(row.findings, 0);
-    assert!(
-        row.allows >= 1,
-        "expected counted lock-across-blocking allows, got {}",
-        row.allows
-    );
-}

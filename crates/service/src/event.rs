@@ -4,15 +4,26 @@
 //!
 //! ## One pipeline
 //!
-//! Every request reaches the engine and the op log through one step:
-//! [`process_ops`] serves a *segment* of parsed requests against one engine
-//! (coalescing consecutive inserts and deletes into single engine batches)
-//! and stages each accepted mutation instead of appending it; the staged
-//! mutations are then appended in order, a failed append revoking every
-//! later one, and one batch fsync closes the segment. The event loop runs a
-//! segment per tenant per tick, appending after the engine lock drops;
-//! `serve_lines` runs one per stdin read and `handle_line` one per request
-//! (both through [`serve_segment`]).
+//! Every request reaches the engine and the op log through one step,
+//! [`serve_segment`]: [`process_ops`] serves a *segment* of parsed requests
+//! against one engine (coalescing consecutive inserts and deletes into
+//! single engine batches) and appends each accepted mutation right after
+//! the engine applied it, a failed append revoking every later one; one
+//! batch fsync closes the segment, and a failed fsync revokes every
+//! mutation the segment appended. The event loop runs a segment per tenant
+//! per tick, `serve_lines` one per stdin read and `handle_line` one per
+//! request.
+//!
+//! ## One owner per tenant
+//!
+//! The loop's thread is the only one that touches a tenant's engine and op
+//! log: it borrows both exclusively (`&mut`) for as long as it runs, so no
+//! request, append, fsync or follower apply ever waits on a lock or
+//! interleaves with another. A follower's fetcher thread only fetches: it
+//! hands each page of the leader's log to the loop through a bounded
+//! channel (`crate::replica`), and the loop applies the page between ticks
+//! and records its progress in the same step — a `snapshot` therefore
+//! anchors at exactly the entries its engine holds.
 //!
 //! ## Why an event loop
 //!
@@ -20,7 +31,7 @@
 //! same inserts applied one by one (one frontier walk instead of N). The
 //! event loop forms batches across clients: every poll tick it drains
 //! frames from **all** readable connections into one pending queue, then
-//! takes the engine lock once and serves the whole tick — coalescing runs
+//! serves the whole tick as one segment per tenant — coalescing runs
 //! of consecutive `insert` requests, *across connections*, into single
 //! [`CoverageEngine::insert_batch`] calls and fanning the responses back
 //! per request. Under concurrent insert load the engine sees a few large
@@ -57,7 +68,7 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coverage_index::CoverageBackend;
@@ -65,18 +76,22 @@ use coverage_index::CoverageBackend;
 use crate::engine::CoverageEngine;
 use crate::metrics::{OpClass, ServeMetrics};
 use crate::net::{Interest, Poller};
-use crate::oplog::LoggedOp;
+use crate::oplog::{LoggedOp, OpLog};
 use crate::protocol::{error_response, parse_request, Envelope, Request, RequestId, ServeError};
+use crate::replica::PageFeed;
 use crate::server::{
     append_failed_error, append_skipped_error, delete_response, dispatch, encode_row,
-    insert_response, line_too_long_error, op_class, sync_oplog_batch, with_engine_contained,
-    ServeOptions, IDLE_TIMEOUT, MAX_LINE_BYTES,
+    insert_response, line_too_long_error, op_class, sync_failed_error, sync_oplog_batch,
+    with_engine_contained, ServeOptions, IDLE_TIMEOUT, MAX_LINE_BYTES,
 };
 use crate::tenant::{resolve_tenant, DatasetCounters};
 
 /// Poller token reserved for the listener (connection tokens encode a slab
 /// index in their low 32 bits, bounded far below this).
 const LISTENER: u64 = u64::MAX;
+
+/// Poller token reserved for a follower's page-channel wake socket.
+const FOLLOWER_WAKE: u64 = u64::MAX - 1;
 
 /// Hard cap on simultaneously open connections; beyond it new accepts are
 /// closed immediately (fd exhaustion otherwise takes the listener down).
@@ -234,15 +249,18 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & u64::from(u32::MAX)) as usize, (token >> 32) as u32)
 }
 
-/// One hosted dataset as the event loop sees it: name for routing, engine,
-/// per-tenant options (snapshot/op-log paths), and the per-dataset request
-/// counter (multi-dataset mode only).
-pub(crate) struct EventTenant<B: CoverageBackend> {
+/// One hosted dataset as the event loop sees it: name for routing, the
+/// engine and op log it borrows exclusively for the loop's lifetime,
+/// per-tenant options (snapshot path, growth mode), and the per-dataset
+/// request counter (multi-dataset mode only).
+pub(crate) struct EventTenant<'a, B: CoverageBackend> {
     /// Routing name; `None` for the single unnamed dataset of a plain
     /// `serve` call (any `"dataset"` routing then answers an error).
     pub name: Option<String>,
     /// The engine serving this dataset.
-    pub engine: Arc<Mutex<CoverageEngine<B>>>,
+    pub engine: &'a mut CoverageEngine<B>,
+    /// This dataset's op log, if it is a durable leader.
+    pub oplog: Option<&'a mut OpLog>,
     /// This dataset's serving options.
     pub options: ServeOptions,
     /// Per-dataset request counter (set up by `serve_tenants`).
@@ -389,71 +407,51 @@ fn queue_frame(
     });
 }
 
-/// One op-log append deferred out of the engine step: the response slot to
-/// revoke if the append later fails, the request id to echo in that case,
-/// and the op itself. Deferral keeps blocking log I/O outside the engine
-/// lock while preserving log order (entries are staged in exactly the order
-/// the engine applied them).
-pub(crate) struct DeferredAppend {
-    slot: usize,
-    id: Option<RequestId>,
-    op: LoggedOp,
+/// The op-log side of one segment. Each accepted mutation is appended as
+/// soon as the engine applied it, so the log holds the segment's
+/// mutations in apply order. The first failed append revokes that op's
+/// success and every later mutation's: their engine effects stand, but
+/// none of them reached the log, so the log stays a true prefix of the
+/// acknowledged mutation sequence — appending past a hole would let
+/// follower replay diverge from the leader (a logged delete of rows whose
+/// insert fell in the hole, for example). Appends land before any success
+/// response is sent, so a crash in between loses only ops no client saw
+/// acknowledged. This is the only serving-path caller of
+/// [`crate::OpLog::append`].
+struct SegmentLog<'a> {
+    log: Option<&'a mut OpLog>,
+    /// Why an earlier append of this segment failed.
+    failed: Option<String>,
+    /// The slots and ids of the mutations this segment appended: the
+    /// segment's closing fsync covers them.
+    appended: Vec<(usize, Option<RequestId>)>,
 }
 
-/// Stages one accepted mutation for the post-engine-step append pass.
-/// No-op without a configured op log.
-fn defer_mutation(
-    options: &ServeOptions,
-    deferred: &mut Vec<DeferredAppend>,
-    slot: usize,
-    id: &Option<RequestId>,
-    op: impl FnOnce() -> LoggedOp,
-) {
-    if options.oplog().is_some() {
-        deferred.push(DeferredAppend {
-            slot,
-            id: id.clone(),
-            op: op(),
-        });
-    }
-}
-
-/// Appends a batch of staged mutations to the op log under one lock
-/// acquisition, stopping at the first failure: the failing entry *and*
-/// every later one answer an `internal` error in their slots (their engine
-/// effects stand, but none of them reached the log), so the log stays a
-/// true prefix of the acknowledged mutation sequence — appending past a
-/// hole would let follower replay diverge from the leader (a logged delete
-/// of rows whose insert fell in the hole, for example). Appends land after
-/// the engine applied their ops and before any success response is sent,
-/// so a crash in between loses only ops no client saw acknowledged. This is
-/// the only serving-path caller of [`crate::OpLog::append`].
-fn append_deferred(
-    options: &ServeOptions,
-    deferred: Vec<DeferredAppend>,
-    slots: &mut [Option<String>],
-) {
-    if deferred.is_empty() {
-        return;
-    }
-    let Some(oplog) = options.oplog() else {
-        return;
-    };
-    let mut log = match oplog.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut failed: Option<String> = None;
-    for DeferredAppend { slot, id, op } in deferred {
-        let error = match &failed {
+impl SegmentLog<'_> {
+    /// Logs one accepted mutation whose success response sits in
+    /// `slots[slot]`, replacing that response with an `internal` error if
+    /// it could not be logged. No-op without an op log.
+    fn append(
+        &mut self,
+        slots: &mut [Option<String>],
+        slot: usize,
+        id: Option<RequestId>,
+        op: impl FnOnce() -> LoggedOp,
+    ) {
+        let Some(log) = self.log.as_deref_mut() else {
+            return;
+        };
+        let error = match &self.failed {
             Some(cause) => append_skipped_error(cause),
-            // LINT-ALLOW(lock-across-blocking): batched appends under one oplog lock acquisition; the oplog lock is what serializes the log
-            None => match log.append(op) {
-                Ok(_) => continue,
+            None => match log.append(op()) {
+                Ok(_) => {
+                    self.appended.push((slot, id));
+                    return;
+                }
                 Err(e) => {
                     let cause = e.to_string();
                     let error = append_failed_error(&cause);
-                    failed = Some(cause);
+                    self.failed = Some(cause);
                     error
                 }
             },
@@ -492,30 +490,40 @@ fn count_batch(metrics: Option<&ServeMetrics>, class: OpClass, served: u64) {
     }
 }
 
-/// Runs one uncoalesced request, staging an accepted mutation into
-/// `deferred` (tagged with `slot`) and counting a successful insert or
-/// delete as its own engine batch.
+/// Runs one uncoalesced request into its slot, logging an accepted
+/// mutation and counting a successful insert or delete as its own engine
+/// batch.
 fn dispatch_counted<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
+    log: &mut SegmentLog<'_>,
     options: &ServeOptions,
     metrics: Option<&ServeMetrics>,
-    deferred: &mut Vec<DeferredAppend>,
     op: OpWork,
-) -> String {
+    slots: &mut [Option<String>],
+) {
     let OpWork {
         slot, id, request, ..
     } = op;
     let class = op_class(&request);
     let mut staged = None;
-    match dispatch(engine, options, id.as_ref(), request, metrics, &mut staged) {
+    let oplog = log.log.as_deref_mut();
+    match dispatch(
+        engine,
+        oplog,
+        options,
+        id.as_ref(),
+        request,
+        metrics,
+        &mut staged,
+    ) {
         Ok(response) => {
             count_batch(metrics, class, 1);
+            slots[slot] = Some(response);
             if let Some(op) = staged {
-                deferred.push(DeferredAppend { slot, id, op });
+                log.append(slots, slot, id, || op);
             }
-            response
         }
-        Err(error) => error_response(id.as_ref(), &error),
+        Err(error) => slots[slot] = Some(error_response(id.as_ref(), &error)),
     }
 }
 
@@ -592,17 +600,16 @@ fn run_logged_op(class: OpClass, rows: Vec<Vec<String>>) -> LoggedOp {
 #[allow(clippy::too_many_arguments)]
 fn flush_run<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
+    log: &mut SegmentLog<'_>,
     options: &ServeOptions,
     metrics: Option<&ServeMetrics>,
     class: OpClass,
     run: &mut Vec<OpWork>,
     slots: &mut [Option<String>],
-    deferred: &mut Vec<DeferredAppend>,
 ) {
     if run.len() <= 1 {
         if let Some(op) = run.pop() {
-            let slot = op.slot;
-            slots[slot] = Some(dispatch_counted(engine, options, metrics, deferred, op));
+            dispatch_counted(engine, log, options, metrics, op, slots);
         }
         return;
     }
@@ -623,8 +630,8 @@ fn flush_run<B: CoverageBackend>(
                     } else {
                         rows - coded.len()
                     };
-                    defer_mutation(options, deferred, slot, &id, || run_logged_op(class, raw));
                     slots[slot] = Some(run_response(class, id.as_ref(), coded.len(), rows));
+                    log.append(slots, slot, id, || run_logged_op(class, raw));
                 }
                 Err((slot, response)) => slots[slot] = Some(response),
             }
@@ -642,9 +649,9 @@ fn flush_run<B: CoverageBackend>(
             Ok((slot, id, raw, coded)) => match apply_batch(engine, class, &coded) {
                 Ok(()) => {
                     count_batch(metrics, class, 1);
-                    defer_mutation(options, deferred, slot, &id, || run_logged_op(class, raw));
                     let rows = engine.dataset().len();
                     slots[slot] = Some(run_response(class, id.as_ref(), coded.len(), rows));
+                    log.append(slots, slot, id, || run_logged_op(class, raw));
                 }
                 Err(e) => {
                     slots[slot] = Some(error_response(id.as_ref(), &ServeError::from_service(e)));
@@ -656,25 +663,27 @@ fn flush_run<B: CoverageBackend>(
 }
 
 /// The engine step of one segment: serves every op against `engine`,
-/// writing each response into `slots[op.slot]`, and coalesces consecutive
-/// runs of inserts (when dictionary growth is off — growth encoding
-/// mutates the schema mid-run, so growth mode serves inserts individually)
-/// and of deletes (always: deletes never grow the schema).
-///
-/// Op-log appends are *not* performed here: every accepted mutation is
-/// staged in the returned [`DeferredAppend`] list, in engine-apply order,
-/// for the caller to append after the engine step — in the event loop,
-/// after the engine lock drops. The one exception is a mid-segment
-/// `snapshot`, which drains the staged appends first so the anchor it
-/// reads covers them (see below).
+/// writing each response into `slots[op.slot]` and appending each accepted
+/// mutation to `oplog` right after the engine applied it (see
+/// [`SegmentLog`]). Consecutive runs of inserts are coalesced (when
+/// dictionary growth is off — growth encoding mutates the schema mid-run,
+/// so growth mode serves inserts individually) and so are runs of deletes
+/// (always: deletes never grow the schema). A mid-segment `snapshot`
+/// therefore anchors past every mutation before it. Returns the slots and
+/// ids of the mutations appended, which the segment's fsync covers.
 pub(crate) fn process_ops<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
     engine: &mut CoverageEngine<B>,
+    oplog: Option<&mut OpLog>,
     options: &ServeOptions,
     metrics: Option<&ServeMetrics>,
     ops: I,
     slots: &mut [Option<String>],
-) -> Vec<DeferredAppend> {
-    let mut deferred: Vec<DeferredAppend> = Vec::new();
+) -> Vec<(usize, Option<RequestId>)> {
+    let mut log = SegmentLog {
+        log: oplog,
+        failed: None,
+        appended: Vec::new(),
+    };
     let mut run: Vec<OpWork> = Vec::new();
     // The class of the open run; `Other` while none is open.
     let mut run_class = OpClass::Other;
@@ -685,65 +694,41 @@ pub(crate) fn process_ops<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
             _ => OpClass::Other,
         };
         if class != run_class {
-            flush_run(
-                engine,
-                options,
-                metrics,
-                run_class,
-                &mut run,
-                slots,
-                &mut deferred,
-            );
-            run_class = class;
+            let flushed = std::mem::replace(&mut run_class, class);
+            flush_run(engine, &mut log, options, metrics, flushed, &mut run, slots);
         }
-        if class != OpClass::Other {
+        if class == OpClass::Other {
+            dispatch_counted(engine, &mut log, options, metrics, op, slots);
+        } else {
             run.push(op);
-            continue;
         }
-        // A snapshot anchors to the op log's last appended seq and
-        // truncates through it — but mutations this segment already
-        // applied are still *staged*, not appended, so the anchor would
-        // exclude state the snapshot captures and recovery or follower
-        // snapshot-sync would replay (double-apply) them. Drain the staged
-        // appends into the log first; any append failure revokes its op
-        // before the snapshot observes it. Rare and operator-initiated.
-        if matches!(op.request, Request::Snapshot) {
-            append_deferred(options, std::mem::take(&mut deferred), slots);
-        }
-        let slot = op.slot;
-        slots[slot] = Some(dispatch_counted(
-            engine,
-            options,
-            metrics,
-            &mut deferred,
-            op,
-        ));
     }
     flush_run(
-        engine,
-        options,
-        metrics,
-        run_class,
-        &mut run,
-        slots,
-        &mut deferred,
+        engine, &mut log, options, metrics, run_class, &mut run, slots,
     );
-    deferred
+    log.appended
 }
 
-/// Serves one segment against an engine the caller holds outright — the
-/// stdin front end and `handle_line`: the engine step, the staged appends,
-/// then one batch fsync, so every response in `slots` is final before the
-/// caller writes it.
+/// Serves one segment — per tenant per event-loop tick, per stdin read,
+/// per `handle_line` call: the engine step, then one batch fsync, so every
+/// response in `slots` is final before the caller writes it. If the fsync
+/// fails, every mutation the segment appended answers `internal`: it is
+/// applied and logged, but not durable.
 pub(crate) fn serve_segment<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
     engine: &mut CoverageEngine<B>,
+    mut oplog: Option<&mut OpLog>,
     options: &ServeOptions,
+    metrics: Option<&ServeMetrics>,
     ops: I,
     slots: &mut [Option<String>],
 ) {
-    let staged = process_ops(engine, options, None, ops, slots);
-    append_deferred(options, staged, slots);
-    sync_oplog_batch(options);
+    let appended = process_ops(engine, oplog.as_deref_mut(), options, metrics, ops, slots);
+    if let Err(e) = sync_oplog_batch(oplog) {
+        let error = sync_failed_error(e);
+        for (slot, id) in appended {
+            slots[slot] = Some(error_response(id.as_ref(), &error));
+        }
+    }
 }
 
 /// Flushes as much of `conn.out` as the socket will take. Returns `false`
@@ -765,23 +750,40 @@ fn flush(conn: &mut Conn) -> bool {
     true
 }
 
-/// The event loop proper, hosting one or more datasets. Shared machinery —
-/// poller, connection slab, admission budget (`max_pending` read from
-/// tenant 0), I/O metrics — is per-process; each tick's engine-bound ops
-/// are split into maximal runs of consecutive same-tenant requests and
-/// each run is served under that tenant's engine lock (so cross-connection
-/// coalescing still happens within a tenant, and tenants can't corrupt
-/// each other: panic containment rebuilds only the tenant that panicked).
+/// The event loop proper, hosting one or more datasets; the loop's thread
+/// is the only one that touches their engines and op logs. Shared
+/// machinery — poller, connection slab, admission budget (`max_pending`
+/// read from tenant 0), I/O metrics — is per-process; each tick's
+/// engine-bound ops are split by tenant and each tenant's ops are served
+/// as one segment (so cross-connection coalescing still happens within a
+/// tenant, each tenant's log is fsynced once per tick, and tenants can't
+/// corrupt each other: panic containment rebuilds only the tenant that
+/// panicked).
+///
+/// With `follow`, tenant 0 is a follower: the pages its fetcher sends are
+/// applied between ticks, each entry's progress recorded in the same step,
+/// and a page that fails to apply ends the loop with `Err`.
 pub(crate) fn serve_event_tenants<B: CoverageBackend>(
-    tenants: Vec<EventTenant<B>>,
+    mut tenants: Vec<EventTenant<'_, B>>,
+    mut follow: Option<PageFeed>,
     listener: TcpListener,
 ) -> io::Result<()> {
-    assert!(!tenants.is_empty(), "serve_event_tenants needs >= 1 tenant");
+    if tenants.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "no datasets to serve",
+        ));
+    }
     let names: Vec<Option<String>> = tenants.iter().map(|t| t.name.clone()).collect();
     let max_pending = tenants[0].options.max_pending();
     listener.set_nonblocking(true)?;
     let poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+    if let Some(feed) = &follow {
+        poller.register(feed.wake_fd(), FOLLOWER_WAKE, Interest::READ)?;
+    }
+    // Whether the follower's channel may hold pages the last tick left.
+    let mut pages_waiting = true;
 
     let metrics = ServeMetrics::default();
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -800,7 +802,15 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
     let mut last_sweep = Instant::now();
 
     loop {
-        poller.wait(&mut events, if carry.is_empty() { 1000 } else { 0 })?;
+        let busy = !carry.is_empty() || (pages_waiting && follow.is_some());
+        poller.wait(&mut events, if busy { 0 } else { 1000 })?;
+        if let Some(feed) = follow.as_mut() {
+            if events.iter().any(|event| event.token == FOLLOWER_WAKE) && !feed.clear_wake() {
+                // The fetcher is gone: nothing will wake this socket again.
+                let _ = poller.deregister(feed.wake_fd());
+            }
+            pages_waiting = feed.apply_ready(tenants[0].engine)?;
+        }
         let now = Instant::now();
         // This tick's read order: carried connections first, then the
         // ones the poller reports readable.
@@ -808,6 +818,9 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
         order.append(&mut carry);
 
         for event in &events {
+            if event.token == FOLLOWER_WAKE {
+                continue;
+            }
             if event.token == LISTENER {
                 // Drain the accept queue; level-triggering re-reports any
                 // leftovers next tick.
@@ -918,8 +931,8 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
 
         if !pending.is_empty() {
             // Split the tick's queue: preformed responses fill their slots
-            // now; engine-bound ops run per tenant segment under one lock
-            // acquisition and one panic-containment scope.
+            // now; engine-bound ops run as one segment per tenant, each
+            // under one panic-containment scope.
             let mut slots: Vec<Option<String>> = Vec::with_capacity(pending.len());
             let mut ops: Vec<OpWork> = Vec::new();
             for (slot, item) in pending.iter_mut().enumerate() {
@@ -942,52 +955,34 @@ pub(crate) fn serve_event_tenants<B: CoverageBackend>(
                     }
                 }
             }
-            // Serve the tick's ops in maximal runs of consecutive
-            // same-tenant requests, each under its own tenant's engine
-            // lock. If a run panics mid-batch, every op of that run
-            // answers an internal error (that tenant's engine was
-            // rebuilt); other tenants' runs and already-formed responses
-            // stay intact.
-            let mut ops = ops.into_iter().peekable();
-            while let Some(first) = ops.next() {
-                let tenant = &tenants[first.tenant];
-                let mut segment = vec![first];
-                while let Some(op) = ops.next_if(|op| op.tenant == segment[0].tenant) {
-                    segment.push(op);
+            // Serve each tenant's ops as one segment. If a segment panics,
+            // every op of it answers an internal error (that tenant's
+            // engine was rebuilt); other tenants' segments and
+            // already-formed responses stay intact.
+            let mut segments: Vec<Vec<OpWork>> = tenants.iter().map(|_| Vec::new()).collect();
+            for op in ops {
+                segments[op.tenant].push(op);
+            }
+            for (tenant, segment) in tenants.iter_mut().zip(segments) {
+                if segment.is_empty() {
+                    continue;
                 }
                 if let Some(counters) = &tenant.counters {
                     counters.add_requests(segment.len() as u64);
                 }
                 let failure_meta: Vec<(usize, Option<RequestId>)> =
                     segment.iter().map(|op| (op.slot, op.id.clone())).collect();
-                let staged = with_engine_contained(&tenant.engine, Err, |engine| {
-                    // LINT-ALLOW(lock-across-blocking): a mid-segment snapshot drains the staged appends under the engine lock so its anchor covers them, and a replicate page (at most 512 lines) is read from the op-log file; every other append waits for the lock to drop
-                    Ok(process_ops(
-                        engine,
-                        &tenant.options,
-                        Some(&metrics),
-                        segment,
-                        &mut slots,
-                    ))
+                let oplog = tenant.oplog.as_deref_mut();
+                let served = with_engine_contained(tenant.engine, Err, |engine| {
+                    let metrics = Some(&metrics);
+                    serve_segment(engine, oplog, &tenant.options, metrics, segment, &mut slots);
+                    Ok(())
                 });
-                match staged {
-                    // Append the segment's accepted mutations now, after
-                    // the engine lock dropped, under one oplog lock
-                    // acquisition; a failed append revokes that op's
-                    // success response and every later staged op's.
-                    Ok(staged) => append_deferred(&tenant.options, staged, &mut slots),
-                    Err(error) => {
-                        for (slot, id) in failure_meta {
-                            slots[slot] = Some(error_response(id.as_ref(), &error));
-                        }
+                if let Err(error) = served {
+                    for (slot, id) in failure_meta {
+                        slots[slot] = Some(error_response(id.as_ref(), &error));
                     }
                 }
-            }
-            // One durability point per tick per tenant: everything the
-            // tick appended to an op log is fsynced (under the default
-            // batch policy) before any of the tick's responses go out.
-            for tenant in &tenants {
-                sync_oplog_batch(&tenant.options);
             }
             // Stage responses in decode order so each connection sees its
             // own requests answered strictly in the order it sent them.
@@ -1079,6 +1074,7 @@ mod tests {
     use coverage_core::Threshold;
     use coverage_data::{Attribute, Dataset, Schema};
     use std::io::{BufRead, BufReader};
+    use std::sync::Mutex;
 
     fn decode_all(decoder: &mut FrameDecoder) -> Vec<Frame> {
         let mut frames = Vec::new();
@@ -1175,9 +1171,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let engine = Arc::new(Mutex::new(test_engine()));
-        let server = Arc::clone(&engine);
         std::thread::spawn(move || {
-            let _ = crate::serve(server, ServeOptions::default(), listener);
+            let _ = crate::serve(engine, ServeOptions::default(), listener);
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -1188,12 +1183,13 @@ mod tests {
             .write_all(
                 b"{\"op\":\"insert\",\"id\":1,\"row\":[\"f\",\"black\"]}\n\
                   {\"op\":\"insert\",\"id\":2,\"row\":[\"m\",\"asian\"]}\n\
-                  {\"op\":\"mups\",\"id\":\"last\"}\n",
+                  {\"op\":\"mups\",\"id\":\"last\"}\n\
+                  {\"op\":\"stats\"}\n",
             )
             .unwrap();
         let mut reader = BufReader::new(stream);
         let mut lines = Vec::new();
-        for _ in 0..3 {
+        for _ in 0..4 {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             lines.push(line.trim().to_string());
@@ -1212,7 +1208,11 @@ mod tests {
             lines[2]
         );
         // Both inserts landed (whether or not they shared a tick).
-        assert_eq!(engine.lock().unwrap().dataset().len(), 6);
+        let stats = crate::protocol::Json::parse(&lines[3]).unwrap();
+        assert_eq!(
+            stats.get("rows").and_then(crate::protocol::Json::as_u64),
+            Some(6)
+        );
     }
 
     /// Three pipelined inserts in one segment; the op log below fails from
@@ -1232,20 +1232,26 @@ mod tests {
         r#"{"ok":false,"id":3,"code":"internal","error":"op applied but not logged: an earlier op-log append failed: injected append failure"}"#,
     ];
 
-    /// A fresh op log at a per-test path whose appends fail from the
-    /// second call on.
-    fn failing_log(tag: &str) -> (std::path::PathBuf, Arc<Mutex<crate::OpLog>>) {
+    /// A fresh op log at a per-test path.
+    fn fresh_log(tag: &str) -> (std::path::PathBuf, crate::OpLog) {
         let path =
             std::env::temp_dir().join(format!("mithra-event-{tag}-{}.oplog", std::process::id()));
         std::fs::remove_file(&path).ok();
-        let log = crate::OpLog::open(&path, crate::SyncPolicy::Batch).unwrap();
+        (
+            path.clone(),
+            OpLog::open(&path, crate::SyncPolicy::Batch).unwrap(),
+        )
+    }
+
+    /// A fresh op log whose appends fail from the second call on.
+    fn failing_log(tag: &str) -> (std::path::PathBuf, Arc<Mutex<crate::OpLog>>) {
+        let (path, mut log) = fresh_log(tag);
         log.fail_appends_from(2);
         (path, Arc::new(Mutex::new(log)))
     }
 
-    /// The log holds the first insert only: no entry past the hole.
-    fn assert_logged_first_insert_only(path: &std::path::Path, log: &Mutex<crate::OpLog>) {
-        assert_eq!(log.lock().unwrap().last_seq(), 1);
+    /// The log file holds the first insert only: no entry past the hole.
+    fn assert_logged_first_insert_only(path: &std::path::Path) {
         let entries = crate::oplog::read_entries_from(path, 1).unwrap();
         assert_eq!(entries.len(), 1, "{entries:?}");
         assert_eq!(
@@ -1271,23 +1277,26 @@ mod tests {
             .unwrap();
         stream.write_all(FAILING_BURST.as_bytes()).unwrap();
         let engine = Arc::new(Mutex::new(test_engine()));
-        let server = Arc::clone(&engine);
-        let options = ServeOptions::default().with_oplog(Some(Arc::clone(&log)));
+        let options = ServeOptions::default().with_oplog(Some(log));
         std::thread::spawn(move || {
-            let _ = crate::serve(server, options, listener);
+            let _ = crate::serve(engine, options, listener);
         });
-        let mut reader = BufReader::new(stream);
-        let lines: Vec<String> = (0..3)
-            .map(|_| {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                line.trim_end().to_string()
-            })
-            .collect();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut read_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        };
+        let lines: Vec<String> = (0..3).map(|_| read_line()).collect();
         assert_eq!(lines, FAILING_BURST_RESPONSES);
         // The engine applied all three; only the log stops at the hole.
-        assert_eq!(engine.lock().unwrap().dataset().len(), 7);
-        assert_logged_first_insert_only(&path, &log);
+        stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let stats = crate::protocol::Json::parse(&read_line()).unwrap();
+        assert_eq!(
+            stats.get("rows").and_then(crate::protocol::Json::as_u64),
+            Some(7)
+        );
+        assert_logged_first_insert_only(&path);
     }
 
     #[test]
@@ -1301,7 +1310,8 @@ mod tests {
         let text = String::from_utf8(output).unwrap();
         assert_eq!(text.lines().collect::<Vec<_>>(), FAILING_BURST_RESPONSES);
         assert_eq!(engine.dataset().len(), 7);
-        assert_logged_first_insert_only(&path, &log);
+        assert_eq!(log.lock().unwrap().last_seq(), 1);
+        assert_logged_first_insert_only(&path);
     }
 
     #[test]
@@ -1322,7 +1332,97 @@ mod tests {
             FAILING_BURST_RESPONSES[1].replace("\"id\":2", "\"id\":3")
         );
         assert_eq!(engine.dataset().len(), 7);
-        assert_logged_first_insert_only(&path, &log);
+        assert_eq!(log.lock().unwrap().last_seq(), 1);
+        assert_logged_first_insert_only(&path);
+    }
+
+    /// What [`FAILING_BURST`] answers when every append lands but the
+    /// fsync closing the segment fails: each insert is applied and logged,
+    /// and none of them is acknowledged as durable.
+    fn sync_failed_responses() -> Vec<String> {
+        (1..=3)
+            .map(|id| {
+                format!(
+                    r#"{{"ok":false,"id":{id},"code":"internal","error":"op applied and logged, but the op-log fsync failed: injected fsync failure"}}"#
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn failed_fsync_revokes_every_success_of_its_segment() {
+        let (path, mut log) = fresh_log("sync-stdin");
+        log.fail_syncs_from(2);
+        let mut engine = test_engine();
+        // The first segment's fsync succeeds and its insert answers `ok`.
+        let first = r#"{"op":"insert","id":0,"row":["m","white"]}"#;
+        let options = ServeOptions::default();
+        let mut slots = [None];
+        let op = match request_work(first, &[None]) {
+            PendingKind::Op {
+                tenant,
+                id,
+                request,
+            } => OpWork {
+                slot: 0,
+                tenant,
+                id,
+                request,
+            },
+            PendingKind::Ready(response) => panic!("{response}"),
+        };
+        serve_segment(
+            &mut engine,
+            Some(&mut log),
+            &options,
+            None,
+            [op],
+            &mut slots,
+        );
+        assert!(slots[0].as_deref().unwrap().starts_with(r#"{"ok":true"#));
+        // The second segment's fsync fails: all three of its inserts are
+        // in the log, and each answers `internal`; a read stays `ok`.
+        let script = format!("{FAILING_BURST}{{\"op\":\"stats\"}}\n");
+        let shared = Arc::new(Mutex::new(log));
+        let options = options.with_oplog(Some(Arc::clone(&shared)));
+        let mut output = Vec::new();
+        crate::serve_lines(&mut engine, &options, script.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[..3], sync_failed_responses());
+        assert!(lines[3].starts_with(r#"{"ok":true"#), "{}", lines[3]);
+        assert_eq!(engine.dataset().len(), 8);
+        assert_eq!(shared.lock().unwrap().last_seq(), 4);
+        assert_eq!(crate::oplog::read_entries_from(&path, 1).unwrap().len(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_fsync_revokes_the_successes_of_an_event_loop_segment() {
+        let (path, mut log) = fresh_log("sync-tcp");
+        log.fail_syncs_from(1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(FAILING_BURST.as_bytes()).unwrap();
+        let engine = Arc::new(Mutex::new(test_engine()));
+        let options = ServeOptions::default().with_oplog(Some(Arc::new(Mutex::new(log))));
+        std::thread::spawn(move || {
+            let _ = crate::serve(engine, options, listener);
+        });
+        let mut reader = BufReader::new(stream);
+        let lines: Vec<String> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line.trim_end().to_string()
+            })
+            .collect();
+        assert_eq!(lines, sync_failed_responses());
+        assert_eq!(crate::oplog::read_entries_from(&path, 1).unwrap().len(), 3);
+        std::fs::remove_file(&path).ok();
     }
 
     /// One row over six ten-valued attributes: 54 level-1 MUPs, so each

@@ -29,7 +29,8 @@
 //!   recovery is snapshot + tail replay and followers can stream the tail;
 //! * [`replica`] — read-only followers (`mithra serve --follow`): a
 //!   background thread polls the leader's `replicate` op (or tails a shared
-//!   log file) and applies entries through the ordinary engine path;
+//!   log file) and hands each page through a bounded channel to the event
+//!   loop, which applies it through the ordinary engine path;
 //! * [`tenant`] — multi-dataset tenancy (`mithra serve --datasets`): N
 //!   engines behind one event loop, routed by the optional `"dataset"`
 //!   request field;
@@ -42,8 +43,8 @@
 //!   in, one response out), [`serve_lines`] (stdin/stdout), and [`serve`]
 //!   (TCP);
 //! * `event` (internal) — the request pipeline every entry point runs
-//!   (one segment step: coalesce, dispatch, stage op-log appends, append,
-//!   sync), and the TCP front end: a readiness-driven event loop (epoll on
+//!   (one segment step: coalesce, dispatch, append, sync), and the TCP
+//!   front end, which owns every tenant's engine and op log: a readiness-driven event loop (epoll on
 //!   Linux, portable fallback elsewhere) that multiplexes every connection
 //!   on one thread, reassembles fragmented NDJSON frames incrementally,
 //!   coalesces concurrent inserts into single engine batches, and defers
@@ -99,8 +100,13 @@ pub use delta::DeltaOutcome;
 pub use engine::{CoverageEngine, EngineStats, DEFAULT_CACHE_CAPACITY};
 pub use metrics::ServeMetrics;
 pub use oplog::{LogEntry, LoggedOp, OpLog, SyncPolicy, OPLOG_VERSION};
-pub use replica::{apply_entry, replay_entries, run_follower, ReplicaSource, ReplicationStatus};
-pub use server::{handle_line, serve, serve_lines, ServeOptions, DEFAULT_MAX_PENDING};
+pub use replica::{
+    apply_entry, follower_channel, replay_entries, run_follower, PageFeed, PageSender,
+    ReplicaSource, ReplicationStatus, FOLLOWER_PAGE_CAP,
+};
+pub use server::{
+    handle_line, serve, serve_follower, serve_lines, ServeOptions, DEFAULT_MAX_PENDING,
+};
 pub use snapshot::{
     load_snapshot, load_snapshot_anchored, save_snapshot, save_snapshot_anchored, SNAPSHOT_VERSION,
 };

@@ -428,15 +428,12 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
 enum Fault {
     /// Every append from the `k`-th call on (counting from 1).
     AppendsFrom(u64),
+    /// Every batch fsync from the `k`-th one on (counting from 1).
+    SyncsFrom(u64),
     /// The rewrite of every truncation, after the tail is copied and
     /// before the rename.
     Truncations,
 }
-
-/// Logs with an injected fault: a fault seam for tests, keyed by path so
-/// parallel tests stay apart.
-#[cfg(test)]
-static FAULTS: std::sync::Mutex<Vec<(PathBuf, Fault)>> = std::sync::Mutex::new(Vec::new());
 
 /// The writable append-only op log a leader owns.
 ///
@@ -461,10 +458,13 @@ pub struct OpLog {
     end: u64,
     appends: u64,
     fsyncs: u64,
+    /// The step a test made fail on purpose.
+    #[cfg(test)]
+    fault: Option<Fault>,
 }
 
-/// A run of retained entries located under the op-log lock and read after
-/// it drops: the file handle and byte range of their lines.
+/// A run of retained entries located from the in-memory offsets, not yet
+/// read: the file handle and byte range of their lines.
 #[derive(Debug)]
 pub struct LogPage {
     file: Arc<File>,
@@ -552,6 +552,8 @@ impl OpLog {
             end,
             appends: 0,
             fsyncs: 0,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
@@ -573,7 +575,7 @@ impl OpLog {
     /// under [`SyncPolicy::Always`] it is also fsynced.
     pub fn append(&mut self, op: LoggedOp) -> io::Result<u64> {
         #[cfg(test)]
-        if self.injected(|fault| matches!(fault, Fault::AppendsFrom(k) if self.appends + 1 >= k)) {
+        if matches!(self.fault, Some(Fault::AppendsFrom(k)) if self.appends + 1 >= k) {
             return Err(io::Error::other("injected append failure"));
         }
         let seq = self.last_seq() + 1;
@@ -599,34 +601,23 @@ impl OpLog {
     /// follow the first failing one, so the successful count stays at
     /// `k - 1` from then on.
     #[cfg(test)]
-    pub(crate) fn fail_appends_from(&self, k: u64) {
-        self.inject(Fault::AppendsFrom(k));
+    pub(crate) fn fail_appends_from(&mut self, k: u64) {
+        self.fault = Some(Fault::AppendsFrom(k));
+    }
+
+    /// Makes every batch fsync of this log from the `k`-th one on
+    /// (counting from 1) fail, leaving the appends it would have covered
+    /// written but not durable (tests only).
+    #[cfg(test)]
+    pub(crate) fn fail_syncs_from(&mut self, k: u64) {
+        self.fault = Some(Fault::SyncsFrom(k));
     }
 
     /// Makes every truncation of this log fail after copying the retained
     /// tail and before renaming it into place (tests only).
     #[cfg(test)]
-    pub(crate) fn fail_truncations(&self) {
-        self.inject(Fault::Truncations);
-    }
-
-    #[cfg(test)]
-    fn inject(&self, fault: Fault) {
-        let mut faults = FAULTS.lock().unwrap();
-        faults.retain(|(path, old)| {
-            path != &self.path || std::mem::discriminant(old) != std::mem::discriminant(&fault)
-        });
-        faults.push((self.path.clone(), fault));
-    }
-
-    /// Whether an injected fault on this log matches.
-    #[cfg(test)]
-    fn injected(&self, matches: impl Fn(Fault) -> bool) -> bool {
-        FAULTS
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|(path, fault)| path == &self.path && matches(*fault))
+    pub(crate) fn fail_truncations(&mut self) {
+        self.fault = Some(Fault::Truncations);
     }
 
     /// Fsyncs pending appends if the policy is [`SyncPolicy::Batch`] and
@@ -634,6 +625,10 @@ impl OpLog {
     /// this once per segment.
     pub fn sync_batch(&mut self) -> io::Result<()> {
         if self.dirty && self.sync == SyncPolicy::Batch {
+            #[cfg(test)]
+            if matches!(self.fault, Some(Fault::SyncsFrom(k)) if self.fsyncs + 1 >= k) {
+                return Err(io::Error::other("injected fsync failure"));
+            }
             self.file.sync_data()?;
             self.fsyncs += 1;
             self.dirty = false;
@@ -688,8 +683,7 @@ impl OpLog {
     }
 
     /// Locates the retained entries with `seq >= from`, capped at `max`,
-    /// without reading them: [`LogPage::read_lines`] does, after the caller has
-    /// released the log. `Err` carries the oldest available seq when `from`
+    /// without reading them: [`LogPage::read_lines`] does. `Err` carries the oldest available seq when `from`
     /// predates the retained window (the follower must restart from a
     /// fresh snapshot).
     pub fn entries_from(&self, from: u64, max: usize) -> Result<LogPage, u64> {
@@ -741,7 +735,7 @@ impl OpLog {
         io::copy(&mut source.take(self.end - from_byte), &mut &file)?;
         file.sync_data()?;
         #[cfg(test)]
-        if self.injected(|fault| fault == Fault::Truncations) {
+        if self.fault == Some(Fault::Truncations) {
             return Err(io::Error::other("injected truncation failure"));
         }
         fs::rename(&tmp, &self.path)?;
@@ -1087,7 +1081,6 @@ mod tests {
             entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
             [1, 2, 3, 4, 5, 6]
         );
-        FAULTS.lock().unwrap().retain(|(p, _)| p != &path);
         let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
         let _ = fs::remove_file(tmp);

@@ -2,9 +2,16 @@
 //! ordinary engine path.
 //!
 //! A follower (`mithra serve --follow <addr|path>`) bootstraps its engine
-//! exactly like a leader (CSV audit or snapshot restore), then runs
-//! [`run_follower`] on a background thread while the regular front end
-//! serves read-only traffic. Two transports share one loop:
+//! exactly like a leader (CSV audit or snapshot restore) and hands it to
+//! the event loop ([`crate::serve_follower`]), which owns it from then on.
+//! [`run_follower`] runs on a background thread and only *fetches*: it
+//! sends each page of the leader's log through a bounded channel
+//! ([`follower_channel`], [`FOLLOWER_PAGE_CAP`] pages) and wakes the loop
+//! through a socket pair. The loop applies each page between ticks and
+//! records each entry's seq as applied in the same step, so a follower
+//! `snapshot` anchors at exactly the entries its engine holds. While the
+//! loop falls behind, the fetcher blocks on the full channel instead of
+//! buffering more. Two transports share one fetch loop:
 //!
 //! * **TCP** (`--follow host:port`) — the follower sends `replicate`
 //!   requests to the leader and pages through the returned entry batches;
@@ -19,11 +26,14 @@
 //! follower was started from the wrong base state (or the log is corrupt),
 //! and the loop stops with an error instead of serving divergent answers.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use coverage_index::CoverageBackend;
@@ -36,6 +46,12 @@ use crate::server::{encode_row, encode_rows_growing, with_engine_contained};
 /// How long a follower waits for the leader's `replicate` response before
 /// treating the connection as dead.
 const REPLICATE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Pages of the leader's log (each at most [`REPLICATE_BATCH_LIMIT`]
+/// entries) a follower's fetcher may hold ahead of the event loop; a
+/// fetcher with this many unapplied pages waits for the loop. The loop
+/// applies at most this many pages per tick.
+pub const FOLLOWER_PAGE_CAP: usize = 4;
 
 /// Shared replication progress, surfaced by the `stats` op as the
 /// `"replication"` section on a follower.
@@ -98,7 +114,7 @@ impl ReplicationStatus {
         self.errors.load(Ordering::Relaxed)
     }
 
-    fn record_applied(&self, seq: u64) {
+    pub(crate) fn record_applied(&self, seq: u64) {
         self.applied_seq.store(seq, Ordering::Release);
         self.entries_applied.fetch_add(1, Ordering::Relaxed);
     }
@@ -136,6 +152,134 @@ impl ReplicaSource {
             ReplicaSource::File(path) => format!("file://{}", path.display()),
         }
     }
+}
+
+/// The fetcher's end of a follower's page channel (see
+/// [`follower_channel`]).
+#[derive(Debug)]
+pub struct PageSender {
+    pages: SyncSender<Vec<LogEntry>>,
+    wake: UnixStream,
+    status: Arc<ReplicationStatus>,
+}
+
+impl PageSender {
+    /// Sends one page, blocking while the channel holds
+    /// [`FOLLOWER_PAGE_CAP`] unapplied pages, then wakes the loop.
+    /// `false` once the loop has gone.
+    fn send(&self, page: Vec<LogEntry>) -> bool {
+        if self.pages.send(page).is_err() {
+            return false;
+        }
+        // A full wake buffer already holds a pending wake.
+        let _ = (&self.wake).write(&[1]);
+        true
+    }
+}
+
+/// The event loop's end of a follower's page channel (see
+/// [`follower_channel`]).
+#[derive(Debug)]
+pub struct PageFeed {
+    pages: Receiver<Vec<LogEntry>>,
+    wake: UnixStream,
+    status: Arc<ReplicationStatus>,
+}
+
+impl PageFeed {
+    /// The replication progress this feed records.
+    pub fn status(&self) -> &Arc<ReplicationStatus> {
+        &self.status
+    }
+
+    /// The socket the fetcher writes a byte to after each page.
+    pub(crate) fn wake_fd(&self) -> RawFd {
+        self.wake.as_raw_fd()
+    }
+
+    /// Drains the wake socket; `false` once the fetcher has hung up.
+    pub(crate) fn clear_wake(&mut self) -> bool {
+        let mut buf = [0u8; 64];
+        loop {
+            match self.wake.read(&mut buf) {
+                Ok(0) => return false,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return true,
+            }
+        }
+    }
+
+    /// Applies the pages waiting in the channel, at most
+    /// [`FOLLOWER_PAGE_CAP`] of them, recording each entry's seq as it
+    /// lands. Returns whether the cap cut the drain short (more pages may
+    /// wait). An entry that does not apply is fatal: this follower's base
+    /// state diverged from the leader's.
+    pub(crate) fn apply_ready<B: CoverageBackend>(
+        &mut self,
+        engine: &mut CoverageEngine<B>,
+    ) -> io::Result<bool> {
+        for _ in 0..FOLLOWER_PAGE_CAP {
+            let page = match self.pages.try_recv() {
+                Ok(page) => page,
+                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return Ok(false),
+            };
+            for entry in &page {
+                self.apply(engine, entry)?;
+            }
+        }
+        Ok(true)
+    }
+
+    fn apply<B: CoverageBackend>(
+        &self,
+        engine: &mut CoverageEngine<B>,
+        entry: &LogEntry,
+    ) -> io::Result<()> {
+        let applied = self.status.applied_seq();
+        if entry.seq <= applied {
+            return Ok(()); // already applied (overlapping file re-read)
+        }
+        let fatal = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+        if entry.seq != applied + 1 {
+            return Err(fatal(format!(
+                "leader log jumps from seq {applied} to {}; restart this follower from a \
+                 fresh snapshot",
+                entry.seq
+            )));
+        }
+        with_engine_contained(engine, Err, |engine| apply_entry(engine, &entry.op)).map_err(
+            |e| {
+                fatal(format!(
+                    "applying replicated seq {} failed ({}); this follower's base state \
+                     diverged from the leader",
+                    entry.seq, e.message
+                ))
+            },
+        )?;
+        self.status.record_applied(entry.seq);
+        Ok(())
+    }
+}
+
+/// A follower's page channel, recording progress in `status`: the sender
+/// goes to [`run_follower`], the feed to [`crate::serve_follower`].
+pub fn follower_channel(status: &Arc<ReplicationStatus>) -> io::Result<(PageSender, PageFeed)> {
+    let (tx, rx) = sync_channel(FOLLOWER_PAGE_CAP);
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
+    let sender = PageSender {
+        pages: tx,
+        wake: wake_tx,
+        status: Arc::clone(status),
+    };
+    let feed = PageFeed {
+        pages: rx,
+        wake: wake_rx,
+        status: Arc::clone(status),
+    };
+    Ok((sender, feed))
 }
 
 /// Applies one logged op through the ordinary engine path. Inserts always
@@ -298,28 +442,29 @@ fn fetch_tcp(conn: &mut Option<TcpFetcher>, addr: &str, from: u64) -> Result<Bat
     })
 }
 
-/// Tails the leader's log and applies every entry to the shared engine,
-/// updating `status` as it goes. Runs until `stop` is set (clean `Ok`) or
-/// a fatal condition is hit: the leader refuses replication, the log is
-/// corrupt, or — the serious one — an entry fails to apply, which means
-/// this follower's base state diverged from the leader's and read-only
-/// answers can no longer be trusted.
+/// Tails the leader's log and sends every page to the event loop through
+/// `pages`, updating the leader seq, round and error counts of the
+/// channel's status as it goes (the loop records what it applied). Runs
+/// until `stop` is set or the loop has gone (clean `Ok`), or until a fatal
+/// condition is hit: the leader refuses replication or the log is
+/// corrupt.
 ///
 /// Transient fetch failures (leader restarting, connection drops) are
 /// counted in [`ReplicationStatus::errors`] and retried after `poll`;
-/// catch-up pages are fetched back-to-back without sleeping.
-pub fn run_follower<B: CoverageBackend>(
-    engine: Arc<Mutex<CoverageEngine<B>>>,
+/// catch-up pages are fetched back-to-back without sleeping, until the
+/// channel is full.
+pub fn run_follower(
     source: ReplicaSource,
-    status: Arc<ReplicationStatus>,
+    pages: PageSender,
     poll: Duration,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
+    let status = Arc::clone(&pages.status);
     let mut conn: Option<TcpFetcher> = None;
     let mut cursor: Option<FileCursor> = None;
     let mut was_failing = false;
+    let mut from = status.applied_seq() + 1;
     while !stop.load(Ordering::Relaxed) {
-        let from = status.applied_seq() + 1;
         let fetched = match &source {
             ReplicaSource::File(path) => fetch_file(path, from, &mut cursor),
             ReplicaSource::Tcp(addr) => fetch_tcp(&mut conn, addr, from),
@@ -349,38 +494,13 @@ pub fn run_follower<B: CoverageBackend>(
         if let Some(leader) = batch.leader_seq {
             status.leader_seq.store(leader, Ordering::Release);
         }
-        if batch.entries.is_empty() {
+        let Some(last) = batch.entries.last() else {
             std::thread::sleep(poll);
             continue;
-        }
-        for entry in &batch.entries {
-            if entry.seq <= status.applied_seq() {
-                continue; // already applied (overlapping file re-read)
-            }
-            if entry.seq != status.applied_seq() + 1 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "leader log jumps from seq {} to {}; restart this follower from a \
-                         fresh snapshot",
-                        status.applied_seq(),
-                        entry.seq
-                    ),
-                ));
-            }
-            with_engine_contained(&engine, Err, |engine| apply_entry(engine, &entry.op)).map_err(
-                |e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "applying replicated seq {} failed ({}); this follower's base \
-                             state diverged from the leader",
-                            entry.seq, e.message
-                        ),
-                    )
-                },
-            )?;
-            status.record_applied(entry.seq);
+        };
+        from = last.seq + 1;
+        if !pages.send(batch.entries) {
+            return Ok(());
         }
         // More might be waiting (we page REPLICATE_BATCH_LIMIT at a time):
         // loop again immediately while catching up.

@@ -4,20 +4,21 @@
 //!
 //! All three run one request pipeline, the segment step in `crate::event`,
 //! which funnels every request into [`dispatch`] and every accepted
-//! mutation into one op-log discipline: staged during the engine step,
-//! appended in order after it, synced once per segment. Dispatch never
+//! mutation into one op-log discipline: appended in apply order, synced
+//! once per segment. The pipeline borrows the engine and the op log
+//! exclusively (`&mut`); the entry points that receive them shared lock
+//! each once, on entry, and hold it until they return. Dispatch never
 //! panics on malformed input — every request line yields exactly one
 //! response line carrying the request's `id` (when it sent one). Over TCP
-//! the engine step runs panic-*contained*: a request that panics answers an
+//! each segment runs panic-*contained*: a request that panics answers an
 //! `internal` error response (after rebuilding the engine's derived state)
-//! instead of poisoning the shared mutex and silently killing the front
-//! end.
+//! instead of killing the front end.
 
 use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use coverage_core::pattern::Pattern;
 use coverage_data::Schema;
@@ -30,7 +31,7 @@ use crate::event::{
 use crate::metrics::{OpClass, ServeMetrics};
 use crate::oplog::{LoggedOp, OpLog, REPLICATE_BATCH_LIMIT};
 use crate::protocol::{ok_head, write_json_string, ErrorCode, Request, RequestId, ServeError};
-use crate::replica::ReplicationStatus;
+use crate::replica::{PageFeed, ReplicationStatus};
 use crate::snapshot::save_snapshot_anchored;
 use crate::tenant::DatasetCounters;
 
@@ -103,14 +104,19 @@ impl ServeOptions {
     /// Attaches a durable op log (`mithra serve --oplog PATH`): every
     /// mutating op that the engine accepts is appended before its success
     /// response is sent, and the `replicate` op serves the retained tail.
+    ///
+    /// The shared `Arc<Mutex<…>>` handle is kept only for `benchmark/`,
+    /// which reads the log after its server stops. [`serve`],
+    /// [`serve_lines`] and [`handle_line`] lock it once, on entry, and hold
+    /// the lock until they return; a [`crate::TenantSpec`] owns its log.
     pub fn with_oplog(mut self, oplog: Option<Arc<Mutex<OpLog>>>) -> Self {
         self.oplog = oplog;
         self
     }
 
-    /// Marks this server a read-only follower (`mithra serve --follow`):
-    /// `insert`/`delete`/`grow`/`restore` answer a `read_only` error while
-    /// the replication thread applies the leader's log.
+    /// Marks this server read-only, as a follower is
+    /// ([`crate::serve_follower`] sets it): `insert`/`delete`/`grow`/
+    /// `restore` answer a `read_only` error.
     pub fn with_read_only(mut self, read_only: bool) -> Self {
         self.read_only = read_only;
         self
@@ -148,11 +154,6 @@ impl ServeOptions {
         self.max_pending
     }
 
-    /// The attached op log, if this server is a durable leader.
-    pub fn oplog(&self) -> Option<&Arc<Mutex<OpLog>>> {
-        self.oplog.as_ref()
-    }
-
     /// Whether mutations are rejected with a `read_only` error.
     pub fn read_only(&self) -> bool {
         self.read_only
@@ -168,21 +169,38 @@ impl ServeOptions {
         self.datasets.as_ref()
     }
 
-    /// The op-log position a snapshot taken *now* must anchor to: the last
-    /// appended seq on a leader, the last applied seq on a follower, 0 on
-    /// a standalone server (anchor 0 = "replay the whole log").
-    pub(crate) fn snapshot_anchor(&self) -> u64 {
-        if let Some(oplog) = &self.oplog {
-            let log = match oplog.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            return log.last_seq();
-        }
-        if let Some(replication) = &self.replication {
-            return replication.applied_seq();
-        }
-        0
+    /// Whether a shared op log is attached through [`Self::with_oplog`].
+    pub(crate) fn has_shared_oplog(&self) -> bool {
+        self.oplog.is_some()
+    }
+
+    /// Locks the shared op log, if one is attached: the one lock an entry
+    /// point takes, held for the whole call.
+    fn lock_oplog(&self) -> Option<MutexGuard<'_, OpLog>> {
+        self.oplog.as_ref().map(|log| lock_once(log))
+    }
+}
+
+/// Takes the one lock a shared-handle entry point holds. A lock poisoned
+/// by a panic that escaped an earlier call is taken anyway: an op log only
+/// advances its state after a complete write, and a served engine only
+/// panics inside a contained segment, which rebuilds it.
+fn lock_once<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The op-log position a snapshot taken *now* must anchor to: the last
+/// appended seq on a leader, the last applied seq on a follower, 0 on a
+/// standalone server (anchor 0 = "replay the whole log"). A follower
+/// applies pages on the thread that serves the snapshot, so the engine
+/// holds exactly the entries through the anchor.
+pub(crate) fn snapshot_anchor(options: &ServeOptions, oplog: Option<&OpLog>) -> u64 {
+    match (oplog, options.replication()) {
+        (Some(log), _) => log.last_seq(),
+        (None, Some(replication)) => replication.applied_seq(),
+        (None, None) => 0,
     }
 }
 
@@ -207,32 +225,34 @@ pub(crate) fn append_skipped_error(cause: &str) -> ServeError {
     )
 }
 
-/// Stages one accepted mutation for the op log (no-op without one). The
-/// segment step appends it after the engine step, and revokes the success
-/// response if the append fails; nothing blocks on log I/O while the op is
-/// applied.
+/// The `internal` error a mutation answers when the engine applied it and
+/// it was appended, but the fsync closing its segment failed: the entry is
+/// on disk only as far as the kernel's cache is.
+pub(crate) fn sync_failed_error(e: impl std::fmt::Display) -> ServeError {
+    ServeError::new(
+        ErrorCode::Internal,
+        format!("op applied and logged, but the op-log fsync failed: {e}"),
+    )
+}
+
+/// Stages one accepted mutation for the op log (no-op without one); the
+/// segment step appends it before the next op runs, and revokes the
+/// success response if the append fails.
 fn stage_mutation(
-    options: &ServeOptions,
+    oplog: Option<&OpLog>,
     staged: &mut Option<LoggedOp>,
     op: impl FnOnce() -> LoggedOp,
 ) {
-    if options.oplog().is_some() {
+    if oplog.is_some() {
         *staged = Some(op());
     }
 }
 
 /// Flushes a `batch`-policy op log to disk (no-op without one, or under
-/// `always`/`off`). Called once per segment: per event-loop tick, per stdin
-/// read, per [`handle_line`] call.
-pub(crate) fn sync_oplog_batch(options: &ServeOptions) {
-    if let Some(oplog) = options.oplog() {
-        let mut log = match oplog.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // LINT-ALLOW(lock-across-blocking): the fsync must cover every append that precedes it; only the oplog lock is held
-        let _ = log.sync_batch();
-    }
+/// `always`/`off`). Called once per segment: per tenant per event-loop
+/// tick, per stdin read, per [`handle_line`] call.
+pub(crate) fn sync_oplog_batch(oplog: Option<&mut OpLog>) -> io::Result<()> {
+    oplog.map_or(Ok(()), OpLog::sync_batch)
 }
 
 /// The `unknown_dataset` error a single-dataset server answers when a
@@ -393,6 +413,7 @@ pub(crate) fn op_class(request: &Request) -> OpClass {
 /// lands in `staged` for the caller to append — see [`stage_mutation`].
 pub(crate) fn dispatch<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
+    oplog: Option<&mut OpLog>,
     options: &ServeOptions,
     id: Option<&RequestId>,
     request: Request,
@@ -433,7 +454,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             engine
                 .insert_batch(&coded)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, staged, || LoggedOp::Insert { rows });
+            stage_mutation(oplog.as_deref(), staged, || LoggedOp::Insert { rows });
             return Ok(insert_response(id, coded.len(), engine.dataset().len()));
         }
         Request::Delete { rows } => {
@@ -444,7 +465,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             engine
                 .remove_batch(&coded)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, staged, || LoggedOp::Delete { rows });
+            stage_mutation(oplog.as_deref(), staged, || LoggedOp::Delete { rows });
             return Ok(delete_response(id, coded.len(), engine.dataset().len()));
         }
         Request::Grow { attribute, value } => {
@@ -456,7 +477,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             let code = engine
                 .grow_value(index, &value)
                 .map_err(ServeError::from_service)?;
-            stage_mutation(options, staged, || LoggedOp::Grow {
+            stage_mutation(oplog.as_deref(), staged, || LoggedOp::Grow {
                 attribute: attribute.clone(),
                 value: value.clone(),
             });
@@ -478,14 +499,9 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             // The snapshot anchors the op-log position it captured; on a
             // leader the log is then truncated through that anchor —
             // recovery restores the snapshot and replays only the tail.
-            let anchor = options.snapshot_anchor();
+            let anchor = snapshot_anchor(options, oplog.as_deref());
             save_snapshot_anchored(engine, path, anchor).map_err(ServeError::from_service)?;
-            if let Some(oplog) = options.oplog() {
-                let mut log = match oplog.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                // LINT-ALLOW(lock-across-blocking): truncation must be atomic w.r.t. concurrent appends; snapshots are rare and operator-initiated
+            if let Some(log) = oplog {
                 log.truncate_through(anchor).map_err(|e| {
                     ServeError::new(
                         ErrorCode::Internal,
@@ -506,7 +522,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
         }
         Request::Restore => {
             let path = options.snapshot_path().ok_or_else(no_snapshot)?;
-            if options.oplog().is_some() {
+            if oplog.is_some() {
                 return Err(ServeError::new(
                     ErrorCode::BadRequest,
                     "restore is not supported while an op log is enabled (it would desync \
@@ -615,33 +631,27 @@ pub(crate) fn dispatch<B: CoverageBackend>(
             out.push_str("]}");
         }
         Request::Replicate { from_seq } => {
-            let Some(oplog) = options.oplog() else {
+            let Some(log) = oplog else {
                 return Err(ServeError::new(
                     ErrorCode::BadRequest,
                     "this server has no op log to replicate from (start the leader with \
                      `mithra serve … --oplog PATH`)",
                 ));
             };
-            let log = match oplog.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
             // Seqs start at 1; `from:0` means "from the beginning".
             let from = from_seq.max(1);
             let last_seq = log.last_seq();
-            let page = log.entries_from(from, REPLICATE_BATCH_LIMIT);
-            // The page is read after the guard drops: it holds its own
-            // handle, which a concurrent truncation does not invalidate.
-            drop(log);
-            let page = page.map_err(|oldest| {
-                ServeError::new(
-                    ErrorCode::BadRequest,
-                    format!(
-                        "seq {from} predates the retained op log (oldest retained is \
+            let page = log
+                .entries_from(from, REPLICATE_BATCH_LIMIT)
+                .map_err(|oldest| {
+                    ServeError::new(
+                        ErrorCode::BadRequest,
+                        format!(
+                            "seq {from} predates the retained op log (oldest retained is \
                          {oldest}); restart the follower from a fresh snapshot"
-                    ),
-                )
-            })?;
+                        ),
+                    )
+                })?;
             let lines = page.read_lines().map_err(|e| {
                 ServeError::new(
                     ErrorCode::Internal,
@@ -770,7 +780,7 @@ pub(crate) fn dispatch<B: CoverageBackend>(
                 }
                 out.push('}');
             }
-            write_replication_section(options, &mut out);
+            write_replication_section(options, oplog.as_deref(), &mut out);
             out.push('}');
         }
     }
@@ -780,13 +790,9 @@ pub(crate) fn dispatch<B: CoverageBackend>(
 /// Appends the `stats` response's `"replication"` section: op-log position
 /// and durability counters on a leader, applied/leader seqs and lag on a
 /// follower. Standalone servers (neither) emit nothing.
-fn write_replication_section(options: &ServeOptions, out: &mut String) {
+fn write_replication_section(options: &ServeOptions, oplog: Option<&OpLog>, out: &mut String) {
     use std::fmt::Write as _;
-    if let Some(oplog) = options.oplog() {
-        let log = match oplog.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    if let Some(log) = oplog {
         let _ = write!(
             out,
             ",\"replication\":{{\"role\":\"leader\",\"last_seq\":{},\"retained\":{},\
@@ -820,11 +826,15 @@ fn write_replication_section(options: &ServeOptions, out: &mut String) {
 /// on malformed input. The request is a one-request segment of the serving
 /// pipeline, op-log append and sync included, so the stdin and TCP front
 /// ends answer identically to it (TCP `stats` adds an `"io"` section).
+///
+/// The signature is kept only for `benchmark/`: the op log comes shared
+/// inside `options`, and is locked once for the call.
 pub fn handle_line<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
     line: &str,
 ) -> String {
+    let mut oplog = options.lock_oplog();
     match request_work(line, &[None]) {
         PendingKind::Ready(response) => response,
         PendingKind::Op {
@@ -839,7 +849,14 @@ pub fn handle_line<B: CoverageBackend>(
                 id,
                 request,
             };
-            serve_segment(engine, options, [op], &mut slots);
+            serve_segment(
+                engine,
+                oplog.as_deref_mut(),
+                options,
+                None,
+                [op],
+                &mut slots,
+            );
             let [response] = slots;
             response.unwrap_or_default()
         }
@@ -857,12 +874,16 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// serving pipeline: its complete lines are served together (consecutive
 /// inserts or deletes coalesce into one engine batch), the op log is synced
 /// once, and then the read's responses are written and flushed.
+///
+/// The signature is kept only for `benchmark/`: the op log comes shared
+/// inside `options`, and is locked once, until EOF.
 pub fn serve_lines<B: CoverageBackend>(
     engine: &mut CoverageEngine<B>,
     options: &ServeOptions,
     mut input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<()> {
+    let mut oplog = options.lock_oplog();
     let mut decoder = FrameDecoder::default();
     loop {
         let chunk = match input.fill_buf() {
@@ -906,7 +927,7 @@ pub fn serve_lines<B: CoverageBackend>(
                 queue(frame);
             }
         }
-        serve_segment(engine, options, ops, &mut slots);
+        serve_segment(engine, oplog.as_deref_mut(), options, None, ops, &mut slots);
         for response in slots.iter().flatten() {
             writeln!(output, "{response}")?;
         }
@@ -921,68 +942,86 @@ pub fn serve_lines<B: CoverageBackend>(
 /// event loop closes it, shedding a dead client's buffers and descriptor.
 pub const IDLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300);
 
-/// Runs `action` against the shared engine with panics **contained**: the
-/// closure executes inside `catch_unwind` while the guard is held, so a
-/// panicking handler unwinds *within* the lock scope and the mutex is
-/// released cleanly instead of being poisoned — the failure stays scoped to
-/// one request rather than cascading through the front end.
-///
-/// Two layers of defense:
-///
-/// * A caught panic answers an `internal` error (via `on_failure`) after
-///   [`CoverageEngine::rebuild`] re-derives the engine's oracle/MUPs/cache
-///   from the dataset (the panic may have torn a mid-update invariant).
-/// * If the mutex is *already* poisoned (a panic that predates this guard,
-///   e.g. an external lock holder), the poison is cleared, the engine
-///   rebuilt, and serving resumes — the front end never wedges permanently.
+/// Runs `action` against the engine with panics **contained**: a panic
+/// inside `action` unwinds no further than this call, which rebuilds the
+/// engine's oracle, MUPs and cache from its dataset
+/// ([`CoverageEngine::rebuild`]; the panic may have torn a mid-update
+/// invariant) and answers `on_failure` with an `internal` error. The
+/// failure stays scoped to one segment instead of taking the front end
+/// down.
 ///
 /// Generic over the result so the event loop can run a whole segment under
 /// one containment scope: `on_failure` turns the failure into whatever
 /// `action` would have produced.
 pub(crate) fn with_engine_contained<B: CoverageBackend, T>(
-    engine: &Arc<Mutex<CoverageEngine<B>>>,
+    engine: &mut CoverageEngine<B>,
     on_failure: impl FnOnce(ServeError) -> T,
     action: impl FnOnce(&mut CoverageEngine<B>) -> T,
 ) -> T {
-    let internal = |message: String| ServeError::new(ErrorCode::Internal, message);
-    let mut guard = match engine.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            engine.clear_poison();
-            let mut guard = poisoned.into_inner();
-            if let Err(e) = guard.rebuild() {
-                return on_failure(internal(format!("engine rebuild after panic failed: {e}")));
-            }
-            guard
-        }
-    };
-    match std::panic::catch_unwind(AssertUnwindSafe(|| action(&mut guard))) {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| action(&mut *engine))) {
         Ok(result) => result,
-        Err(_) => match guard.rebuild() {
-            Ok(()) => on_failure(internal(
-                "internal error: request handler panicked; engine rebuilt".into(),
-            )),
-            Err(e) => on_failure(internal(format!("engine rebuild after panic failed: {e}"))),
-        },
+        Err(_) => on_failure(ServeError::new(
+            ErrorCode::Internal,
+            match engine.rebuild() {
+                Ok(()) => "internal error: request handler panicked; engine rebuilt".into(),
+                Err(e) => format!("engine rebuild after panic failed: {e}"),
+            },
+        )),
     }
 }
 
 /// Serves the protocol over TCP until the listener or poller fails, on the
 /// readiness-driven event loop (see `crate::event`).
+///
+/// The signature is kept only for `benchmark/`, which takes the engine
+/// back after the server stops (the CLI's single-dataset leader and the
+/// load generator hand over a handle no one else holds). The engine, and
+/// the op log attached through [`ServeOptions::with_oplog`], are locked
+/// once, on entry, and stay locked until this returns: reading either
+/// while the server runs blocks until it stops.
 pub fn serve<B: CoverageBackend>(
     engine: Arc<Mutex<CoverageEngine<B>>>,
     options: ServeOptions,
     listener: TcpListener,
 ) -> io::Result<()> {
-    crate::event::serve_event_tenants(
-        vec![crate::event::EventTenant {
-            name: None,
-            engine,
-            options,
-            counters: None,
-        }],
-        listener,
-    )
+    let mut engine = lock_once(&engine);
+    let mut oplog = options.lock_oplog();
+    let tenant = crate::event::EventTenant {
+        name: None,
+        engine: &mut engine,
+        oplog: oplog.as_deref_mut(),
+        options: ServeOptions {
+            oplog: None,
+            ..options.clone()
+        },
+        counters: None,
+    };
+    crate::event::serve_event_tenants(vec![tenant], None, listener)
+}
+
+/// Serves a read-only follower over TCP: the engine answers reads while
+/// the event loop applies the pages a [`crate::run_follower`] fetcher
+/// sends through `pages`, between ticks. `stats` reports the replication
+/// progress the channel carries, and mutations answer `read_only`.
+/// Returns `Err` when a page fails to apply, since this replica's state
+/// then diverged from its leader's, or when the listener or poller fails.
+pub fn serve_follower<B: CoverageBackend>(
+    mut engine: CoverageEngine<B>,
+    pages: PageFeed,
+    options: ServeOptions,
+    listener: TcpListener,
+) -> io::Result<()> {
+    let options = options
+        .with_read_only(true)
+        .with_replication(Some(Arc::clone(pages.status())));
+    let tenant = crate::event::EventTenant {
+        name: None,
+        engine: &mut engine,
+        oplog: None,
+        options,
+        counters: None,
+    };
+    crate::event::serve_event_tenants(vec![tenant], Some(pages), listener)
 }
 
 #[cfg(test)]
@@ -1121,7 +1160,7 @@ mod tests {
             ErrorCode::UnknownDataset => (default(), vec![r#"{"op":"stats","dataset":"hr"}"#]),
             ErrorCode::Internal => {
                 let log = OpLog::open(&scratch.join("failing.oplog"), crate::SyncPolicy::Batch);
-                let log = log.unwrap();
+                let mut log = log.unwrap();
                 log.fail_appends_from(1);
                 let log = Some(Arc::new(Mutex::new(log)));
                 (ServeOptions::new().with_oplog(log), vec![insert])
@@ -1254,6 +1293,7 @@ mod tests {
         metrics.record(OpClass::Insert, 1_000);
         let response = dispatch(
             &mut engine,
+            None,
             &ServeOptions::default(),
             None,
             Request::Stats,
@@ -1532,75 +1572,98 @@ mod tests {
         }
     }
 
-    /// Answers `line` the way the event loop serves a shared engine: one
-    /// segment under the engine's panic containment.
-    fn contained_line(shared: &Arc<Mutex<CoverageEngine>>, line: &str) -> String {
-        with_engine_contained(
-            shared,
-            |error| error_response(None, &error),
-            |engine| handle_line(engine, &ServeOptions::default(), line),
-        )
-    }
-
     #[test]
     fn panicking_handler_answers_an_error_and_spares_the_mutex() {
-        let shared = Arc::new(Mutex::new(engine()));
-        // A handler that panics while holding the engine must yield an error
-        // response, not poison the mutex (which would wedge the front end).
+        let mut engine = engine();
+        // A handler that panics inside a segment must yield an error
+        // response and a rebuilt engine, not unwind through the front end.
         let response = with_engine_contained(
-            &shared,
+            &mut engine,
             |error| error_response(None, &error),
             |_| -> String { panic!("handler bug") },
         );
         assert!(response.contains("\"ok\":false"), "{response}");
         assert!(response.contains("panicked"), "{response}");
         assert!(response.contains("\"code\":\"internal\""), "{response}");
-        assert!(
-            shared.lock().is_ok(),
-            "mutex must not be poisoned by a contained panic"
-        );
+        assert_eq!(engine.stats().full_recomputes, 1, "the engine was rebuilt");
         // And the engine still answers real requests afterwards.
-        let response = contained_line(&shared, r#"{"op":"stats"}"#);
+        let response = plain(&mut engine, r#"{"op":"stats"}"#);
         assert!(response.contains("\"ok\":true"), "{response}");
     }
 
-    #[test]
-    fn externally_poisoned_mutex_recovers_with_a_rebuild() {
-        let shared = Arc::new(Mutex::new(engine()));
-        let poisoner = Arc::clone(&shared);
-        let _ = thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("simulated handler crash while holding the engine");
-        })
-        .join();
-        assert!(shared.lock().is_err(), "mutex must start poisoned");
-        let response = contained_line(&shared, r#"{"op":"stats"}"#);
-        assert!(response.contains("\"ok\":true"), "{response}");
-        assert!(shared.lock().is_ok(), "poison must be cleared");
-        // The recovery rebuild is visible in the stats.
-        let doc = Json::parse(&response).unwrap();
-        assert_eq!(doc.get("full_recomputes").and_then(Json::as_u64), Some(1));
+    /// Panics in `coverage` once [`TRIPPED`] is armed, then disarms: a
+    /// backend bug that a request reaches mid-segment.
+    #[derive(Debug, Clone)]
+    struct Tripwire(coverage_index::CoverageOracle);
+
+    static TRIPPED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    impl coverage_index::CoverageProvider for Tripwire {
+        fn arity(&self) -> usize {
+            self.0.arity()
+        }
+        fn cardinalities(&self) -> &[u8] {
+            self.0.cardinalities()
+        }
+        fn total(&self) -> u64 {
+            self.0.total()
+        }
+        fn coverage(&self, codes: &[u8]) -> u64 {
+            if TRIPPED.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("tripwire");
+            }
+            self.0.coverage(codes)
+        }
+        fn add_row(&mut self, row: &[u8]) {
+            self.0.add_row(row);
+        }
+        fn remove_row(&mut self, row: &[u8]) -> bool {
+            self.0.remove_row(row)
+        }
+        fn grow_value(&mut self, attribute: usize) -> u8 {
+            self.0.grow_value(attribute)
+        }
+        fn for_each_combination(&self, visit: &mut dyn FnMut(&[u8], u64)) {
+            self.0.for_each_combination(visit)
+        }
+    }
+
+    impl CoverageBackend for Tripwire {
+        fn build(dataset: &Dataset, shards: usize) -> Self {
+            Tripwire(coverage_index::CoverageOracle::build(dataset, shards))
+        }
     }
 
     #[test]
     fn connection_after_handler_panic_still_gets_an_answer() {
-        // The availability property end-to-end: poison the engine mutex
-        // (exactly what a panicking handler used to do), then connect — the
-        // event loop must still answer instead of hanging the connection.
+        // The availability property end-to-end: a request whose handler
+        // panics inside the event loop answers `internal`, and the loop
+        // keeps answering that connection and the next one.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().unwrap();
-        let shared = Arc::new(Mutex::new(engine()));
-        let poisoner = Arc::clone(&shared);
-        let _ = thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("simulated handler crash");
-        })
-        .join();
-        assert!(shared.lock().is_err(), "mutex must start poisoned");
-        let server = Arc::clone(&shared);
+        let dataset = engine().dataset().clone();
+        let tripwire =
+            CoverageEngine::<Tripwire>::with_config(dataset, Threshold::Count(1), 1, 0).unwrap();
+        let shared = Arc::new(Mutex::new(tripwire));
         thread::spawn(move || {
-            let _ = serve(server, ServeOptions::new(), listener);
+            let _ = serve(shared, ServeOptions::new(), listener);
         });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut ask = |line: &str| {
+            writeln!(stream, "{line}").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("read response");
+            response
+        };
+        TRIPPED.store(true, std::sync::atomic::Ordering::SeqCst);
+        let response = ask(r#"{"op":"coverage","pattern":"12"}"#);
+        assert!(response.contains("\"code\":\"internal\""), "{response}");
+        assert!(response.contains("engine rebuilt"), "{response}");
+        assert!(ask(r#"{"op":"stats"}"#).contains("\"full_recomputes\":1"));
         for _ in 0..2 {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream

@@ -5,10 +5,11 @@
 //! it targets; requests without one route to the **default** dataset
 //! (tenant 0), so every existing client keeps working byte-for-byte.
 //! Tenants share the event loop thread, the per-tick admission-control
-//! budget, and the I/O metrics; each has its own [`crate::CoverageEngine`],
-//! [`crate::oplog::OpLog`], and snapshot path (carried in its own
-//! [`ServeOptions`]). Per-dataset request counters surface in the `stats`
-//! op as `io.datasets`.
+//! budget, and the I/O metrics; each has its own [`crate::CoverageEngine`]
+//! and [`crate::oplog::OpLog`], both owned by the loop while it runs, and
+//! its own snapshot path (carried in its own [`ServeOptions`]).
+//! Per-dataset request counters surface in the `stats` op as
+//! `io.datasets`.
 //!
 //! Tenancy rides the TCP front end only — stdin and `handle_line` serve a
 //! single unnamed dataset and answer `unknown_dataset` to any `"dataset"`
@@ -17,12 +18,13 @@
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use coverage_index::CoverageBackend;
 
 use crate::engine::CoverageEngine;
 use crate::event::{serve_event_tenants, EventTenant};
+use crate::oplog::OpLog;
 use crate::protocol::{ErrorCode, ServeError};
 use crate::server::ServeOptions;
 
@@ -58,29 +60,36 @@ impl DatasetCounters {
     }
 }
 
-/// One hosted dataset: its routing name, engine, and per-tenant options
-/// (snapshot path, op log, growth mode — the shared knobs like the
-/// `max_pending` admission budget are read from tenant 0).
+/// One hosted dataset: its routing name, the engine and op log the event
+/// loop takes over, and per-tenant options (snapshot path, growth mode —
+/// the shared knobs like the `max_pending` admission budget are read from
+/// tenant 0).
 pub struct TenantSpec<B: CoverageBackend> {
     /// The `"dataset"` request field that routes here. Tenant 0's name is
     /// also implied by requests with no `"dataset"` field at all.
     pub name: String,
     /// The engine serving this dataset.
-    pub engine: Arc<Mutex<CoverageEngine<B>>>,
-    /// This dataset's serving options (its own snapshot/op-log paths).
+    pub engine: CoverageEngine<B>,
+    /// This dataset's op log, if it is a durable leader.
+    pub oplog: Option<OpLog>,
+    /// This dataset's serving options (its own snapshot path). A shared
+    /// op log attached with [`ServeOptions::with_oplog`] is refused: the
+    /// log goes in [`Self::oplog`].
     pub options: ServeOptions,
 }
 
 impl<B: CoverageBackend> TenantSpec<B> {
-    /// Bundles a named engine and its options into a tenant.
+    /// Bundles a named engine, its op log and its options into a tenant.
     pub fn new(
         name: impl Into<String>,
-        engine: Arc<Mutex<CoverageEngine<B>>>,
+        engine: CoverageEngine<B>,
+        oplog: Option<OpLog>,
         options: ServeOptions,
     ) -> Self {
         TenantSpec {
             name: name.into(),
             engine,
+            oplog,
             options,
         }
     }
@@ -116,13 +125,16 @@ pub(crate) fn resolve_tenant(
 /// Requires at least one tenant and unique names; tenant 0 is the default
 /// dataset that un-routed requests land on.
 pub fn serve_tenants<B: CoverageBackend>(
-    tenants: Vec<TenantSpec<B>>,
+    mut tenants: Vec<TenantSpec<B>>,
     listener: TcpListener,
 ) -> io::Result<()> {
-    if tenants.is_empty() {
+    if let Some(t) = tenants.iter().find(|t| t.options.has_shared_oplog()) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            "no datasets to serve",
+            format!(
+                "dataset `{}`: pass its op log in `TenantSpec::oplog`, not `ServeOptions`",
+                t.name
+            ),
         ));
     }
     for (i, a) in tenants.iter().enumerate() {
@@ -141,19 +153,21 @@ pub fn serve_tenants<B: CoverageBackend>(
             .map(|t| Arc::new(DatasetCounters::new(t.name.clone())))
             .collect(),
     );
-    let event_tenants: Vec<EventTenant<B>> = tenants
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| EventTenant {
-            name: Some(t.name),
-            engine: t.engine,
+    let event_tenants: Vec<EventTenant<'_, B>> = tenants
+        .iter_mut()
+        .zip(directory.iter())
+        .map(|(t, counters)| EventTenant {
+            name: Some(t.name.clone()),
+            engine: &mut t.engine,
+            oplog: t.oplog.as_mut(),
             options: t
                 .options
+                .clone()
                 .with_dataset_directory(Some(Arc::clone(&directory))),
-            counters: Some(Arc::clone(&directory[i])),
+            counters: Some(Arc::clone(counters)),
         })
         .collect();
-    serve_event_tenants(event_tenants, listener)
+    serve_event_tenants(event_tenants, None, listener)
 }
 
 #[cfg(test)]

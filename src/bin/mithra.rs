@@ -376,8 +376,7 @@ fn recover_oplog(
     path: &std::path::Path,
     sync: coverage_service::SyncPolicy,
     anchor: u64,
-) -> Result<std::sync::Arc<std::sync::Mutex<coverage_service::OpLog>>, String> {
-    use std::sync::{Arc, Mutex};
+) -> Result<coverage_service::OpLog, String> {
     let log = coverage_service::OpLog::open_anchored(path, sync, anchor)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     // Replay a page at a time, so recovery holds at most one page of
@@ -412,7 +411,7 @@ fn recover_oplog(
             path.display()
         );
     }
-    Ok(Arc::new(Mutex::new(log)))
+    Ok(log)
 }
 
 /// Appends `.name` to a base path: with `--datasets`, each named dataset
@@ -468,7 +467,6 @@ fn serve(args: &Args) -> Result<(), String> {
         engine.mups().len()
     );
     if let Some(log) = &oplog {
-        let log = log.lock().unwrap();
         eprintln!(
             "op log {} at seq {} ({} sync)",
             log.path().display(),
@@ -480,7 +478,7 @@ fn serve(args: &Args) -> Result<(), String> {
         .with_snapshot_path(args.snapshot.clone())
         .with_grow_schema(args.grow_schema)
         .with_max_pending(args.max_pending)
-        .with_oplog(oplog);
+        .with_oplog(oplog.map(|log| std::sync::Arc::new(std::sync::Mutex::new(log))));
     match &args.listen {
         Some(addr) => {
             let (listener, local) = bind_listener(addr)?;
@@ -507,10 +505,11 @@ fn serve(args: &Args) -> Result<(), String> {
 const FOLLOW_POLL: std::time::Duration = std::time::Duration::from_millis(200);
 
 /// `serve --follow`: bootstrap the engine (snapshot or CSV), start the
-/// replication thread tailing the leader, and serve read-only requests.
+/// replication thread fetching the leader's log, and serve read-only
+/// requests while the event loop applies what it fetches.
 fn serve_follower(args: &Args) -> Result<(), String> {
     use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     let spec = args.follow.as_deref().expect("checked by caller");
     let (engine, anchor) = serve_engine(args, &args.file, args.snapshot.as_deref())?;
@@ -526,39 +525,32 @@ fn serve_follower(args: &Args) -> Result<(), String> {
         engine.mups().len(),
         anchor + 1
     );
-    let engine = Arc::new(Mutex::new(engine));
+    let (pages, feed) =
+        mithra::service::follower_channel(&status).map_err(|e| format!("follower: {e}"))?;
     let stop = Arc::new(AtomicBool::new(false));
-    {
-        let engine = Arc::clone(&engine);
-        let status = Arc::clone(&status);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            if let Err(e) = mithra::service::run_follower(engine, source, status, FOLLOW_POLL, stop)
-            {
-                // A fatal replication error means this replica's answers
-                // can no longer be trusted; serving on would be worse than
-                // dying visibly.
-                eprintln!("follower: fatal: {e}");
-                std::process::exit(1);
-            }
-        });
-    }
+    std::thread::spawn(move || {
+        if let Err(e) = mithra::service::run_follower(source, pages, FOLLOW_POLL, stop) {
+            // A fatal replication error means this replica's answers can
+            // no longer be trusted; serving on would be worse than dying
+            // visibly.
+            eprintln!("follower: fatal: {e}");
+            std::process::exit(1);
+        }
+    });
     let options = mithra::service::ServeOptions::new()
         .with_snapshot_path(args.snapshot.clone())
-        .with_max_pending(args.max_pending)
-        .with_read_only(true)
-        .with_replication(Some(status));
+        .with_max_pending(args.max_pending);
     let addr = args.listen.as_deref().expect("checked in parse_args");
     let (listener, local) = bind_listener(addr)?;
     eprintln!("listening on {local} (read-only)");
-    served(mithra::service::serve(engine, options, listener))
+    served(mithra::service::serve_follower(
+        engine, feed, options, listener,
+    ))
 }
 
 /// `serve --datasets`: host the positional CSV as the `default` dataset
 /// plus every `name=file.csv` tenant behind one event loop.
 fn serve_datasets(args: &Args) -> Result<(), String> {
-    use std::sync::{Arc, Mutex};
-
     let mut specs: Vec<(
         String,
         String,
@@ -595,12 +587,9 @@ fn serve_datasets(args: &Args) -> Result<(), String> {
         let options = mithra::service::ServeOptions::new()
             .with_snapshot_path(snapshot)
             .with_grow_schema(args.grow_schema)
-            .with_max_pending(args.max_pending)
-            .with_oplog(oplog);
+            .with_max_pending(args.max_pending);
         tenants.push(mithra::service::TenantSpec::new(
-            name,
-            Arc::new(Mutex::new(engine)),
-            options,
+            name, engine, oplog, options,
         ));
     }
     let addr = args.listen.as_deref().expect("checked in parse_args");
@@ -1164,7 +1153,8 @@ mod tests {
         let sync = coverage_service::SyncPolicy::Off;
         let (mut live, anchor) = serve_engine(&args, &file, None).unwrap();
         let log = recover_oplog(&mut live, &log_path, sync, anchor).unwrap();
-        let options = ServeOptions::new().with_oplog(Some(log));
+        let options =
+            ServeOptions::new().with_oplog(Some(std::sync::Arc::new(std::sync::Mutex::new(log))));
         let rows = [
             ["m", "white"],
             ["f", "black"],
@@ -1183,7 +1173,7 @@ mod tests {
 
         let (mut restarted, anchor) = serve_engine(&args, &file, None).unwrap();
         let log = recover_oplog(&mut restarted, &log_path, sync, anchor).unwrap();
-        assert_eq!(log.lock().unwrap().last_seq(), entries as u64);
+        assert_eq!(log.last_seq(), entries as u64);
         assert_eq!(restarted.dataset().len(), live.dataset().len());
         assert_eq!(restarted.mups(), live.mups());
         assert!(!live.mups().is_empty());

@@ -15,9 +15,11 @@ use std::time::{Duration, Instant};
 use mithra::prelude::*;
 use mithra::service::oplog::{read_entries_from, REPLICATE_BATCH_LIMIT};
 use mithra::service::protocol::Json;
+use mithra::service::snapshot::parse_snapshot_anchored;
 use mithra::service::{
-    handle_line, load_snapshot_anchored, replay_entries, run_follower, serve, serve_lines,
-    serve_tenants, OpLog, ReplicaSource, ReplicationStatus, ServeOptions, SyncPolicy, TenantSpec,
+    follower_channel, handle_line, load_snapshot_anchored, replay_entries, run_follower, serve,
+    serve_follower, serve_lines, serve_tenants, OpLog, ReplicaSource, ReplicationStatus,
+    ServeOptions, SyncPolicy, TenantSpec,
 };
 
 /// Same COMPAS-flavored fixture as the protocol suites, so the replicated
@@ -56,6 +58,40 @@ fn spawn(engine: Arc<Mutex<CoverageEngine>>, options: ServeOptions) -> SocketAdd
         let _ = serve(engine, options, listener);
     });
     addr
+}
+
+/// A fixture-engine follower of `source` served on an ephemeral port,
+/// with its fetcher on a second thread: the follower's address, its
+/// progress, the fetcher's stop flag and its thread.
+fn spawn_follower(
+    source: ReplicaSource,
+    options: ServeOptions,
+) -> (
+    SocketAddr,
+    Arc<ReplicationStatus>,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let status = Arc::new(ReplicationStatus::new(source.describe(), 0));
+    let (pages, feed) = follower_channel(&status).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || serve_follower(engine(), feed, options, listener));
+    let stop = Arc::new(AtomicBool::new(false));
+    let tail = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || run_follower(source, pages, Duration::from_millis(10), stop))
+    };
+    (addr, status, stop, tail)
+}
+
+/// A field of the fixture server's `stats` answer.
+fn stats_field(stream: &mut TcpStream, request: &str, key: &str) -> u64 {
+    let stats = ask_pipelined(stream, request, 1);
+    let doc = Json::parse(&stats[0]).unwrap();
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no `{key}` in {}", stats[0]))
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -132,28 +168,10 @@ fn tcp_follower_replays_the_leader_and_serves_identical_reads() {
     }
 
     // A follower bootstrapped from the same base CSV state tails the leader.
-    let follower = Arc::new(Mutex::new(engine()));
-    let status = Arc::new(ReplicationStatus::new(format!("tcp://{leader_addr}"), 0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let tail = {
-        let (engine, status, stop) = (
-            Arc::clone(&follower),
-            Arc::clone(&status),
-            Arc::clone(&stop),
-        );
-        let source = ReplicaSource::Tcp(leader_addr.to_string());
-        std::thread::spawn(move || {
-            run_follower(engine, source, status, Duration::from_millis(10), stop)
-        })
-    };
+    let source = ReplicaSource::Tcp(leader_addr.to_string());
+    let (follower_addr, status, stop, tail) = spawn_follower(source, ServeOptions::new());
     await_catchup(&status, 3);
 
-    let follower_addr = spawn(
-        Arc::clone(&follower),
-        ServeOptions::new()
-            .with_read_only(true)
-            .with_replication(Some(Arc::clone(&status))),
-    );
     let mut follower_stream = connect(follower_addr);
 
     // Byte-identical reads, leader vs follower.
@@ -224,28 +242,23 @@ fn file_tailing_follower_catches_up_from_a_shared_log() {
         }
     }
 
-    let follower = Arc::new(Mutex::new(engine()));
-    let status = Arc::new(ReplicationStatus::new("file://shared", 0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let tail = {
-        let (engine, status, stop) = (
-            Arc::clone(&follower),
-            Arc::clone(&status),
-            Arc::clone(&stop),
-        );
-        let source = ReplicaSource::File(path.clone());
-        std::thread::spawn(move || {
-            run_follower(engine, source, status, Duration::from_millis(10), stop)
-        })
-    };
+    let source = ReplicaSource::File(path.clone());
+    let (addr, status, stop, tail) = spawn_follower(source, ServeOptions::new());
     await_catchup(&status, 2);
     stop.store(true, Ordering::Relaxed);
     tail.join().unwrap().unwrap();
     std::fs::remove_file(&path).ok();
 
-    let follower = follower.lock().unwrap();
-    assert_eq!(follower.mups(), reference.mups());
-    assert_eq!(follower.dataset().len(), reference.dataset().len());
+    // The follower's engine lives in its event loop: read it over the
+    // protocol.
+    let mut stream = connect(addr);
+    let mups = ask_pipelined(&mut stream, "{\"op\":\"mups\"}\n", 1);
+    assert_eq!(
+        mups[0],
+        handle_line(&mut reference, &ServeOptions::new(), r#"{"op":"mups"}"#)
+    );
+    let rows = stats_field(&mut stream, "{\"op\":\"stats\"}\n", "rows");
+    assert_eq!(rows, reference.dataset().len() as u64);
     assert_eq!(status.entries_applied(), 2);
 }
 
@@ -264,13 +277,11 @@ fn datasets_route_by_name_and_stay_isolated() {
         let ds = Dataset::from_rows(schema, &[vec![0, 0], vec![1, 1]]).unwrap();
         CoverageEngine::new(ds, Threshold::Count(1)).unwrap()
     };
-    let default_engine = Arc::new(Mutex::new(engine()));
-    let hr_engine = Arc::new(Mutex::new(hr));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let tenants = vec![
-        TenantSpec::new("default", Arc::clone(&default_engine), ServeOptions::new()),
-        TenantSpec::new("hr", Arc::clone(&hr_engine), ServeOptions::new()),
+        TenantSpec::new("default", engine(), None, ServeOptions::new()),
+        TenantSpec::new("hr", hr, None, ServeOptions::new()),
     ];
     std::thread::spawn(move || {
         let _ = serve_tenants(tenants, listener);
@@ -309,8 +320,10 @@ fn datasets_route_by_name_and_stay_isolated() {
     );
 
     // Isolation: each mutation landed only in its own engine.
-    assert_eq!(default_engine.lock().unwrap().dataset().len(), 7);
-    assert_eq!(hr_engine.lock().unwrap().dataset().len(), 3);
+    let rows = |stream: &mut TcpStream, request| stats_field(stream, request, "rows");
+    assert_eq!(rows(&mut stream, "{\"op\":\"stats\"}\n"), 7);
+    let hr_stats = "{\"dataset\":\"hr\",\"op\":\"stats\"}\n";
+    assert_eq!(rows(&mut stream, hr_stats), 3);
 
     // The default tenant's stats list every hosted dataset with its
     // routed-request counts.
@@ -347,9 +360,8 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     let log = Arc::new(Mutex::new(
         OpLog::open(&log_path, SyncPolicy::Batch).unwrap(),
     ));
-    let live = Arc::new(Mutex::new(engine()));
     let addr = spawn(
-        Arc::clone(&live),
+        Arc::new(Mutex::new(engine())),
         ServeOptions::new()
             .with_oplog(Some(Arc::clone(&log)))
             .with_snapshot_path(Some(snap_path.clone())),
@@ -382,8 +394,8 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     assert_eq!(snapshot.get("oplog_seq").and_then(Json::as_u64), Some(3));
 
     // Recovery (snapshot + tail replay) reproduces the live engine exactly
-    // — no double-applied rows.
-    let live_rows = live.lock().unwrap().dataset().len();
+    // — no double-applied rows. The live engine is read over the protocol.
+    let live_rows = stats_field(&mut stream, "{\"op\":\"stats\"}\n", "rows") as usize;
     assert_eq!(live_rows, 6 + 4 - 1);
     let (mut recovered, anchor): (CoverageEngine, u64) =
         load_snapshot_anchored(&snap_path).unwrap();
@@ -392,7 +404,11 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     let applied = replay_entries(&mut recovered, &tail, anchor).unwrap();
     assert_eq!(applied, 5);
     assert_eq!(recovered.dataset().len(), live_rows);
-    assert_eq!(recovered.mups(), live.lock().unwrap().mups());
+    let live_mups = ask_pipelined(&mut stream, "{\"op\":\"mups\"}\n", 1);
+    assert_eq!(
+        handle_line(&mut recovered, &ServeOptions::new(), r#"{"op":"mups"}"#),
+        live_mups[0]
+    );
 
     std::fs::remove_file(&log_path).ok();
     std::fs::remove_file(&snap_path).ok();
@@ -560,4 +576,156 @@ fn replicate_answers_are_byte_identical_to_the_golden_pages() {
     assert_eq!(answers, GOLDEN_REPLICATE);
     std::fs::remove_file(&log_path).ok();
     std::fs::remove_file(&snap_path).ok();
+}
+
+/// The rows of one fixture insert or delete, as logged.
+fn logged_row(row: [&str; 3]) -> Vec<Vec<String>> {
+    vec![row.iter().map(|v| v.to_string()).collect()]
+}
+
+/// Writes `total` logged mutations to a fresh log at `path` — three
+/// inserts, then a delete of the first one's row — applying each to a
+/// fixture engine too. Returns that engine and its row count after each
+/// prefix (`rows[k]` = base + entries 1..=k).
+fn write_leader_log(path: &std::path::Path, total: usize) -> (CoverageEngine, Vec<usize>) {
+    use mithra::service::{apply_entry, LoggedOp};
+    std::fs::remove_file(path).ok();
+    let mut leader = engine();
+    let mut rows = vec![leader.dataset().len()];
+    let mut log = OpLog::open(path, SyncPolicy::Off).unwrap();
+    let inserts = [
+        ["f", "black", "young"],
+        ["f", "hispanic", "old"],
+        ["m", "black", "old"],
+    ];
+    for i in 0..total {
+        let op = match i % 4 {
+            3 => LoggedOp::Delete {
+                rows: logged_row(inserts[0]),
+            },
+            k => LoggedOp::Insert {
+                rows: logged_row(inserts[k]),
+            },
+        };
+        apply_entry(&mut leader, &op).unwrap();
+        log.append(op).unwrap();
+        rows.push(leader.dataset().len());
+    }
+    (leader, rows)
+}
+
+/// A file follower answers `snapshot` requests while it catches up, so
+/// the snapshots interleave with its page applies. Each snapshot must
+/// hold exactly the entries through the anchor it records — base +
+/// leader entries 1..=anchor — and restoring it and replaying the tail
+/// must serve the leader's final `mups` bytes. A follower whose anchor
+/// lagged the applied state would replay an entry twice and diverge.
+#[test]
+fn follower_snapshots_anchor_at_exactly_the_entries_they_hold() {
+    let log_path = scratch_log("follower-snapshots");
+    let snap_path = log_path.with_extension("follower-snap");
+    std::fs::remove_file(&snap_path).ok();
+    let total = 8 * REPLICATE_BATCH_LIMIT + 5;
+    let (mut leader, prefix_rows) = write_leader_log(&log_path, total);
+    let leader_mups = handle_line(&mut leader, &ServeOptions::new(), r#"{"op":"mups"}"#);
+    let tail = read_entries_from(&log_path, 1).unwrap();
+
+    let options = ServeOptions::new().with_snapshot_path(Some(snap_path.clone()));
+    let source = ReplicaSource::File(log_path.clone());
+    let (addr, status, stop, fetcher) = spawn_follower(source, options);
+    // Snapshot back-to-back while the follower catches up, keeping each
+    // snapshot's text; check them once it has caught up.
+    let mut stream = connect(addr);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut snapshots = Vec::new();
+    loop {
+        let caught_up = status.applied_seq() == total as u64;
+        let answer = ask_pipelined(&mut stream, "{\"op\":\"snapshot\"}\n", 1);
+        let doc = Json::parse(&answer[0]).unwrap();
+        let anchor = doc
+            .get("oplog_seq")
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{}", answer[0]));
+        snapshots.push((anchor, std::fs::read_to_string(&snap_path).unwrap()));
+        if caught_up {
+            break;
+        }
+        assert!(Instant::now() < deadline, "follower stuck");
+    }
+    let anchors: Vec<u64> = snapshots.iter().map(|(anchor, _)| *anchor).collect();
+    assert_eq!(anchors.last(), Some(&(total as u64)));
+    for (anchor, text) in snapshots {
+        let (mut restored, saved_anchor): (CoverageEngine, u64) =
+            parse_snapshot_anchored(&text).unwrap();
+        assert_eq!(saved_anchor, anchor);
+        assert_eq!(
+            restored.dataset().len(),
+            prefix_rows[anchor as usize],
+            "the snapshot anchored at seq {anchor} holds other entries ({anchors:?})"
+        );
+        assert_eq!(
+            replay_entries(&mut restored, &tail, anchor),
+            Ok(total as u64)
+        );
+        assert_eq!(
+            handle_line(&mut restored, &ServeOptions::new(), r#"{"op":"mups"}"#),
+            leader_mups,
+            "restore + tail replay from seq {anchor} diverged from the leader"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    fetcher.join().unwrap().unwrap();
+    std::fs::remove_file(&log_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+}
+
+/// The follower's page channel is bounded: while the event loop does not
+/// drain it, the fetcher stops after `FOLLOWER_PAGE_CAP` buffered pages
+/// plus the one it blocks on, and fetches no more. Once a loop serves the
+/// channel, the follower converges to lag 0.
+#[test]
+fn follower_page_channel_caps_the_fetcher_until_the_loop_drains() {
+    use mithra::service::FOLLOWER_PAGE_CAP;
+
+    let log_path = scratch_log("follower-cap");
+    let total = (FOLLOWER_PAGE_CAP + 2) * REPLICATE_BATCH_LIMIT + 7;
+    write_leader_log(&log_path, total);
+    let status = Arc::new(ReplicationStatus::new("file://cap", 0));
+    let (pages, feed) = follower_channel(&status).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let fetcher = {
+        let (source, stop) = (ReplicaSource::File(log_path.clone()), Arc::clone(&stop));
+        std::thread::spawn(move || run_follower(source, pages, Duration::from_millis(10), stop))
+    };
+    let blocked = FOLLOWER_PAGE_CAP as u64 + 1;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while status.rounds() < blocked {
+        assert!(Instant::now() < deadline, "fetcher stalled early");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(status.rounds(), blocked, "the fetcher kept fetching");
+    assert_eq!(
+        status.leader_seq(),
+        blocked * REPLICATE_BATCH_LIMIT as u64,
+        "the fetcher holds more than the channel's pages and the one it blocks on"
+    );
+    assert_eq!(status.applied_seq(), 0);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || serve_follower(engine(), feed, ServeOptions::new(), listener));
+    await_catchup(&status, total as u64);
+    let mut stream = connect(addr);
+    let stats = ask_pipelined(&mut stream, "{\"op\":\"stats\"}\n", 1);
+    let doc = Json::parse(&stats[0]).unwrap();
+    let replication = doc.get("replication").unwrap();
+    assert_eq!(replication.get("lag").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        replication.get("applied_seq").and_then(Json::as_u64),
+        Some(total as u64)
+    );
+    stop.store(true, Ordering::Relaxed);
+    fetcher.join().unwrap().unwrap();
+    std::fs::remove_file(&log_path).ok();
 }

@@ -37,16 +37,16 @@ fn engine() -> CoverageEngine {
 }
 
 /// Binds an ephemeral port and serves the fixture engine on a background
-/// thread, returning the address and a shared handle onto the engine.
-fn spawn(options: ServeOptions) -> (SocketAddr, Arc<Mutex<CoverageEngine>>) {
+/// thread, returning the address. The served engine is read over the
+/// protocol: the loop owns it while it runs.
+fn spawn(options: ServeOptions) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap();
     let shared = Arc::new(Mutex::new(engine()));
-    let server = Arc::clone(&shared);
     std::thread::spawn(move || {
-        let _ = serve(server, options, listener);
+        let _ = serve(shared, options, listener);
     });
-    (addr, shared)
+    addr
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -78,7 +78,7 @@ fn ask_pipelined(stream: &mut TcpStream, payload: &str, n: usize) -> Vec<String>
 /// in request order, each echoing its caller-chosen `id`.
 #[test]
 fn pipelined_requests_answer_in_order_with_ids() {
-    let (addr, _) = spawn(ServeOptions::new());
+    let addr = spawn(ServeOptions::new());
     let mut stream = connect(addr);
     let script = concat!(
         "{\"id\":7,\"op\":\"insert\",\"row\":[\"f\",\"black\",\"young\"]}\n",
@@ -102,7 +102,7 @@ fn pipelined_requests_answer_in_order_with_ids() {
 /// reassembled across readiness events and answered exactly once.
 #[test]
 fn fragmented_frames_reassemble_across_reads() {
-    let (addr, _) = spawn(ServeOptions::new());
+    let addr = spawn(ServeOptions::new());
     let mut stream = connect(addr);
     let line = "{\"id\":1,\"op\":\"coverage\",\"pattern\":\"0XX\"}\n";
     for byte in line.as_bytes() {
@@ -123,7 +123,7 @@ fn fragmented_frames_reassemble_across_reads() {
 /// request on the same connection is served normally.
 #[test]
 fn oversized_lines_error_then_resync() {
-    let (addr, _) = spawn(ServeOptions::new());
+    let addr = spawn(ServeOptions::new());
     let mut stream = connect(addr);
     let mut payload = String::with_capacity(MAX_LINE_BYTES + 128);
     payload.push_str("{\"op\":\"mups\",\"junk\":\"");
@@ -146,7 +146,7 @@ fn oversized_lines_error_then_resync() {
 /// still land, and the engine stays consistent with a batch audit.
 #[test]
 fn mid_batch_disconnect_leaves_the_engine_consistent() {
-    let (addr, shared) = spawn(ServeOptions::new());
+    let addr = spawn(ServeOptions::new());
     {
         let mut stream = connect(addr);
         let burst: String = (0..8)
@@ -156,15 +156,33 @@ fn mid_batch_disconnect_leaves_the_engine_consistent() {
         stream.flush().unwrap();
         // Dropped here: FIN after the payload, no response ever read.
     }
+    // The rows the engine must hold once the burst landed, audited in
+    // one batch.
+    let mut landed = engine().dataset().clone();
+    for _ in 0..8 {
+        landed.push_row(&[1, 2, 1]).unwrap();
+    }
+    let batch = CoverageReport::audit(&landed, Threshold::Count(1)).unwrap();
+    let batch_mups: Vec<String> = batch.mups.iter().map(|m| m.to_string()).collect();
     let deadline = Instant::now() + Duration::from_secs(10);
+    let mut observer = connect(addr);
     loop {
-        {
-            let engine = shared.lock().unwrap();
-            if engine.dataset().len() == 6 + 8 {
-                let batch = CoverageReport::audit(engine.dataset(), Threshold::Count(1)).unwrap();
-                assert_eq!(engine.mups(), batch.mups.as_slice());
-                break;
-            }
+        let answers = ask_pipelined(&mut observer, "{\"op\":\"stats\"}\n{\"op\":\"mups\"}\n", 2);
+        let rows = Json::parse(&answers[0])
+            .unwrap()
+            .get("rows")
+            .and_then(Json::as_u64);
+        if rows == Some(6 + 8) {
+            let mups = Json::parse(&answers[1]).unwrap();
+            let served: Vec<&str> = mups
+                .get("mups")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|m| m.as_str().unwrap())
+                .collect();
+            assert_eq!(served, batch_mups);
+            break;
         }
         assert!(
             Instant::now() < deadline,
@@ -220,7 +238,7 @@ fn tcp_stdin_and_handle_line_serve_identical_bytes() {
         .collect();
     assert_eq!(stdin, expected, "stdin diverged from handle_line");
 
-    let (addr, _) = spawn(options);
+    let addr = spawn(options);
     let mut stream = connect(addr);
     let mut tcp = ask_pipelined(&mut stream, &payload, script.len());
     assert!(tcp[8].contains(",\"io\":{\"requests\":"), "{}", tcp[8]);
@@ -265,7 +283,7 @@ fn io_counter(stats: &Json, key: &str) -> u64 {
 /// insert at a time.
 #[test]
 fn pipelined_insert_bursts_coalesce_into_fewer_engine_batches() {
-    let (addr, _) = spawn(ServeOptions::new());
+    let addr = spawn(ServeOptions::new());
     let mut stream = connect(addr);
     let per_burst = 32usize;
     let burst: String = (0..per_burst)
@@ -374,7 +392,7 @@ proptest! {
             .collect();
         let payload: String = script.iter().map(|l| format!("{l}\n")).collect();
 
-        let (addr, _) = spawn(ServeOptions::new());
+        let addr = spawn(ServeOptions::new());
         let mut stream = connect(addr);
         let bytes = payload.as_bytes();
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % bytes.len()).collect();

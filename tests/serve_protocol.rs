@@ -449,9 +449,8 @@ fn tcp_round_trip_shares_one_engine() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap();
     let shared = Arc::new(Mutex::new(engine()));
-    let server = Arc::clone(&shared);
     std::thread::spawn(move || {
-        let _ = serve(server, ServeOptions::new(), listener);
+        let _ = serve(shared, ServeOptions::new(), listener);
     });
 
     let ask = |line: &str| -> Json {
@@ -471,6 +470,7 @@ fn tcp_round_trip_shares_one_engine() {
     let doc = ask(r#"{"op":"stats"}"#);
     assert_eq!(doc.get("rows").and_then(Json::as_u64), Some(7));
     assert_eq!(doc.get("inserts").and_then(Json::as_u64), Some(1));
-    // And the in-process handle agrees.
-    assert_eq!(shared.lock().unwrap().dataset().len(), 7);
+    // And a third connection reads the same engine.
+    let doc = ask(r#"{"op":"coverage","pattern":"XXX"}"#);
+    assert_eq!(doc.get("coverage").and_then(Json::as_u64), Some(7));
 }
