@@ -342,12 +342,10 @@ fn datasets_route_by_name_and_stay_isolated() {
 }
 
 /// A `snapshot` pipelined into the *same event-loop tick* as preceding
-/// mutations must anchor past them: the event front end stages op-log
-/// appends until the engine lock drops, so the snapshot arm has to drain
-/// that stage before reading the anchor. Before that drain existed, the
-/// snapshot captured engine state including the tick's mutations while the
-/// anchor (and the truncation) excluded them — recovery and follower
-/// snapshot-sync then replayed the tail and double-applied the rows.
+/// mutations must anchor past them: a snapshot that captured the tick's
+/// mutations while its anchor (and the truncation) excluded them would
+/// make recovery and follower snapshot-sync replay the tail and
+/// double-apply the rows.
 #[test]
 fn same_tick_snapshot_anchors_past_staged_mutations() {
     let log_path = scratch_log("snap-anchor");
@@ -414,7 +412,7 @@ fn same_tick_snapshot_anchors_past_staged_mutations() {
     std::fs::remove_file(&snap_path).ok();
 }
 
-/// The stdin front end stages appends the same way: a `snapshot` in the
+/// The stdin front end runs the same segment step: a `snapshot` in the
 /// same read as preceding inserts anchors past them, so recovery replays
 /// only what came after it.
 #[test]
