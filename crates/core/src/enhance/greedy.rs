@@ -19,7 +19,9 @@
 //!   the index is rebuilt over the survivors alone, in their original order.
 //!   Every count the search compares is a count of live targets, so the
 //!   rebuilt index walks the same tree and picks the same combinations —
-//!   over shorter vectors.
+//!   over shorter vectors. The count phase keeps the index it switched on:
+//!   it reads it only for a pick's hits and its interior tie-breaks, so a
+//!   rebuild there costs more than the words it saves.
 //! * **Sparse, fused scoring.** A node's filter keeps only its nonzero
 //!   words ([`SparseWords`]). A child is scored with one AND+popcount pass
 //!   over its parent's nonzero words and the matching words of its column
@@ -58,9 +60,10 @@
 //! target sets a search round scans few words and the rule never fires.
 //! On the repository benchmark's `remedy` shape (AirBnB-like 100k × 13,
 //! τ = 1 %, λ = 6: ~71k targets, W ≈ 8.9 M, 2^13 cells) the first round
-//! scans ~3.4 M words and the rule fires before the second. A plan with
-//! its copy counts then takes a median 0.17 s instead of 0.37 s (10 paired
-//! runs per seed on two seeds, 2-vCPU VM).
+//! scans ~3.4 M words and the rule fires before the second. With target
+//! expansion and the copy counts in the pattern graph's node layout, a plan
+//! with its copy counts takes a median 75 ms there, against 144–150 ms
+//! before (10 paired runs per seed on two seeds, 2-vCPU VM).
 
 use std::cmp::Reverse;
 
@@ -391,7 +394,9 @@ fn solve_with(
         if remaining == 0 {
             return (Ok(selected), switched);
         }
-        if remaining * COMPACT_DEN <= index.len() * COMPACT_NUM {
+        // The count phase reads the index only for a pick's hits and its
+        // interior tie-breaks, so it keeps the index it switched on.
+        if counts.is_none() && remaining * COMPACT_DEN <= index.len() * COMPACT_NUM {
             indexed = live.iter_ones().map(|j| indexed[j]).collect();
             index = PatternIndex::build(indexed.iter().map(|&j| &targets[j]), cardinalities);
             live = BitVec::ones(indexed.len());

@@ -109,24 +109,35 @@ impl EnhancementPlan {
     /// hit per pattern; real collection must close each pattern's deficit
     /// `τ − cov(P)`). The allocation is conservative: each combination is
     /// replicated to the largest deficit among the patterns it hits. Any
-    /// [`CoverageProvider`] backend answers the deficit probes, one per
-    /// distinct hit target.
+    /// [`CoverageProvider`] backend answers the deficits with one
+    /// [`CoverageProvider::coverage_batch`] over the distinct hit targets,
+    /// in ascending target order.
     pub fn required_copies(&self, oracle: &dyn CoverageProvider, tau: u64) -> Vec<u64> {
-        let mut deficits: Vec<Option<u64>> = vec![None; self.targets.len()];
-        self.combinations
+        let mut is_hit = vec![false; self.targets.len()];
+        for &j in self.hits.iter().flatten() {
+            is_hit[j] = true;
+        }
+        let patterns: Vec<&[u8]> = (self.targets.iter().zip(&is_hit))
+            .filter(|&(_, &hit)| hit)
+            .map(|(target, _)| target.codes())
+            .collect();
+        let covs = oracle.coverage_batch(&patterns);
+        // Free the batch before the deficits take its place.
+        drop(patterns);
+        let mut covs = covs.into_iter();
+        let deficits: Vec<u64> = is_hit
             .iter()
-            .zip(&self.hits)
-            .map(|(_, hit)| {
-                hit.iter()
-                    .map(|&j| {
-                        *deficits[j].get_or_insert_with(|| {
-                            tau.saturating_sub(oracle.coverage(self.targets[j].codes()))
-                        })
-                    })
-                    .max()
-                    .unwrap_or(1)
-                    .max(1)
+            .map(|&hit| {
+                if hit {
+                    tau.saturating_sub(covs.next().unwrap_or(0))
+                } else {
+                    0
+                }
             })
+            .collect();
+        self.hits
+            .iter()
+            .map(|hit| hit.iter().map(|&j| deficits[j]).max().unwrap_or(1).max(1))
             .collect()
     }
 

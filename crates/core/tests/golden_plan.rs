@@ -3,7 +3,9 @@
 //! compaction and fused scoring went in, and pin that the rewrite walks the
 //! same search tree with the same tie-breaks. The d = 13 plan, pinned by
 //! its length, first picks and FNV-1a hash, was recorded before the solver
-//! gained its count phase, and its dense targets switch to that phase.
+//! gained its count phase, and its dense targets switch to that phase. Its
+//! copy counts, pinned by length and hash, were recorded while every
+//! deficit was still one dense probe per target.
 
 use coverage_core::enhance::{CoverageEnhancer, GreedyHittingSet};
 use coverage_core::mup::{DeepDiver, MupAlgorithm};
@@ -11,6 +13,7 @@ use coverage_core::validation::{ValidationOracle, ValidationRule};
 use coverage_core::Threshold;
 use coverage_data::generators::{airbnb_like, bluenile_like};
 use coverage_data::Dataset;
+use coverage_index::CoverageOracle;
 
 /// τ for every case: 1 % of the 5,000 generated rows.
 const TAU: u64 = 50;
@@ -28,6 +31,18 @@ fn plan_at(
     lambda: usize,
     validation: ValidationOracle,
 ) -> (usize, Vec<String>) {
+    let (plan, _) = plan_with_copies(dataset, tau, lambda, validation);
+    plan
+}
+
+/// [`plan_at`], plus the plan's copy counts from a dense oracle, as
+/// decimal strings.
+fn plan_with_copies(
+    dataset: &Dataset,
+    tau: u64,
+    lambda: usize,
+    validation: ValidationOracle,
+) -> ((usize, Vec<String>), Vec<String>) {
     let mups = DeepDiver::default()
         .find_mups(dataset, Threshold::Count(tau))
         .unwrap();
@@ -35,12 +50,17 @@ fn plan_at(
     let plan = CoverageEnhancer::with_validation(validation)
         .plan_for_level(&GreedyHittingSet, &mups, &cards, lambda)
         .unwrap();
+    let copies = plan
+        .required_copies(&CoverageOracle::from_dataset(dataset), tau)
+        .iter()
+        .map(u64::to_string)
+        .collect();
     let combos = plan
         .combinations
         .iter()
         .map(|c| c.iter().map(|&v| char::from(b'0' + v)).collect())
         .collect();
-    (plan.input_size(), combos)
+    ((plan.input_size(), combos), copies)
 }
 
 fn assert_plan(got: (usize, Vec<String>), targets: usize, expected: &[&str]) {
@@ -174,10 +194,10 @@ fn bluenile_level_2_with_rules() {
     );
 }
 
-/// 64-bit FNV-1a over the combinations, each followed by a newline.
-fn fnv1a(combos: &[String]) -> u64 {
+/// 64-bit FNV-1a over the lines, each followed by a newline.
+fn fnv1a(lines: &[String]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in combos.iter().flat_map(|c| c.bytes().chain([b'\n'])) {
+    for byte in lines.iter().flat_map(|c| c.bytes().chain([b'\n'])) {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0100_0000_01b3);
     }
@@ -189,7 +209,7 @@ fn airbnb_d13_level_6_dense_targets() {
     // The Fig 17 regime at a fifth of the rows: the targets fill most of
     // level 6, so the solver finishes on per-combination hit counts.
     let ds = airbnb_like(20_000, 13, 2019).unwrap();
-    let (targets, combos) = plan_at(&ds, 200, 6, ValidationOracle::accept_all());
+    let ((targets, combos), copies) = plan_with_copies(&ds, 200, 6, ValidationOracle::accept_all());
     assert_eq!(targets, 71_096, "target count");
     assert_eq!(combos.len(), 185, "combination count");
     assert_eq!(
@@ -202,4 +222,6 @@ fn airbnb_d13_level_6_dense_targets() {
         ]
     );
     assert_eq!(fnv1a(&combos), 0xef09_92d0_1c3b_b24b, "hash of the plan");
+    assert_eq!(copies.len(), 185, "copy count");
+    assert_eq!(fnv1a(&copies), 0xb709_6364_5a8a_40fc, "hash of the copies");
 }

@@ -19,7 +19,9 @@
 //! A covered map keeps only `count ≥ τ` per node — the iceberg-cube
 //! question of Beyer & Ramakrishnan (SIGMOD 1999) — and never holds the
 //! whole count array: it runs the same passes over one suffix sub-cube at a
-//! time (see [`CoveredMap::build`]).
+//! time (see [`split_walk`]). The same walk answers a large batch of `cov`
+//! probes ([`sweep_coverage`]) by reading each queried node as its
+//! sub-cube goes by.
 
 use coverage_data::UniqueCombinations;
 
@@ -55,6 +57,12 @@ impl Default for LatticeBudget {
 }
 
 impl LatticeBudget {
+    /// The pattern-graph layout over `cards`, or `None` when its nodes pass
+    /// the cell limit.
+    pub fn layout(&self, cards: &[u8]) -> Option<Layout> {
+        self.cells_for(cards).map(|_| Layout::new(cards))
+    }
+
     /// Cells a lattice over `cards` needs, or `None` when that passes the
     /// cell limit.
     pub fn cells_for(&self, cards: &[u8]) -> Option<usize> {
@@ -72,18 +80,24 @@ impl LatticeBudget {
     }
 }
 
-/// Most cells of the suffix sub-cube a covered map counts at a time: 2^16
+/// Most cells of the suffix sub-cube a split walk counts at a time: 2^16
 /// `u32` counts, 256 KiB, whatever the schema.
 pub(crate) const SUB_CUBE_CELLS: usize = 1 << 16;
 
-/// The row-major layout of the pattern graph over some cardinalities.
+/// The row-major layout of the pattern graph over some cardinalities:
+/// attribute `i` has stride Π_{j>i}(c_j + 1), and its digit `c_i` stands
+/// for [`X`]. The first attribute is the most significant and `X` the
+/// highest digit, so ascending node order is ascending lexicographic order
+/// over codes with `X` = 0xFF last.
 #[derive(Debug, Clone)]
-struct Layout {
+pub struct Layout {
     cards: Vec<u8>,
     strides: Vec<usize>,
 }
 
 impl Layout {
+    /// The layout over `cards`, whose node count the caller has checked
+    /// against a budget.
     fn new(cards: &[u8]) -> Self {
         let mut strides = vec![0; cards.len()];
         let mut stride = 1;
@@ -97,13 +111,32 @@ impl Layout {
         }
     }
 
+    /// The cardinalities laid out.
+    pub fn cardinalities(&self) -> &[u8] {
+        &self.cards
+    }
+
+    /// `strides[i]`: the node distance between neighbouring digits of
+    /// attribute `i`.
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
+    /// Number of nodes, Π(c_i + 1).
+    pub fn nodes(&self) -> usize {
+        self.strides
+            .first()
+            .zip(self.cards.first())
+            .map_or(1, |(&stride, &c)| stride * (usize::from(c) + 1))
+    }
+
     /// The node of `codes`, which uses [`X`] for non-deterministic elements.
     ///
     /// # Panics
     ///
     /// Panics when `codes.len()` is not the arity or a deterministic code is
     /// out of range, with the dense oracle's messages.
-    fn node(&self, codes: &[u8]) -> usize {
+    pub fn node(&self, codes: &[u8]) -> usize {
         assert_eq!(codes.len(), self.cards.len(), "pattern arity mismatch");
         let mut cell = 0;
         for (i, ((&v, &c), &stride)) in codes.iter().zip(&self.cards).zip(&self.strides).enumerate()
@@ -119,10 +152,31 @@ impl Layout {
         cell
     }
 
+    /// The codes of `node`, with [`X`] for non-deterministic elements: the
+    /// inverse of [`Self::node`].
+    pub fn codes(&self, node: usize) -> Vec<u8> {
+        self.cards
+            .iter()
+            .zip(&self.strides)
+            .map(|(&c, &stride)| match node / stride % (usize::from(c) + 1) {
+                digit if digit == usize::from(c) => X,
+                // Below `c`, so it fits a `u8`.
+                digit => digit as u8,
+            })
+            .collect()
+    }
+
     /// The cell of a fully deterministic `row`.
     fn cell(&self, row: &[u8]) -> usize {
-        row.iter()
-            .zip(&self.strides)
+        self.cell_in(row, 0)
+    }
+
+    /// The cell of a fully deterministic `row` within the sub-cube over
+    /// the attributes from `first` on.
+    fn cell_in(&self, row: &[u8], first: usize) -> usize {
+        row[first..]
+            .iter()
+            .zip(&self.strides[first..])
             .map(|(&v, &stride)| usize::from(v) * stride)
             .sum()
     }
@@ -261,59 +315,23 @@ pub(crate) struct CoveredMap {
 }
 
 impl CoveredMap {
-    /// Builds the map of `combos` at `tau`, or returns `None` when the
-    /// schema or the row count does not fit [`LatticeBudget::default`].
-    ///
-    /// The attributes split into a prefix and the longest suffix whose
-    /// sub-cube — the nodes sharing one prefix node, a contiguous block of
-    /// the row-major layout — holds at most `sub_cube_cells` counts. A walk
-    /// over the prefix digits narrows the combinations to those matching
-    /// each prefix node; at the last prefix attribute each value's
-    /// combinations are scattered into the sub-cube and summed by
-    /// [`sum_into_x_slots`] over the suffix, and the `X` digit's sub-cube is
-    /// the sum of its values' sub-cubes. Each node's bit is its count
-    /// against `tau`, so two sub-cubes are the only counts ever held.
+    /// Builds the map of `combos` at `tau` with one [`split_walk`] through
+    /// sub-cubes of at most `sub_cube_cells` counts, or returns `None` when
+    /// the schema or the row count does not fit [`LatticeBudget::default`].
+    /// Each node's bit is its count against `tau`, so two sub-cubes are the
+    /// only counts ever held.
     pub(crate) fn build(
         combos: &UniqueCombinations,
         tau: u64,
         sub_cube_cells: usize,
     ) -> Option<Self> {
         let len = LatticeBudget::default().cells_to_count(combos)?;
-        let cards = combos.cardinalities();
-        let layout = Layout::new(cards);
-        let mut prefix = cards.len();
-        let mut suffix_cells = 1;
-        while prefix > 0 && suffix_cells * (usize::from(cards[prefix - 1]) + 1) <= sub_cube_cells {
-            prefix -= 1;
-            suffix_cells *= usize::from(cards[prefix]) + 1;
-        }
-        let mut build = SplitBuild {
-            layout: &layout,
-            combos,
-            prefix,
-            suffix_cell: combos
-                .iter()
-                .map(|(combo, _)| {
-                    combo[prefix..]
-                        .iter()
-                        .zip(&layout.strides[prefix..])
-                        .map(|(&v, &stride)| usize::from(v) * stride)
-                        .sum()
-                })
-                .collect(),
+        let layout = Layout::new(combos.cardinalities());
+        let mark = MarkCovered {
             tau,
-            sub_cube: vec![0; suffix_cells],
-            x_sum: vec![0; suffix_cells],
             bits: vec![0; len.div_ceil(64)],
         };
-        let all: Vec<usize> = (0..combos.len()).collect();
-        if prefix == 0 {
-            build.count(&all);
-            mark(&mut build.bits, 0, &build.sub_cube, tau);
-        } else {
-            build.walk(0, 0, &all);
-        }
-        let bits = build.bits;
+        let bits = split_walk(combos, &layout, sub_cube_cells, mark).bits;
         Some(Self { tau, layout, bits })
     }
 
@@ -340,26 +358,200 @@ impl CoveredMap {
     }
 }
 
-/// The state of one [`CoveredMap::build`] walk. Combinations are named by
-/// their index in `combos`.
-struct SplitBuild<'a> {
+/// `cov` of each pattern in `patterns`, in order, read from one
+/// [`split_walk`] through sub-cubes of at most `sub_cube_cells` counts, or
+/// `None` when the schema or the row count does not fit
+/// [`LatticeBudget::default`].
+///
+/// # Panics
+///
+/// Panics when a pattern's length is not the arity or a deterministic code
+/// is out of range, with the dense oracle's messages.
+pub(crate) fn sweep_coverage(
+    combos: &UniqueCombinations,
+    patterns: &[&[u8]],
+    sub_cube_cells: usize,
+) -> Option<Vec<u64>> {
+    LatticeBudget::default().cells_to_count(combos)?;
+    let layout = Layout::new(combos.cardinalities());
+    let mut ascending = true;
+    let mut last = 0;
+    for codes in patterns {
+        let node = layout.node(codes);
+        ascending &= last <= node;
+        last = node;
+    }
+    let mut order = Vec::new();
+    if !ascending {
+        order.extend(0..patterns.len());
+        order.sort_by_cached_key(|&slot| layout.node(patterns[slot]));
+    }
+    let read = ReadNodes {
+        layout: &layout,
+        patterns,
+        order,
+        answered: 0,
+        answers: vec![0; patterns.len()],
+    };
+    Some(split_walk(combos, &layout, sub_cube_cells, read).answers)
+}
+
+/// The cell and row touches of one [`split_walk`] over `combos` through
+/// sub-cubes of at most `sub_cube_cells` counts, counting the sink's read of
+/// every node, or `None` when the schema or the row count does not fit
+/// [`LatticeBudget::default`]. With `n` combinations, prefix `p`, sub-cube
+/// size `S` and `A` = Σ_{j ≥ p} S·c_j / (c_j + 1) adds for Rule 2 over the
+/// suffix, counting a sub-cube touches `S + A` cells plus its rows; the
+/// walk also groups its rows at each prefix node and, at the last prefix
+/// attribute, sums each value's sub-cube into the `X` one.
+pub(crate) fn split_walk_work(combos: &UniqueCombinations, sub_cube_cells: usize) -> Option<u64> {
+    LatticeBudget::default().cells_to_count(combos)?;
+    let cards = combos.cardinalities();
+    let (prefix, cells) = split_point(cards, sub_cube_cells);
+    let (n, cells) = (combos.len() as u64, cells as u64);
+    let rule2: u64 = cards[prefix..]
+        .iter()
+        .map(|&c| cells / (u64::from(c) + 1) * u64::from(c))
+        .sum();
+    // Every walk first maps each combination to its suffix cell.
+    let Some(last) = prefix.checked_sub(1) else {
+        // One sub-cube: count every row, then hand it to the sink.
+        return Some(n + (cells + n + rule2) + cells);
+    };
+    // A node at depth `a` of the prefix walk groups the rows matching it,
+    // reading and placing each; each row matches 2^a of them.
+    let grouped = 2 * n * ((1 << prefix) - 1);
+    let scattered = n << last;
+    let calls: u64 = cards[..last].iter().map(|&c| u64::from(c) + 1).product();
+    // Per call: clear the `X` sum; per value, count, hand over and add into
+    // the `X` sum; then hand over the `X` sum.
+    let per_call = 2 * cells + u64::from(cards[last]) * (3 * cells + rule2);
+    Some(n + grouped + scattered + calls * per_call)
+}
+
+/// The split of `cards` into a prefix and the longest suffix whose
+/// sub-cube holds at most `sub_cube_cells` counts: the prefix length and
+/// the sub-cube's size.
+fn split_point(cards: &[u8], sub_cube_cells: usize) -> (usize, usize) {
+    let mut prefix = cards.len();
+    let mut cells = 1;
+    while prefix > 0 && cells * (usize::from(cards[prefix - 1]) + 1) <= sub_cube_cells {
+        prefix -= 1;
+        cells *= usize::from(cards[prefix]) + 1;
+    }
+    (prefix, cells)
+}
+
+/// What a [`split_walk`] does with each sub-cube it counts.
+trait SubCubeSink {
+    /// Takes the counts of nodes `base..base + counts.len()`.
+    fn take(&mut self, base: usize, counts: &[u32]);
+}
+
+/// Sets each node's covered-map bit.
+struct MarkCovered {
+    tau: u64,
+    bits: Vec<u64>,
+}
+
+impl SubCubeSink for MarkCovered {
+    fn take(&mut self, base: usize, counts: &[u32]) {
+        for (i, &n) in counts.iter().enumerate() {
+            let node = base + i;
+            self.bits[node / 64] |= u64::from(u64::from(n) >= self.tau) << (node % 64);
+        }
+    }
+}
+
+/// Reads the queried nodes that fall in each sub-cube.
+struct ReadNodes<'a> {
+    layout: &'a Layout,
+    patterns: &'a [&'a [u8]],
+    /// The answer slots in ascending node order, or empty when `patterns`
+    /// already ascend.
+    order: Vec<usize>,
+    /// How many slots, in that order, hold their answer.
+    answered: usize,
+    answers: Vec<u64>,
+}
+
+impl SubCubeSink for ReadNodes<'_> {
+    /// Sub-cubes arrive in ascending node order, so the slots they answer
+    /// are the next ones in `order`, and none of those lies below `base`.
+    fn take(&mut self, base: usize, counts: &[u32]) {
+        while self.answered < self.answers.len() {
+            let slot = self.order.get(self.answered).copied();
+            let slot = slot.unwrap_or(self.answered);
+            let node = self.layout.node(self.patterns[slot]);
+            let Some(&n) = counts.get(node - base) else {
+                break;
+            };
+            self.answers[slot] = u64::from(n);
+            self.answered += 1;
+        }
+    }
+}
+
+/// Hands every node's count over `combos`, laid out by `layout`, to `sink`
+/// one sub-cube at a time, in ascending node order, and returns the sink.
+///
+/// The attributes split into a prefix and the longest suffix whose
+/// sub-cube — the nodes sharing one prefix node, a contiguous block of the
+/// row-major layout — holds at most `sub_cube_cells` counts. A walk over
+/// the prefix digits narrows the combinations to those matching each
+/// prefix node; at the last prefix attribute each value's combinations are
+/// scattered into the sub-cube and summed by [`sum_into_x_slots`] over the
+/// suffix, and the `X` digit's sub-cube is the sum of its values'
+/// sub-cubes. The sink is a type parameter, so each use compiles its own
+/// walk.
+fn split_walk<S: SubCubeSink>(
+    combos: &UniqueCombinations,
+    layout: &Layout,
+    sub_cube_cells: usize,
+    sink: S,
+) -> S {
+    let (prefix, cells) = split_point(&layout.cards, sub_cube_cells);
+    let mut walk = SplitWalk {
+        layout,
+        combos,
+        prefix,
+        suffix_cell: combos
+            .iter()
+            .map(|(combo, _)| layout.cell_in(combo, prefix))
+            .collect(),
+        sub_cube: vec![0; cells],
+        x_sum: vec![0; cells],
+        sink,
+    };
+    let all: Vec<usize> = (0..combos.len()).collect();
+    if prefix == 0 {
+        walk.count(&all);
+        walk.sink.take(0, &walk.sub_cube);
+    } else {
+        walk.walk(0, 0, &all);
+    }
+    walk.sink
+}
+
+/// The state of one [`split_walk`]. Combinations are named by their index
+/// in `combos`.
+struct SplitWalk<'a, S> {
     layout: &'a Layout,
     combos: &'a UniqueCombinations,
     /// Attributes before the suffix.
     prefix: usize,
     /// Each combination's cell within the suffix sub-cube.
     suffix_cell: Vec<usize>,
-    tau: u64,
     /// The sub-cube being counted.
     sub_cube: Vec<u32>,
     /// The running sum of a last prefix attribute's value sub-cubes.
     x_sum: Vec<u32>,
-    bits: Vec<u64>,
+    sink: S,
 }
 
-impl SplitBuild<'_> {
-    /// Marks every node whose prefix digits before `attribute` are fixed in
-    /// `base`; `rows` are the combinations matching those digits.
+impl<S: SubCubeSink> SplitWalk<'_, S> {
+    /// Hands over every node whose prefix digits before `attribute` are
+    /// fixed in `base`; `rows` are the combinations matching those digits.
     fn walk(&mut self, attribute: usize, base: usize, rows: &[usize]) {
         let card = usize::from(self.layout.cards[attribute]);
         let stride = self.layout.strides[attribute];
@@ -378,12 +570,12 @@ impl SplitBuild<'_> {
         self.x_sum.fill(0);
         for v in 0..card {
             self.count(&grouped[starts[v]..starts[v + 1]]);
-            mark(&mut self.bits, base + v * stride, &self.sub_cube, self.tau);
+            self.sink.take(base + v * stride, &self.sub_cube);
             for (sum, &n) in self.x_sum.iter_mut().zip(&self.sub_cube) {
                 *sum += n;
             }
         }
-        mark(&mut self.bits, base + card * stride, &self.x_sum, self.tau);
+        self.sink.take(base + card * stride, &self.x_sum);
     }
 
     /// `rows` ordered by their value on `attribute`: value `v`'s rows are
@@ -421,14 +613,6 @@ impl SplitBuild<'_> {
             &cards[self.prefix..],
             &strides[self.prefix..],
         );
-    }
-}
-
-/// Sets the bit of node `base + i` for each `counts[i] ≥ tau`.
-fn mark(bits: &mut [u64], base: usize, counts: &[u32], tau: u64) {
-    for (i, &n) in counts.iter().enumerate() {
-        let node = base + i;
-        bits[node / 64] |= u64::from(u64::from(n) >= tau) << (node % 64);
     }
 }
 

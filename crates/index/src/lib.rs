@@ -14,6 +14,9 @@
 //!   its provider probes are one array read, and when one built by
 //!   [`CoverageOracle::for_threshold`] holds one bit per pattern instead,
 //!   telling whether it is covered at the walk's τ;
+//! * [`Layout`] — the row-major node numbering of the pattern graph that
+//!   the lattice and the covered map share, in which ascending node order
+//!   is pattern order;
 //! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used
 //!   by DEEPDIVER to prune the descendants of discovered MUPs;
 //! * [`Descent`] — the probe session of a depth-first Rule-1 walk, which the
@@ -35,6 +38,6 @@ mod provider;
 pub use bitvec::{intersection_weighted_sum, BitVec, SparseWords};
 pub use dominance::MupDominanceIndex;
 pub use kernels::kernel_features;
-pub use lattice::{LatticeBudget, LATTICE_CELL_BUDGET};
+pub use lattice::{LatticeBudget, Layout, LATTICE_CELL_BUDGET};
 pub use oracle::{CoverageOracle, X};
 pub use provider::{BackendMemory, CoverageBackend, CoverageProvider, Descent};

@@ -10,7 +10,9 @@ use coverage_data::{Dataset, UniqueCombinations};
 
 use crate::bitvec::{intersection_weighted_sum, BitVec};
 use crate::kernels;
-use crate::lattice::{CoveredMap, Lattice, LatticeBudget, SUB_CUBE_CELLS};
+use crate::lattice::{
+    split_walk_work, sweep_coverage, CoveredMap, Lattice, LatticeBudget, SUB_CUBE_CELLS,
+};
 use crate::provider::Descent;
 
 /// Sentinel code for a non-deterministic (`X`) pattern element.
@@ -301,6 +303,40 @@ impl CoverageOracle {
             }
         }
         crate::bitvec::intersection_weight_capped(&selected, self.combos.counts(), cap)
+    }
+
+    /// `cov` of each pattern in `patterns`, in order: one
+    /// [`Self::coverage`] probe each or, when [`Self::batch_sweeps`], one
+    /// walk over the whole pattern graph that reads each pattern's count as
+    /// its sub-cube goes by.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Self::coverage`] on a malformed pattern.
+    pub fn coverage_batch(&self, patterns: &[&[u8]]) -> Vec<u64> {
+        if self.batch_sweeps(patterns) {
+            if let Some(counts) = sweep_coverage(&self.combos, patterns, SUB_CUBE_CELLS) {
+                return counts;
+            }
+        }
+        patterns.iter().map(|p| self.coverage(p)).collect()
+    }
+
+    /// Whether [`Self::coverage_batch`] answers `patterns` with one walk
+    /// over the pattern graph: when the graph fits
+    /// [`LatticeBudget::default`] and the walk touches fewer cells and rows
+    /// than the probes read words. A probe of a pattern with `ℓ`
+    /// deterministic elements reads `max(ℓ, 1)` vectors of one bit per
+    /// unique combination; the walk touches every node's count a few times
+    /// (see [`split_walk_work`]), whatever the batch. A word and a cell
+    /// count one each.
+    pub fn batch_sweeps(&self, patterns: &[&[u8]]) -> bool {
+        let words = self.combos.len().div_ceil(64) as u64;
+        let probes: u64 = patterns
+            .iter()
+            .map(|p| words * p.iter().filter(|&&v| v != X).count().max(1) as u64)
+            .sum();
+        split_walk_work(&self.combos, SUB_CUBE_CELLS).is_some_and(|sweep| sweep < probes)
     }
 
     /// Logical index bytes: every `(attribute, value)` vector stores one bit

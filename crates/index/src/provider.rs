@@ -211,6 +211,16 @@ impl CoverageProvider for CoverageOracle {
         }
     }
 
+    /// With a lattice, one read per pattern; otherwise
+    /// [`CoverageOracle::coverage_batch`], which sweeps the pattern graph
+    /// once when that is cheaper than probing each pattern.
+    fn coverage_batch(&self, patterns: &[&[u8]]) -> Vec<u64> {
+        match self.materialized() {
+            Materialized::Counts(lattice) => patterns.iter().map(|p| lattice.get(p)).collect(),
+            _ => CoverageOracle::coverage_batch(self, patterns),
+        }
+    }
+
     /// With a lattice or a covered map at `tau` every probe is one array
     /// read, so the walk needs no per-level state.
     fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {

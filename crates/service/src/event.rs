@@ -505,6 +505,7 @@ fn dispatch_counted<B: CoverageBackend>(
         slot, id, request, ..
     } = op;
     let class = op_class(&request);
+    let snapshot = matches!(request, Request::Snapshot);
     let mut staged = None;
     let oplog = log.log.as_deref_mut();
     match dispatch(
@@ -519,6 +520,12 @@ fn dispatch_counted<B: CoverageBackend>(
         Ok(response) => {
             count_batch(metrics, class, 1);
             slots[slot] = Some(response);
+            if snapshot {
+                // The snapshot holds every mutation appended before it, and
+                // truncating the log fsynced the tail: they are durable
+                // whatever the segment's closing fsync does.
+                log.appended.clear();
+            }
             if let Some(op) = staged {
                 log.append(slots, slot, id, || op);
             }
@@ -712,8 +719,9 @@ pub(crate) fn process_ops<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
 /// Serves one segment — per tenant per event-loop tick, per stdin read,
 /// per `handle_line` call: the engine step, then one batch fsync, so every
 /// response in `slots` is final before the caller writes it. If the fsync
-/// fails, every mutation the segment appended answers `internal`: it is
-/// applied and logged, but not durable.
+/// fails, every mutation the segment appended after its last successful
+/// `snapshot` answers `internal`: it is applied and logged, but not
+/// durable.
 pub(crate) fn serve_segment<B: CoverageBackend, I: IntoIterator<Item = OpWork>>(
     engine: &mut CoverageEngine<B>,
     mut oplog: Option<&mut OpLog>,
@@ -1395,6 +1403,38 @@ mod tests {
         assert_eq!(shared.lock().unwrap().last_seq(), 4);
         assert_eq!(crate::oplog::read_entries_from(&path, 1).unwrap().len(), 4);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_fsync_spares_what_a_mid_segment_snapshot_made_durable() {
+        let (path, mut log) = fresh_log("sync-snapshot");
+        log.fail_syncs_from(1);
+        let snapshot = path.with_extension("snapshot");
+        let options = ServeOptions::default()
+            .with_snapshot_path(Some(snapshot.clone()))
+            .with_oplog(Some(Arc::new(Mutex::new(log))));
+        let mut engine = test_engine();
+        let script = concat!(
+            "{\"op\":\"insert\",\"id\":1,\"row\":[\"f\",\"black\"]}\n",
+            "{\"op\":\"snapshot\",\"id\":2}\n",
+            "{\"op\":\"insert\",\"id\":3,\"row\":[\"m\",\"asian\"]}\n",
+        );
+        let mut output = Vec::new();
+        // A byte slice is one read, so the script is one segment.
+        crate::serve_lines(&mut engine, &options, script.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // The snapshot holds the first insert; only the second waits on
+        // the failed fsync.
+        assert!(lines[0].starts_with(r#"{"ok":true,"id":1"#), "{}", lines[0]);
+        assert!(lines[1].starts_with(r#"{"ok":true,"id":2"#), "{}", lines[1]);
+        assert_eq!(
+            lines[2],
+            sync_failed_responses()[0].replace("\"id\":1", "\"id\":3")
+        );
+        assert_eq!(engine.dataset().len(), 6);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&snapshot).ok();
     }
 
     #[test]
