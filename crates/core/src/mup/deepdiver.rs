@@ -1,37 +1,62 @@
 //! DEEPDIVER (§III-E, Algorithm 3): depth-first dives that reach uncovered
-//! territory quickly, walk up to the responsible MUP, and then prune the
-//! descendants of every discovered MUP through the bit-parallel dominance
-//! index of Appendix B.
+//! territory quickly and prune the descendants of every discovered MUP.
 //!
 //! The walk pops nodes off a stack; a popped node is
 //!
+//! * **covered** — its Rule-1 children are pushed;
 //! * **dominated by** a discovered MUP — it lies in a pruned subtree and is
 //!   skipped (checked only for uncovered nodes: a covered node cannot be
 //!   dominated by an uncovered pattern);
-//! * **covered** — its Rule-1 children are pushed;
-//! * **uncovered** otherwise — a walk-up (moving to the first uncovered
-//!   parent until none exists) lands exactly on a new MUP.
+//! * **uncovered** otherwise — it is a new MUP itself.
 //!
-//! Algorithm 3 also skips the coverage probe of nodes that *dominate* a
-//! discovered MUP (covered ancestors). In this traversal order no such
-//! node is ever popped, so the check is left out. Rule-1 children are
-//! pushed in ascending (position, value) order and popped last-in first-out,
-//! so the walk visits each subtree whole, larger positions first. Take a
-//! pattern `p` that dominates a node `q`. Either `p` lies on `q`'s Rule-1
-//! path from the root, or the two paths branch at some node `b`. In the
-//! second case `p`'s branch below `b` sets a larger position than `q`'s,
-//! because `p`'s deterministic elements are a subset of `q`'s. Either way
-//! `p`, if visited, is popped before `q`. A MUP found by climbing from `q`
-//! dominates `q` or equals it. A node popped after `q` that dominated the
-//! MUP would dominate `q` too, so it would have been popped before `q`;
-//! and a tree walk never pops `q` itself twice.
+//! Rule-1 children are pushed in ascending (position, value) order and
+//! popped last-in first-out, so the walk visits each subtree whole, larger
+//! positions first. Take a pattern `p` that dominates a node `q`. Either
+//! `p` lies on `q`'s Rule-1 path from the root, or the two paths branch at
+//! some node `b`. In the second case `p`'s branch below `b` sets a larger
+//! position than `q`'s, because `p`'s deterministic elements are a subset
+//! of `q`'s. Either way `p`, if visited, is popped before `q`.
 //!
-//! Pending nodes live in one flat code stack, the climb rewrites the
-//! popped node's buffer in place, and coverage probes go through
-//! [`CoverageProvider::descent`], so the dense oracle answers each child
-//! from its parent's match vector.
+//! Algorithm 3 skips the coverage probe of nodes that *dominate* a
+//! discovered MUP (covered ancestors). By the order above no such node is
+//! popped after the MUP, so the check is left out.
+//!
+//! Algorithm 3 also walks up from an uncovered node to its MUP. In this
+//! order that climb never moves, and an uncovered node is dominated by a
+//! discovered MUP exactly when one of its parents is uncovered:
+//!
+//! * Let `q` be uncovered with an uncovered parent. Climbing from that
+//!   parent reaches a MUP `M` that strictly dominates `q`. Every node on
+//!   `M`'s Rule-1 path is an ancestor of `M`, so it is covered, and its
+//!   level is below `M`'s, so below any `max_level` that admits `q`: the
+//!   walk pushes `M`, pops it before `q`, and finds it (a MUP is
+//!   dominated by no other uncovered pattern, and a tree walk pops each
+//!   node once). So `q` is pruned.
+//! * Let `q` be dominated by a discovered MUP `M`. Then `M ≠ q`, since
+//!   each node is popped once, and `q` has a parent that `M` dominates or
+//!   equals; that parent is uncovered.
+//!
+//! So an uncovered popped node that is not pruned has every parent
+//! covered: by Definition 5 it is a MUP, and the climb is the identity.
+//! The dive is written once ([`dive`]) over a [`View`] that probes and
+//! prunes in one of two ways:
+//!
+//! * [`NodeView`] — when the provider answers
+//!   [`CoverageProvider::covered_nodes`] (the oracle's lattice at any τ,
+//!   or its covered map at the map's τ), pending nodes are indices in the
+//!   row-major pattern-graph layout. A child is `node − (c_i − v)·stride_i`,
+//!   a parent `node + (c_i − digit_i)·stride_i`, and every probe is one bit
+//!   or count read. An uncovered node is a MUP when every parent is
+//!   covered (Definition 5), so no dominance index is kept.
+//! * [`CodesView`] — otherwise (the dense oracle, schemas past the
+//!   lattice's cell budget, wrappers), pending nodes are codes on one flat
+//!   stack, probes go through [`CoverageProvider::descent`], which lets the
+//!   dense oracle answer each child from its parent's match vector, and the
+//!   dominated-by check is Appendix B's [`MupDominanceIndex`].
+//!
+//! Both find the same MUPs in the same order.
 
-use coverage_index::{CoverageProvider, MupDominanceIndex, X};
+use coverage_index::{CoverageProvider, CoveredNodes, Descent, MupDominanceIndex, X};
 
 use crate::error::Result;
 use crate::mup::MupAlgorithm;
@@ -52,27 +77,6 @@ impl DeepDiver {
             max_level: Some(max_level),
         }
     }
-
-    /// Walk-up phase, in place: starting from an uncovered pattern,
-    /// repeatedly move to the first uncovered parent (parents taken in
-    /// attribute order); the fixed point has all parents covered and is
-    /// therefore a MUP.
-    fn climb(oracle: &dyn CoverageProvider, tau: u64, codes: &mut [u8]) {
-        'climb: loop {
-            for i in 0..codes.len() {
-                let value = codes[i];
-                if value == X {
-                    continue;
-                }
-                codes[i] = X;
-                if !oracle.covered(codes, tau) {
-                    continue 'climb;
-                }
-                codes[i] = value;
-            }
-            return;
-        }
-    }
 }
 
 impl MupAlgorithm for DeepDiver {
@@ -89,42 +93,170 @@ impl MupAlgorithm for DeepDiver {
             // cov(P) ≥ 0 for every pattern: nothing is uncovered.
             return Ok(Vec::new());
         }
-        let cards = oracle.cardinalities().to_vec();
-        let d = cards.len();
-        let depth = self.max_level.map_or(d, |m| m.min(d));
+        let cards = oracle.cardinalities();
+        let depth = self.max_level.map_or(cards.len(), |m| m.min(cards.len()));
+        Ok(match oracle.covered_nodes(tau) {
+            Some(nodes) => dive(NodeView::new(nodes, depth), cards, depth),
+            None => dive(CodesView::new(oracle, tau), cards, depth),
+        })
+    }
+}
 
-        let mut mups: Vec<Pattern> = Vec::new();
-        let mut index = MupDominanceIndex::new(&cards);
-        let mut probe = oracle.descent(tau);
-        // Pending nodes: `d` codes each on `codes`, and per node its level
-        // and the first position its Rule-1 children may set.
-        let mut codes: Vec<u8> = vec![X; d];
-        let mut frames: Vec<(usize, usize)> = vec![(0, 0)];
-        let mut node: Vec<u8> = vec![X; d];
+/// How a [`dive`] sees the pattern graph: it names pending nodes, probes
+/// the node just popped, names that node's Rule-1 children, and decides
+/// whether it is a new MUP.
+trait View {
+    /// A pending node as the stack holds it.
+    type Node: Copy;
 
-        while let Some((level, first_free)) = frames.pop() {
-            let top = codes.len() - d;
-            node.copy_from_slice(&codes[top..]);
-            codes.truncate(top);
-            let expand = level < depth;
-            if probe.covered(&node, expand) {
-                if expand {
-                    for (i, &card) in cards.iter().enumerate().skip(first_free) {
-                        for v in 0..card {
-                            let child = codes.len();
-                            codes.extend_from_slice(&node);
-                            codes[child + i] = v;
-                            frames.push((level + 1, i + 1));
-                        }
+    /// The root, `XX…X`.
+    fn root(&mut self) -> Self::Node;
+
+    /// Makes `node`, just popped at `level`, the current node, and tells
+    /// whether it is covered. `expand` says whether a covered node's
+    /// children are pushed next.
+    fn visit(&mut self, node: Self::Node, level: usize, expand: bool) -> bool;
+
+    /// The current node's Rule-1 child that sets attribute `i` to `v`.
+    fn child(&mut self, i: usize, v: u8) -> Self::Node;
+
+    /// The current node, which is uncovered, when no discovered MUP
+    /// dominates it.
+    fn new_mup(&mut self) -> Option<Pattern>;
+}
+
+/// The dive: pops nodes in the order the module doc describes and returns
+/// the MUPs in discovery order.
+fn dive<V: View>(mut view: V, cards: &[u8], depth: usize) -> Vec<Pattern> {
+    let mut mups = Vec::new();
+    // Pending nodes, each with its level and the first position its Rule-1
+    // children may set.
+    let mut frames = vec![(view.root(), 0, 0)];
+    while let Some((node, level, first_free)) = frames.pop() {
+        let expand = level < depth;
+        if view.visit(node, level, expand) {
+            if expand {
+                for (i, &card) in cards.iter().enumerate().skip(first_free) {
+                    for v in 0..card {
+                        frames.push((view.child(i, v), level + 1, i + 1));
                     }
                 }
-            } else if !index.dominated_by_any(&node) {
-                Self::climb(oracle, tau, &mut node);
-                index.add(&node);
-                mups.push(Pattern::from_codes(node.as_slice()));
             }
+        } else if let Some(mup) = view.new_mup() {
+            mups.push(mup);
         }
-        Ok(mups)
+    }
+    mups
+}
+
+/// Nodes as indices in the row-major layout of [`CoveredNodes`]; an
+/// uncovered node is a MUP when every parent is covered.
+struct NodeView<'a> {
+    nodes: CoveredNodes<'a>,
+    /// `up[k]` is the step that clears the element the current node's
+    /// level-`k + 1` ancestor on its Rule-1 path set (the current node
+    /// included): adding it gives a parent. Entries below a popped node's
+    /// level were written by its ancestors, since every node popped in
+    /// between lies at its level or deeper.
+    up: Vec<usize>,
+    current: usize,
+    level: usize,
+}
+
+impl<'a> NodeView<'a> {
+    fn new(nodes: CoveredNodes<'a>, depth: usize) -> Self {
+        Self {
+            nodes,
+            up: vec![0; depth],
+            current: 0,
+            level: 0,
+        }
+    }
+}
+
+impl View for NodeView<'_> {
+    /// The node index and the step back to the parent that pushed it.
+    type Node = (usize, usize);
+
+    fn root(&mut self) -> (usize, usize) {
+        // Every digit is `X`, the highest: the last node.
+        (self.nodes.layout().nodes() - 1, 0)
+    }
+
+    fn visit(&mut self, (node, up): (usize, usize), level: usize, _expand: bool) -> bool {
+        if let Some(k) = level.checked_sub(1) {
+            self.up[k] = up;
+        }
+        self.current = node;
+        self.level = level;
+        self.nodes.covered(node)
+    }
+
+    fn child(&mut self, i: usize, v: u8) -> (usize, usize) {
+        let layout = self.nodes.layout();
+        let up = usize::from(layout.cardinalities()[i] - v) * layout.strides()[i];
+        (self.current - up, up)
+    }
+
+    /// The parent that pushed the current node was covered, so only the
+    /// other parents are read.
+    fn new_mup(&mut self) -> Option<Pattern> {
+        let others = &self.up[..self.level.saturating_sub(1)];
+        others
+            .iter()
+            .all(|&up| self.nodes.covered(self.current + up))
+            .then(|| Pattern::from_codes(self.nodes.layout().codes(self.current)))
+    }
+}
+
+/// Nodes as codes on one flat stack, probed through a [`Descent`]; an
+/// uncovered node is a MUP when no discovered MUP dominates it.
+struct CodesView<'a> {
+    probe: Box<dyn Descent + 'a>,
+    index: MupDominanceIndex,
+    /// `d` codes per pending node.
+    pending: Vec<u8>,
+    current: Vec<u8>,
+}
+
+impl<'a> CodesView<'a> {
+    fn new(oracle: &'a dyn CoverageProvider, tau: u64) -> Self {
+        Self {
+            probe: oracle.descent(tau),
+            index: MupDominanceIndex::new(oracle.cardinalities()),
+            pending: Vec::new(),
+            current: vec![X; oracle.arity()],
+        }
+    }
+}
+
+impl View for CodesView<'_> {
+    /// Pending codes live on the view's own stack, in the frames' order.
+    type Node = ();
+
+    fn root(&mut self) {
+        self.pending.resize(self.current.len(), X);
+    }
+
+    fn visit(&mut self, (): (), _level: usize, expand: bool) -> bool {
+        let top = self.pending.len() - self.current.len();
+        self.current.copy_from_slice(&self.pending[top..]);
+        self.pending.truncate(top);
+        self.probe.covered(&self.current, expand)
+    }
+
+    fn child(&mut self, i: usize, v: u8) {
+        let child = self.pending.len();
+        self.pending.extend_from_slice(&self.current);
+        self.pending[child + i] = v;
+    }
+
+    fn new_mup(&mut self) -> Option<Pattern> {
+        if self.index.dominated_by_any(&self.current) {
+            return None;
+        }
+        self.index.add(&self.current);
+        Some(Pattern::from_codes(self.current.as_slice()))
     }
 }
 
@@ -132,7 +264,7 @@ impl MupAlgorithm for DeepDiver {
 mod tests {
     use super::*;
     use crate::mup::test_support::{
-        assert_example1, assert_matches_reference, brute_force_mups, example1, oracle_for,
+        assert_example1, assert_matches_reference, brute_force_mups, oracle_for,
     };
     use crate::Threshold;
 
@@ -146,24 +278,6 @@ mod tests {
         for (seed, tau) in [(1, 3), (2, 10), (3, 40), (4, 100)] {
             assert_matches_reference(&DeepDiver::default(), seed, tau);
         }
-    }
-
-    #[test]
-    fn climb_finds_mup_from_deep_uncovered_node() {
-        // §III-E example: the dive XXX → X0X → 10X reaches the uncovered
-        // non-MUP 10X whose walk-up must land on 1XX.
-        let oracle = oracle_for(&example1());
-        let mut codes = Pattern::parse("10X").unwrap().codes().to_vec();
-        DeepDiver::climb(&oracle, 1, &mut codes);
-        assert_eq!(Pattern::from_codes(codes).to_string(), "1XX");
-    }
-
-    #[test]
-    fn climb_on_mup_is_identity() {
-        let oracle = oracle_for(&example1());
-        let mut codes = Pattern::parse("1XX").unwrap().codes().to_vec();
-        DeepDiver::climb(&oracle, 1, &mut codes);
-        assert_eq!(Pattern::from_codes(codes).to_string(), "1XX");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Properties of DeepDiver on small random datasets: it finds exactly the
-//! MUPs of the naive enumeration, the oracle's lattice and covered-map
-//! descents find the same ones as its dense descent, and the ancestor check of Algorithm 3 — which the walk leaves out
-//! — would never fire.
+//! MUPs of the naive enumeration; the oracle's lattice and covered-map
+//! forms find the same ones in the same order as its dense form; and
+//! Algorithm 3's ancestor check and walk-up, which the walk leaves out,
+//! would never fire or move.
 
 use std::cell::Cell;
 
@@ -11,19 +12,22 @@ use coverage_data::{Dataset, Schema};
 use coverage_index::{CoverageBackend, CoverageOracle, CoverageProvider};
 use proptest::prelude::*;
 
-/// Algorithm 3 as it stood with the ancestor check: a popped node that
-/// dominates a discovered MUP skips its probe and expands directly. Both
-/// dominance checks are linear scans. Returns the MUPs and how often the
-/// ancestor check fired.
+/// Algorithm 3 as it stood with the ancestor check and the walk-up: a
+/// popped node that dominates a discovered MUP skips its probe and expands
+/// directly, and an uncovered node no discovered MUP dominates climbs to
+/// its first uncovered parent until none is left. Both dominance checks
+/// are linear scans. Returns the MUPs, how often the ancestor check fired
+/// and how many climbs moved.
 fn walk_with_ancestor_check(
     oracle: &dyn CoverageProvider,
     tau: u64,
     max_level: Option<usize>,
-) -> (Vec<Pattern>, usize) {
+) -> (Vec<Pattern>, usize, usize) {
     let cards = oracle.cardinalities().to_vec();
     let depth = max_level.map_or(cards.len(), |m| m.min(cards.len()));
     let mut mups: Vec<Pattern> = Vec::new();
     let mut fired = 0;
+    let mut moved = 0;
     let mut stack = vec![Pattern::all_x(cards.len())];
     while let Some(p) = stack.pop() {
         if mups.iter().any(|m| p.dominates(m)) {
@@ -35,7 +39,7 @@ fn walk_with_ancestor_check(
         }
         if !oracle.covered(p.codes(), tau) {
             if !mups.iter().any(|m| m.dominates(&p)) {
-                let mut mup = p;
+                let mut mup = p.clone();
                 loop {
                     let uncovered = mup.parents().find(|q| !oracle.covered(q.codes(), tau));
                     match uncovered {
@@ -43,13 +47,14 @@ fn walk_with_ancestor_check(
                         None => break,
                     }
                 }
+                moved += usize::from(mup != p);
                 mups.push(mup);
             }
         } else if p.level() < depth {
             stack.extend(p.rule1_children(&cards));
         }
     }
-    (mups, fired)
+    (mups, fired, moved)
 }
 
 /// A random dataset: d ≤ 7 attributes of cardinality 1–4 and up to 40
@@ -98,23 +103,40 @@ proptest! {
             .collect();
         prop_assert_eq!(&got, &sorted(naive));
 
-        let lattice = <CoverageOracle as CoverageBackend>::build(&dataset, 1);
-        prop_assert!(lattice.has_lattice());
-        let mapped = CoverageOracle::for_threshold(&dataset, tau);
-        for other in [&lattice as &dyn CoverageProvider, &mapped] {
-            prop_assert_eq!(&sorted(diver.find_mups_with_oracle(other, tau).unwrap()), &got);
-        }
-
         let breaker = PatternBreaker { max_level };
         prop_assert_eq!(&sorted(breaker.find_mups_with_oracle(&dense, tau).unwrap()), &got);
     }
 
+    /// The dense form walks the codes through Appendix B's dominance
+    /// index; the lattice and the covered map walk node indices and check
+    /// the parents. Sub-cube limits from 0 to the default move the map
+    /// build's split between a prefix and a suffix.
     #[test]
-    fn the_ancestor_check_never_fires(case in instance()) {
+    fn every_oracle_form_finds_the_same_mups_in_the_same_order(case in instance()) {
+        let (dataset, tau, max_level) = case;
+        let lattice = <CoverageOracle as CoverageBackend>::build(&dataset, 1);
+        prop_assert!(lattice.has_lattice());
+        let dense = CoverageOracle::from_dataset(&dataset);
+        let mapped: Vec<CoverageOracle> = [0, 1, 8, 1 << 16]
+            .into_iter()
+            .map(|cells| CoverageOracle::for_threshold_in_sub_cubes(&dataset, tau, cells))
+            .collect();
+        for diver in [DeepDiver { max_level }, DeepDiver::default()] {
+            let reference = diver.find_mups_with_oracle(&dense, tau).unwrap();
+            for other in std::iter::once(&lattice).chain(&mapped) {
+                prop_assert!(other.covered_nodes(tau).is_some());
+                prop_assert_eq!(&diver.find_mups_with_oracle(other, tau).unwrap(), &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn the_ancestor_check_never_fires_and_no_climb_moves(case in instance()) {
         let (dataset, tau, max_level) = case;
         let dense = CoverageOracle::from_dataset(&dataset);
-        let (reference, fired) = walk_with_ancestor_check(&dense, tau, max_level);
+        let (reference, fired, moved) = walk_with_ancestor_check(&dense, tau, max_level);
         prop_assert_eq!(fired, 0);
+        prop_assert_eq!(moved, 0);
         // Same MUPs in the same discovery order.
         prop_assert_eq!(
             DeepDiver { max_level }.find_mups_with_oracle(&dense, tau).unwrap(),

@@ -31,6 +31,8 @@ pub struct MupDominanceIndex {
     offsets: Vec<usize>,
     cardinalities: Vec<u8>,
     len: usize,
+    /// The slots of the last query, kept so a check allocates nothing.
+    slots: Vec<usize>,
 }
 
 impl MupDominanceIndex {
@@ -48,6 +50,7 @@ impl MupDominanceIndex {
             offsets,
             cardinalities: cardinalities.to_vec(),
             len: 0,
+            slots: Vec::with_capacity(cardinalities.len()),
         }
     }
 
@@ -117,16 +120,17 @@ impl MupDominanceIndex {
     /// # Panics
     ///
     /// Panics on arity mismatch or out-of-range value codes.
-    pub fn dominated_by_any(&self, codes: &[u8]) -> bool {
+    pub fn dominated_by_any(&mut self, codes: &[u8]) -> bool {
         assert_eq!(codes.len(), self.cardinalities.len(), "arity mismatch");
         if self.len == 0 {
             return false;
         }
-        let slots: Vec<usize> = codes
-            .iter()
-            .enumerate()
-            .map(|(i, &code)| self.slot(i, code))
-            .collect();
+        self.slots.clear();
+        for (i, &code) in codes.iter().enumerate() {
+            let slot = self.slot(i, code);
+            self.slots.push(slot);
+        }
+        let slots = &self.slots;
         if slots.is_empty() {
             // Zero attributes: every stored MUP is the empty pattern.
             return true;
@@ -136,7 +140,7 @@ impl MupDominanceIndex {
         // were never set, so no masking is needed.
         self.words.chunks_exact(self.row_width()).rev().any(|row| {
             let mut acc = u64::MAX;
-            for &s in &slots {
+            for &s in slots {
                 acc &= row[s];
                 if acc == 0 {
                     return false;
@@ -161,7 +165,7 @@ mod tests {
 
     #[test]
     fn empty_index_dominates_nothing() {
-        let idx = MupDominanceIndex::new(&[2, 2, 2]);
+        let mut idx = MupDominanceIndex::new(&[2, 2, 2]);
         assert!(idx.is_empty());
         assert!(!idx.dominated_by_any(&[1, 1, 1]));
         assert!(!idx.dominated_by_any(&[X, X, X]));
@@ -179,7 +183,7 @@ mod tests {
     #[test]
     fn paper_example_dominance() {
         // MUP 1XX from Example 1.
-        let idx = index_with(&[&[1, X, X]], &[2, 2, 2]);
+        let mut idx = index_with(&[&[1, X, X]], &[2, 2, 2]);
         // 10X is dominated by 1XX.
         assert!(idx.dominated_by_any(&[1, 0, X]));
         assert!(idx.dominated_by_any(&[1, 1, 1]));
@@ -193,14 +197,14 @@ mod tests {
     #[test]
     fn x_positions_require_x_in_dominator() {
         // MUP 10X: pattern 1XX is NOT dominated by it (1XX is more general).
-        let idx = index_with(&[&[1, 0, X]], &[2, 2, 2]);
+        let mut idx = index_with(&[&[1, 0, X]], &[2, 2, 2]);
         assert!(!idx.dominated_by_any(&[1, X, X]));
         assert!(idx.dominated_by_any(&[1, 0, 1]));
     }
 
     #[test]
     fn multiple_mups_any_semantics() {
-        let idx = index_with(&[&[1, X, X], &[X, 0, 2]], &[2, 2, 3]);
+        let mut idx = index_with(&[&[1, X, X], &[X, 0, 2]], &[2, 2, 3]);
         assert!(idx.dominated_by_any(&[1, 1, 0])); // by 1XX
         assert!(idx.dominated_by_any(&[0, 0, 2])); // by X02
         assert!(!idx.dominated_by_any(&[0, 1, 0]));

@@ -200,6 +200,43 @@ fn sum_into_x_slots(cells: &mut [u32], cards: &[u8], strides: &[usize]) {
     }
 }
 
+/// Whether each pattern-graph node is covered at one τ, read by node index
+/// in the row-major [`Layout`]: the bits of a covered map at τ, or a
+/// lattice's counts compared with τ. A walk that moves between nodes by
+/// adding and subtracting strides probes with one bit or count read.
+#[derive(Debug, Clone, Copy)]
+pub struct CoveredNodes<'a> {
+    layout: &'a Layout,
+    cells: Cells<'a>,
+}
+
+/// Where [`CoveredNodes`] reads its answers.
+#[derive(Debug, Clone, Copy)]
+enum Cells<'a> {
+    Bits(&'a [u64]),
+    Counts { counts: &'a [u32], tau: u64 },
+}
+
+impl<'a> CoveredNodes<'a> {
+    /// The layout that numbers the nodes.
+    pub fn layout(&self) -> &'a Layout {
+        self.layout
+    }
+
+    /// Whether node `node` is covered.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` is not below [`Layout::nodes`].
+    #[inline]
+    pub fn covered(&self, node: usize) -> bool {
+        match self.cells {
+            Cells::Bits(bits) => bits[node / 64] >> (node % 64) & 1 == 1,
+            Cells::Counts { counts, tau } => u64::from(counts[node]) >= tau,
+        }
+    }
+}
+
 /// One `u32` count per pattern-graph node.
 #[derive(Debug, Clone)]
 pub(crate) struct Lattice {
@@ -245,6 +282,17 @@ impl Lattice {
     /// out of range, with the dense oracle's messages.
     pub(crate) fn get(&self, codes: &[u8]) -> u64 {
         u64::from(self.cells[self.layout.node(codes)])
+    }
+
+    /// Every node's count compared with `tau`.
+    pub(crate) fn covered_nodes(&self, tau: u64) -> CoveredNodes<'_> {
+        CoveredNodes {
+            layout: &self.layout,
+            cells: Cells::Counts {
+                counts: &self.cells,
+                tau,
+            },
+        }
     }
 
     /// Counts one more copy of `row`. Returns `false`, changing nothing,
@@ -353,8 +401,15 @@ impl CoveredMap {
     /// Panics when `codes.len()` is not the arity or a deterministic code is
     /// out of range, with the dense oracle's messages.
     pub(crate) fn get(&self, codes: &[u8]) -> bool {
-        let node = self.layout.node(codes);
-        self.bits[node / 64] >> (node % 64) & 1 == 1
+        self.covered_nodes().covered(self.layout.node(codes))
+    }
+
+    /// Every node's bit.
+    pub(crate) fn covered_nodes(&self) -> CoveredNodes<'_> {
+        CoveredNodes {
+            layout: &self.layout,
+            cells: Cells::Bits(&self.bits),
+        }
     }
 }
 

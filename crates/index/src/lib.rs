@@ -17,8 +17,13 @@
 //! * [`Layout`] — the row-major node numbering of the pattern graph that
 //!   the lattice and the covered map share, in which ascending node order
 //!   is pattern order;
-//! * [`MupDominanceIndex`] — the growable dominance index of Appendix B used
-//!   by DEEPDIVER to prune the descendants of discovered MUPs;
+//! * [`CoveredNodes`] — whether each node is covered at one τ, read by node
+//!   index from the lattice or the covered map, for walks that move between
+//!   nodes by stride arithmetic;
+//! * [`MupDominanceIndex`] — the growable dominance index of Appendix B,
+//!   with which DEEPDIVER prunes the descendants of discovered MUPs only on
+//!   walks that hold neither a lattice nor a covered map (those check a
+//!   node's parents instead);
 //! * [`Descent`] — the probe session of a depth-first Rule-1 walk, which the
 //!   dense oracle answers from the parent's match vector.
 //!
@@ -38,6 +43,6 @@ mod provider;
 pub use bitvec::{intersection_weighted_sum, BitVec, SparseWords};
 pub use dominance::MupDominanceIndex;
 pub use kernels::kernel_features;
-pub use lattice::{LatticeBudget, Layout, LATTICE_CELL_BUDGET};
+pub use lattice::{CoveredNodes, LatticeBudget, Layout, LATTICE_CELL_BUDGET};
 pub use oracle::{CoverageOracle, X};
 pub use provider::{BackendMemory, CoverageBackend, CoverageProvider, Descent};

@@ -94,8 +94,9 @@ impl CoverageOracle {
     /// bit-vectors it holds a covered map, one bit per pattern-graph node
     /// telling whether `cov(P) ≥ tau`, when the schema and row count fit
     /// [`LatticeBudget::default`]. [`crate::CoverageProvider::covered`] and
-    /// [`crate::CoverageProvider::descent`] at `tau` read the map; every
-    /// other probe reads the bit-vectors, and any mutation drops the map.
+    /// [`crate::CoverageProvider::covered_nodes`] at `tau` read the map;
+    /// every other probe reads the bit-vectors, and any mutation drops the
+    /// map.
     pub fn for_threshold(dataset: &Dataset, tau: u64) -> Self {
         Self::for_threshold_in_sub_cubes(dataset, tau, SUB_CUBE_CELLS)
     }

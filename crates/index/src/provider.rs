@@ -8,7 +8,7 @@
 
 use coverage_data::Dataset;
 
-use crate::lattice::{CoveredMap, LatticeBudget};
+use crate::lattice::{CoveredNodes, LatticeBudget};
 use crate::oracle::{CoverageOracle, DenseDescent, Materialized};
 
 /// Storage accounting for a coverage backend, surfaced through the `stats`
@@ -71,6 +71,14 @@ pub trait CoverageProvider {
             provider: self,
             tau,
         })
+    }
+
+    /// Whether each pattern-graph node is covered at `tau`, read by node
+    /// index, when the backend holds that answer for every node at `tau`.
+    /// The default holds none, so a wrapper that does not forward it walks
+    /// through [`Self::descent`] and sees every probe.
+    fn covered_nodes(&self, _tau: u64) -> Option<CoveredNodes<'_>> {
+        None
     }
 
     /// `cov` for a batch of patterns at once. The default is a loop over
@@ -166,15 +174,6 @@ impl<P: CoverageProvider + ?Sized> Descent for ProbeEach<'_, P> {
     }
 }
 
-/// The [`Descent`] of an oracle holding a covered map at the walk's τ.
-struct ReadMap<'a>(&'a CoveredMap);
-
-impl Descent for ReadMap<'_> {
-    fn covered(&mut self, codes: &[u8], _expand: bool) -> bool {
-        self.0.get(codes)
-    }
-}
-
 impl CoverageProvider for CoverageOracle {
     fn arity(&self) -> usize {
         CoverageOracle::arity(self)
@@ -221,17 +220,20 @@ impl CoverageProvider for CoverageOracle {
         }
     }
 
-    /// With a lattice or a covered map at `tau` every probe is one array
-    /// read, so the walk needs no per-level state.
-    fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
+    /// The lattice's counts at any `tau`, or the covered map's bits at its
+    /// own.
+    fn covered_nodes(&self, tau: u64) -> Option<CoveredNodes<'_>> {
         match self.materialized() {
-            Materialized::Counts(_) => Box::new(ProbeEach {
-                provider: self,
-                tau,
-            }),
-            Materialized::CoveredAt(map) if map.tau() == tau => Box::new(ReadMap(map)),
-            _ => Box::new(DenseDescent::new(self, tau)),
+            Materialized::Counts(lattice) => Some(lattice.covered_nodes(tau)),
+            Materialized::CoveredAt(map) if map.tau() == tau => Some(map.covered_nodes()),
+            _ => None,
         }
+    }
+
+    /// The dense descent, whatever is materialized: a walk over a lattice
+    /// or a covered map at `tau` reads [`Self::covered_nodes`] instead.
+    fn descent(&self, tau: u64) -> Box<dyn Descent + '_> {
+        Box::new(DenseDescent::new(self, tau))
     }
 
     fn add_row(&mut self, row: &[u8]) {

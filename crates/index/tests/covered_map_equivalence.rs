@@ -1,6 +1,6 @@
 //! Property tests: an oracle holding a covered map
 //! ([`CoverageOracle::for_threshold`]) answers `covered(P, τ)` at its τ, and
-//! a depth-first walk's `descent(τ)`, exactly as a dense oracle, on every
+//! every node of `covered_nodes(τ)`, exactly as a dense oracle, on every
 //! pattern of the graph. Sub-cube limits from 0 cells up set where the
 //! build splits the attributes into a prefix and a suffix. Probes at any
 //! other threshold, and every probe after a mutation, read the bit-vectors
@@ -86,6 +86,21 @@ fn assert_every_pattern_agrees(
             );
         }
     }
+    if oracle.covered_map_threshold().is_some() {
+        let nodes = probe.covered_nodes(tau).expect("the map answers at its τ");
+        for p in all_patterns(dense.cardinalities()) {
+            let node = nodes.layout().node(&p);
+            prop_assert_eq!(
+                nodes.covered(node),
+                dense.covered(&p, tau),
+                "node of {:?}",
+                p
+            );
+        }
+    } else {
+        prop_assert!(probe.covered_nodes(tau).is_none());
+    }
+    prop_assert!(probe.covered_nodes(tau + 1).is_none());
     assert_descent_agrees(oracle, &dense, tau)?;
     assert_descent_agrees(oracle, &dense, tau + 1)
 }

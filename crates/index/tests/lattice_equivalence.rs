@@ -32,9 +32,10 @@ impl Model {
 }
 
 /// Asserts `lattice` agrees with a dense rebuild of `model` on every
-/// pattern: `coverage` exactly, `covered` at several thresholds, and
-/// `coverage_capped` up to its contract (exact below the cap, at least the
-/// cap above it), so both sides clamp to the cap before comparing.
+/// pattern: `coverage` exactly, `covered` at several thresholds (by codes,
+/// and by node while the lattice is held), and `coverage_capped` up to its
+/// contract (exact below the cap, at least the cap above it), so both sides
+/// clamp to the cap before comparing.
 fn assert_every_pattern_agrees(
     lattice: &CoverageOracle,
     model: &Model,
@@ -54,6 +55,16 @@ fn assert_every_pattern_agrees(
                 p,
                 tau
             );
+            prop_assert_eq!(probe.covered_nodes(tau).is_some(), lattice.has_lattice());
+            if let Some(nodes) = probe.covered_nodes(tau) {
+                prop_assert_eq!(
+                    nodes.covered(nodes.layout().node(&p)),
+                    dense.covered(&p, tau),
+                    "node of {:?} at τ = {}",
+                    p,
+                    tau
+                );
+            }
             prop_assert_eq!(
                 probe.coverage_capped(&p, tau).min(tau),
                 dense.coverage_capped(&p, tau).min(tau),

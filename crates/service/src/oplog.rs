@@ -51,9 +51,10 @@ pub const REPLICATE_BATCH_LIMIT: usize = 512;
 /// * `Always` — fsync after every entry before the request is acknowledged;
 ///   an acknowledged write survives power loss.
 /// * `Batch` — write+flush per entry, fsync once per serving segment (an
-///   event-loop tick, a stdin read, a `handle_line` call); an acknowledged
-///   write survives process death but a power cut can lose the last
-///   segment's worth.
+///   event-loop tick, a stdin read, a `handle_line` call). Every response
+///   waits for its segment's fsync, and a failed fsync revokes the
+///   segment's successes, so an acknowledged write survives power loss; a
+///   power cut loses only writes that were never acknowledged.
 /// * `Off` — never fsync explicitly; the OS decides. Fastest, weakest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
